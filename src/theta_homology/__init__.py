@@ -6,78 +6,8 @@ Hodge degree, computes its homology ranks with exact rational arithmetic,
 and cross-validates them against stored generating functions, piecewise
 rank formulas, closed-form homology bases, and a first-principles engine
 for the orientation signs of graph symmetries.
+
+The submodules are the API; this package root re-exports nothing.
 """
 
-from .algebra import (
-    ASYM,
-    ASYM_ODD,
-    SYM,
-    SYM_ODD,
-    Element,
-    Flavor,
-    admissible_basis,
-    symmetrize,
-)
-from .cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO, ParityCase, case_from_key
-from .complexes import ComplexConsistencyError, HodgeSlice, build_slice, slice_as_dict
-from .genfun import euler_relation_check, formulas, rank_formula, series, total_degree
-from .homology import (
-    RankRow,
-    defect_concentration_check,
-    euler_characteristic,
-    homology_generators,
-    homology_ranks,
-    verify_homology_basis,
-)
-from .linalg import RationalMatrix, is_zero_composition
-from .signs import (
-    UnsupportedSymmetryError,
-    edge_swap_sign,
-    edge_swap_sign_formula,
-    koszul_sign,
-    vertical_reflection_sign,
-    vertical_reflection_sign_formula,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_CASES",
-    "ASYM",
-    "ASYM_ODD",
-    "CASE_EE",
-    "CASE_EO",
-    "CASE_OE",
-    "CASE_OO",
-    "ComplexConsistencyError",
-    "Element",
-    "Flavor",
-    "HodgeSlice",
-    "ParityCase",
-    "RankRow",
-    "RationalMatrix",
-    "SYM",
-    "SYM_ODD",
-    "UnsupportedSymmetryError",
-    "admissible_basis",
-    "build_slice",
-    "case_from_key",
-    "defect_concentration_check",
-    "edge_swap_sign",
-    "edge_swap_sign_formula",
-    "euler_characteristic",
-    "euler_relation_check",
-    "formulas",
-    "homology_generators",
-    "homology_ranks",
-    "is_zero_composition",
-    "koszul_sign",
-    "rank_formula",
-    "series",
-    "slice_as_dict",
-    "symmetrize",
-    "total_degree",
-    "verify_homology_basis",
-    "vertical_reflection_sign",
-    "vertical_reflection_sign_formula",
-]

@@ -226,15 +226,6 @@ def mirror_even_part(f):
     return (f + mirror(f)) * Fraction(1, 2)
 
 
-def mirror_reverses_products(f, g):
-    """Check mirror(f.g) == (-1)^(|f||g|) mirror(g).mirror(f)."""
-    lhs = mirror(f * g)
-    rhs = mirror(g) * mirror(f)
-    if f.degree % 2 and g.degree % 2:
-        rhs = -rhs
-    return lhs == rhs
-
-
 def permute_variables(perm, f):
     """Rename generator i to perm[i] (0-based) and renormalize.
 
@@ -381,16 +372,6 @@ def vandermonde():
     )
 
 
-def alt_pair_sum():
-    """xi1 xi2 + xi2 xi3 + xi3 xi1, the ASym[xi] element [1,1,0]."""
-    return Element(ASYM_ODD, 2, {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): -1})
-
-
-def generator_product():
-    """xi1 xi2 xi3, the ASym[xi] element [1,1,1]."""
-    return Element(ASYM_ODD, 3, {(1, 1, 1): 1})
-
-
 def element_power(f, n):
     if n < 0:
         raise ValueError("negative power")
@@ -413,31 +394,6 @@ def elementary_reconstruct(coeffs):
     for term in terms:
         total = total + term
     return total
-
-
-def elementary_decompose(f):
-    """Write a symmetric commuting polynomial in e1, e2, e3.
-
-    Returns {(alpha, beta, gamma): coefficient} with alpha + 2 beta + 3 gamma
-    equal to the degree.  Classic leading-term descent: the lex-largest
-    monomial (a, b, c) of a symmetric polynomial is sorted, and
-    e1^(a-b) e2^(b-c) e3^c has exactly that leading monomial with
-    coefficient 1.  Non-symmetric input raises ValueError.
-    """
-    if f.flavor != SYM:
-        raise ValueError(f"expected a Sym[x] element, got {f.flavor}")
-    out = {}
-    remainder = f
-    while not remainder.is_zero():
-        lead = max(remainder.coeffs)
-        a, b, c = lead
-        if not a >= b >= c:
-            raise ValueError("input is not symmetric")
-        coefficient = remainder.coeffs[lead]
-        exponents = (a - b, b - c, c)
-        out[exponents] = coefficient
-        remainder = remainder - elementary_reconstruct({exponents: coefficient})
-    return out
 
 
 def render_element(f):
@@ -465,9 +421,3 @@ def render_element(f):
         else:
             pieces.append((" + " if c > 0 else " - ") + term)
     return "".join(pieces)
-
-
-def render_triple(flavor, triple):
-    """Basis label: (k1,k2,k3) for plain flavors, [k1,k2,k3] for sign-twisted."""
-    inner = ",".join(str(k) for k in triple)
-    return f"[{inner}]" if flavor.antisymmetric else f"({inner})"

@@ -12,9 +12,11 @@ Subcommands:
 
 Case names are two letters, the parities of m and N in that order: oo, ee,
 eo, oe ("eo" means m even, N odd); `table` and `series` also accept "all".
-Exit codes: 0 success, 1 a comparison failed, 2 usage error, 3 internal
-consistency violation.  Output goes to stdout, or to --out PATH; a relative
---out lands in $THETA_HOMOLOGY_OUTDIR when that is set.
+Numeric arguments are capped: --max-hodge and --hodge at 200, --terms at
+10000, --max-exponent at 12.  Exit codes: 0 success, 1 a comparison failed,
+2 usage error or unwritable output, 3 internal consistency violation.
+Output goes to stdout, or to --out PATH; a relative --out lands in
+$THETA_HOMOLOGY_OUTDIR when that is set.
 """
 
 from __future__ import annotations
@@ -39,6 +41,28 @@ from .signs import (
 )
 
 CSV_COLUMNS = ("t", "a", "b", "chi", "dim_c2", "dim_c1", "dim_c0", "rank_d2", "rank_d1")
+
+# Upper bounds on the numeric arguments, so that no request runs for hours.
+# The sign grid has 44 (k+1)^3 cells; 200 is the Hodge range the exact
+# engine aims at.
+MAX_EXPONENT_CAP = 12
+HODGE_CAP = 200
+TERMS_CAP = 10000
+
+
+def _int_in(low, high):
+    """argparse type: an integer in [low, high]; anything else exits 2."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
+        return value
+
+    return parse
 
 
 def _cases_argument(value):
@@ -90,20 +114,7 @@ def run_table(args):
             rows = closed
         else:
             brute = _brute_rows(case, args.max_hodge)
-            rows = [
-                {
-                    "t": r.t,
-                    "a": r.a,
-                    "b": r.b,
-                    "chi": r.chi,
-                    "dim_c2": r.dim_c2,
-                    "dim_c1": r.dim_c1,
-                    "dim_c0": r.dim_c0,
-                    "rank_d2": r.rank_d2,
-                    "rank_d1": r.rank_d1,
-                }
-                for r in brute
-            ]
+            rows = [{c: getattr(r, c) for c in CSV_COLUMNS} for r in brute]
             if args.mode == "crosscheck":
                 for got, want in zip(rows, closed):
                     for column in ("a", "b", "chi"):
@@ -249,7 +260,12 @@ def build_parser():
 
     table = sub.add_parser("table", help="homology rank table per Hodge degree")
     table.add_argument("--case", default="all", choices=["oo", "ee", "eo", "oe", "all"])
-    table.add_argument("--max-hodge", type=int, default=23)
+    table.add_argument(
+        "--max-hodge",
+        type=_int_in(1, HODGE_CAP),
+        default=23,
+        help=f"largest Hodge degree t, 1..{HODGE_CAP} (default %(default)s)",
+    )
     table.add_argument(
         "--mode", default="crosscheck", choices=["bruteforce", "closedform", "crosscheck"]
     )
@@ -259,17 +275,32 @@ def build_parser():
     ser = sub.add_parser("series", help="generating function coefficients")
     ser.add_argument("--case", default="all", choices=["oo", "ee", "eo", "oe", "all"])
     ser.add_argument("--which", default="h0", choices=["h0", "h1", "chi"])
-    ser.add_argument("--terms", type=int, default=23)
+    ser.add_argument(
+        "--terms",
+        type=_int_in(0, TERMS_CAP),
+        default=23,
+        help=f"highest coefficient index, 0..{TERMS_CAP} (default %(default)s)",
+    )
     ser.add_argument("--format", default="text", choices=["text", "csv", "json"])
     ser.add_argument("--out")
 
     sig = sub.add_parser("signs", help="symmetry sign verification grid")
-    sig.add_argument("--max-exponent", type=int, default=6)
+    sig.add_argument(
+        "--max-exponent",
+        type=_int_in(0, MAX_EXPONENT_CAP),
+        default=6,
+        help=f"largest hair count k_i, 0..{MAX_EXPONENT_CAP} (default %(default)s)",
+    )
     sig.add_argument("--out")
 
     basis = sub.add_parser("basis", help="JSON dump of one (case, t) slice")
     basis.add_argument("--case", required=True, choices=["oo", "ee", "eo", "oe"])
-    basis.add_argument("--hodge", type=int, required=True)
+    basis.add_argument(
+        "--hodge",
+        type=_int_in(1, HODGE_CAP),
+        required=True,
+        help=f"Hodge degree t, 1..{HODGE_CAP}",
+    )
     basis.add_argument("--out")
 
     return parser
@@ -278,14 +309,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_hodge", 1) < 1:
-        parser.error("--max-hodge must be at least 1")
-    if getattr(args, "terms", 0) < 0:
-        parser.error("--terms must be nonnegative")
-    if getattr(args, "max_exponent", 0) < 0:
-        parser.error("--max-exponent must be nonnegative")
-    if getattr(args, "hodge", 1) < 1:
-        parser.error("--hodge must be at least 1")
     handler = {
         "table": run_table,
         "series": run_series,
@@ -297,6 +320,9 @@ def main(argv=None):
     except ComplexConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

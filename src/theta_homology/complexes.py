@@ -113,15 +113,6 @@ class HodgeSlice:
     d2: RationalMatrix
     d1: RationalMatrix
 
-    def elements2(self):
-        return [symmetrize(self.case.flavor, tr) for tr in self.basis2]
-
-    def elements1(self):
-        return [symmetrize(self.case.flavor, tr) for tr in self.basis1]
-
-    def elements0(self):
-        return [symmetrize(self.case.flavor, tr) for tr in self.basis0]
-
 
 def _matrix_of(case, source, target, differential):
     index = {triple: i for i, triple in enumerate(target)}

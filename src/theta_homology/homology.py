@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     basis_coordinates,
-    element_power,
     elementary_reconstruct,
     render_element,
     symmetrize,

@@ -102,7 +102,7 @@ def test_criterion_3_complex_identities(computed):
         for s in per_case:
             if not is_zero_composition(s.d1, s.d2):
                 bad.append(f"{key} t={s.t}: d1.d2 != 0")
-            if s.d2.kernel_dim() != 0:
+            if s.d2.cols - s.d2.rank() != 0:
                 bad.append(f"{key} t={s.t}: d2 has a kernel")
     report(
         3,

@@ -12,29 +12,29 @@ from theta_homology.algebra import (
     SYM_ODD,
     Element,
     admissible_basis,
-    alt_pair_sum,
     basis_coordinates,
     e2,
     e3,
     element_power,
-    elementary_decompose,
     elementary_reconstruct,
-    generator_product,
     generator_sum,
     is_admissible,
     mirror,
     mirror_even_part,
-    mirror_reverses_products,
     mirror_sign,
     mul_e1,
     normalize_word,
     permutation_parity,
     permute_variables,
     render_element,
-    render_triple,
     symmetrize,
     vandermonde,
 )
+
+
+# xi1 xi2 + xi2 xi3 + xi3 xi1 and xi1 xi2 xi3, the ASym[xi] elements [1,1,0], [1,1,1]
+ALT_PAIR_SUM = Element(ASYM_ODD, 2, {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): -1})
+GENERATOR_PRODUCT = Element(ASYM_ODD, 3, {(1, 1, 1): 1})
 
 
 # --- word-level oracle, sharing no code with the package ---------------------
@@ -179,7 +179,7 @@ def test_product_flavor_bookkeeping():
     assert (vandermonde() * vandermonde()).flavor == SYM
     assert (e2() * vandermonde()).flavor == ASYM
     with pytest.raises(ValueError):
-        e2() * generator_product()
+        e2() * GENERATOR_PRODUCT
 
 
 def test_odd_product_matches_word_oracle():
@@ -228,6 +228,14 @@ def test_mirror_is_involution():
             assert mirror(mirror(f)) == f
 
 
+def mirror_reverses_products(f, g):
+    """mirror(f.g) == (-1)^(|f||g|) mirror(g).mirror(f)."""
+    rhs = mirror(g) * mirror(f)
+    if f.degree % 2 and g.degree % 2:
+        rhs = -rhs
+    return mirror(f * g) == rhs
+
+
 def test_mirror_antiautomorphism_law():
     rng = random.Random(31)
     for _ in range(40):
@@ -241,8 +249,7 @@ def test_mirror_antiautomorphism_law():
 def test_mirror_even_part():
     xi1 = Element(SYM_ODD, 1, {(1, 0, 0): 1})
     assert mirror_even_part(xi1).is_zero()
-    delta2 = alt_pair_sum()
-    assert mirror_even_part(delta2) == delta2
+    assert mirror_even_part(ALT_PAIR_SUM) == ALT_PAIR_SUM
     mixed = Element(SYM_ODD, 2, {(1, 1, 0): 1, (2, 0, 0): 1})
     assert mirror_even_part(mixed).coeffs == {(1, 1, 0): Fraction(1)}
 
@@ -286,8 +293,8 @@ def test_symmetrize_examples():
     assert symmetrize(SYM_ODD, (1, 0, 0)) == generator_sum(SYM_ODD)
     assert symmetrize(SYM, (1, 1, 0)) == e2()
     assert symmetrize(ASYM, (2, 1, 0)) == vandermonde()
-    assert symmetrize(ASYM_ODD, (1, 1, 0)) == alt_pair_sum()
-    assert symmetrize(ASYM_ODD, (1, 1, 1)) == generator_product()
+    assert symmetrize(ASYM_ODD, (1, 1, 0)) == ALT_PAIR_SUM
+    assert symmetrize(ASYM_ODD, (1, 1, 1)) == GENERATOR_PRODUCT
     assert symmetrize(SYM_ODD, (2, 2, 2)).coeffs == {(2, 2, 2): Fraction(1)}
     # sorted first, then symmetrized
     assert symmetrize(SYM, (0, 1, 1)) == e2()
@@ -387,7 +394,7 @@ def test_basis_coordinates_ordering_and_rejection():
         basis_coordinates(Element(SYM, 1, {(1, 0, 0): 1, (0, 1, 0): 2}))
 
 
-# --- named elements and elementary decomposition -----------------------------
+# --- named elements and elementary polynomials -------------------------------
 
 
 def test_named_elements():
@@ -399,15 +406,15 @@ def test_named_elements():
     assert generator_sum(ASYM_ODD).flavor == SYM_ODD
     assert e3().coeffs == {(1, 1, 1): Fraction(1)}
     assert vandermonde().coefficient((2, 0, 1)) == -1
-    assert alt_pair_sum().coefficient((1, 0, 1)) == -1
+    assert ALT_PAIR_SUM.coefficient((1, 0, 1)) == -1
     # defining products
     x1, x2, x3 = (
         Element(SYM_ODD, 1, {(1, 0, 0): 1}),
         Element(SYM_ODD, 1, {(0, 1, 0): 1}),
         Element(SYM_ODD, 1, {(0, 0, 1): 1}),
     )
-    assert (x1 * x2 + x2 * x3 + x3 * x1).coeffs == alt_pair_sum().coeffs
-    assert (x1 * x2 * x3).coeffs == generator_product().coeffs
+    assert (x1 * x2 + x2 * x3 + x3 * x1).coeffs == ALT_PAIR_SUM.coeffs
+    assert (x1 * x2 * x3).coeffs == GENERATOR_PRODUCT.coeffs
 
 
 def test_mul_e1():
@@ -447,37 +454,16 @@ def test_element_power():
         element_power(e2(), -1)
 
 
-def test_elementary_decompose_examples():
-    assert elementary_decompose(generator_sum(SYM)) == {(1, 0, 0): Fraction(1)}
-    power_sum = Element(
-        SYM, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
-    )
-    assert elementary_decompose(power_sum) == {
-        (2, 0, 0): Fraction(1),
-        (0, 1, 0): Fraction(-2),
-    }
-    assert elementary_decompose(e3()) == {(0, 0, 1): Fraction(1)}
-    assert elementary_decompose(Element.zero(SYM, 4)) == {}
-
-
-def test_elementary_decompose_roundtrip():
-    rng = random.Random(53)
-    for _ in range(20):
-        degree = rng.randrange(1, 9)
-        f = Element.zero(SYM, degree)
-        for triple in admissible_basis(SYM, degree):
-            f = f + symmetrize(SYM, triple) * rng.randrange(-2, 3)
-        decomposition = elementary_decompose(f)
-        assert all(a + 2 * b + 3 * c == degree for a, b, c in decomposition)
-        if decomposition:
-            assert elementary_reconstruct(decomposition) == f
-        else:
-            assert f.is_zero()
-
-
-def test_elementary_decompose_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        elementary_decompose(Element(SYM, 1, {(1, 0, 0): 1}))
+def test_elementary_reconstruct_examples():
+    assert elementary_reconstruct({(1, 0, 0): 1}) == generator_sum(SYM)
+    assert elementary_reconstruct({(0, 1, 0): 1}) == e2()
+    assert elementary_reconstruct({(0, 0, 1): 1}) == e3()
+    # p2 = e1^2 - 2 e2
+    power_sum = Element(SYM, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    assert elementary_reconstruct({(2, 0, 0): 1, (0, 1, 0): -2}) == power_sum
+    # e2 e3 = (2,2,1)
+    assert elementary_reconstruct({(0, 1, 1): 1}) == symmetrize(SYM, (2, 2, 1))
+    assert elementary_reconstruct({}) == Element.zero(SYM, 0)
 
 
 # --- rendering ---------------------------------------------------------------
@@ -491,9 +477,3 @@ def test_render_element():
     assert render_element(g) == "1/2*xi1*xi2"
     constant = Element(SYM, 0, {(0, 0, 0): -3})
     assert render_element(constant) == "-3"
-
-
-def test_render_triple():
-    assert render_triple(SYM_ODD, (2, 1, 0)) == "(2,1,0)"
-    assert render_triple(ASYM_ODD, (2, 1, 0)) == "[2,1,0]"
-    assert render_triple(ASYM, (3, 2, 1)) == "[3,2,1]"

@@ -121,6 +121,34 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, dest, cap",
+    [
+        (["table", "--max-hodge"], "max_hodge", cli.HODGE_CAP),
+        (["basis", "--case", "oo", "--hodge"], "hodge", cli.HODGE_CAP),
+        (["series", "--terms"], "terms", cli.TERMS_CAP),
+        (["signs", "--max-exponent"], "max_exponent", cli.MAX_EXPONENT_CAP),
+    ],
+)
+def test_numeric_caps(capsys, argv, dest, cap):
+    # parse only, never main(): a grid or table at or past the cap runs for minutes
+    parser = cli.build_parser()
+    assert getattr(parser.parse_args(argv + [str(cap)]), dest) == cap
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv + [str(cap + 1)])
+    assert info.value.code == 2
+    assert f"got {cap + 1}" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / "afile" / "x.txt"
+    rc, out, err = run(capsys, ["signs", "--max-exponent", "0", "--out", str(target)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
 def test_crosscheck_mismatch_exit_1(capsys, monkeypatch):
     real = cli.rank_formula
     monkeypatch.setattr(

@@ -60,7 +60,10 @@ def test_ranks_match_closed_forms_small_range():
 def test_ranks_invariant_under_d2_rescaling():
     s = build_slice(CASE_OO, 7)
     assert not s.d2.is_zero()
-    rescaled = dataclasses.replace(s, d2=s.d2.scaled(Fraction(7, 3)))
+    d2 = RationalMatrix(
+        s.d2.rows, s.d2.cols, {k: Fraction(7, 3) * v for k, v in s.d2.entries.items()}
+    )
+    rescaled = dataclasses.replace(s, d2=d2)
     assert homology_ranks(rescaled) == homology_ranks(s)
 
 
