@@ -9,21 +9,18 @@ crossed with a choice of S3-equivariance: the symmetric group permutes the
 generators either plainly or twisted by the sign character.  That gives four
 flavors, written Sym[x], ASym[x], Sym[xi], ASym[xi].
 
-Elements are homogeneous and sparse: a map from exponent triples to rational
+Elements are homogeneous and sparse: a map from exponent triples to integer
 coefficients.  Odd monomials are kept in the normal form
-xi_1^a xi_2^b xi_3^c, with the sign of a word tracked as the parity of the
-number of transpositions of distinct generators used to sort it:
-
->>> normalize_word([2, 1], odd=True)
-((1, 1, 0), -1)
->>> normalize_word([1, 1], odd=True)
-((2, 0, 0), 1)
+xi_1^a xi_2^b xi_3^c.  A word in the odd generators equals its normal form
+times -1 exactly when sorting it takes an odd number of transpositions of
+distinct generators: xi_2 xi_1 = -xi_1 xi_2, while xi_1 xi_1 = xi_1^2 keeps
+its sign, since squares do not vanish.
 
 The mirror involution negates every generator; on odd flavors it extends to
 normal-form monomials as an anti-automorphism and acts diagonally:
 
 >>> mirror(Element(SYM_ODD, 1, {(1, 0, 0): 1})).coeffs
-{(1, 0, 0): Fraction(-1, 1)}
+{(1, 0, 0): -1}
 
 Symmetrized monomials, written (k1,k2,k3) in the plain flavors and [k1,k2,k3]
 in the sign-twisted ones, are the signed S3-orbit sums normalized to
@@ -34,7 +31,6 @@ the admissible bases enumerated here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 Triple = tuple[int, int, int]
@@ -73,36 +69,14 @@ def permutation_parity(perm):
     return inv % 2
 
 
-def normalize_word(word, odd):
-    """Sort a word of generator indices (1-based) into normal form.
-
-    Returns (exponent triple, sign).  The sign is -1 exactly when the word is
-    odd-flavored and sorting it needs an odd number of transpositions of
-    distinct generators; squares survive, so the coefficient is never lost.
-
-    >>> normalize_word([3, 2, 1], odd=True)
-    ((1, 1, 1), -1)
-    """
-    exps = [0, 0, 0]
-    inversions = 0
-    word = list(word)
-    for pos, gen in enumerate(word):
-        if gen not in (1, 2, 3):
-            raise ValueError(f"generator index {gen!r} not in 1..3")
-        exps[gen - 1] += 1
-        for later in word[pos + 1 :]:
-            if later < gen:
-                inversions += 1
-    sign = -1 if (odd and inversions % 2) else 1
-    return (exps[0], exps[1], exps[2]), sign
-
-
 class Element:
     """A homogeneous element of one of the four flavors.
 
-    coeffs maps normal-form exponent triples to nonzero Fractions.  The zero
-    element keeps its (flavor, degree) so that degree bookkeeping, and the
-    degree-dependent signs downstream, survive cancellation.
+    coeffs maps normal-form exponent triples to nonzero ints.  A coefficient
+    given as another number must equal an integer (Fraction(6, 3) is stored
+    as 2), or ValueError is raised.  The zero element keeps its (flavor,
+    degree) so that degree bookkeeping, and the degree-dependent signs
+    downstream, survive cancellation.
     """
 
     __slots__ = ("flavor", "degree", "coeffs")
@@ -118,9 +92,11 @@ class Element:
                 raise ValueError(f"negative exponent in {mono}")
             if sum(mono) != degree:
                 raise ValueError(f"monomial {mono} is not of degree {degree}")
-            coefficient = Fraction(coefficient)
-            if coefficient:
-                clean[mono] = coefficient
+            integer = int(coefficient)
+            if integer != coefficient:
+                raise ValueError(f"non-integer coefficient {coefficient} on {mono}")
+            if integer:
+                clean[mono] = integer
         self.flavor = flavor
         self.degree = degree
         self.coeffs = clean
@@ -133,7 +109,7 @@ class Element:
         return not self.coeffs
 
     def coefficient(self, mono):
-        return self.coeffs.get(tuple(mono), Fraction(0))
+        return self.coeffs.get(tuple(mono), 0)
 
     def _check_compatible(self, other):
         if self.flavor != other.flavor:
@@ -145,7 +121,7 @@ class Element:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
         return Element(self.flavor, self.degree, out)
 
     def __sub__(self, other):
@@ -170,11 +146,10 @@ class Element:
                     # b's generators move left past a's higher-index ones
                     if self.flavor.odd and (b[0] * (a[1] + a[2]) + b[1] * a[2]) % 2:
                         term = -term
-                    out[mono] = out.get(mono, Fraction(0)) + term
+                    out[mono] = out.get(mono, 0) + term
             return Element(flavor, self.degree + other.degree, out)
-        factor = Fraction(other)
         return Element(
-            self.flavor, self.degree, {m: factor * c for m, c in self.coeffs.items()}
+            self.flavor, self.degree, {m: other * c for m, c in self.coeffs.items()}
         )
 
     def __rmul__(self, other):
@@ -190,9 +165,6 @@ class Element:
             and self.degree == other.degree
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.flavor, self.degree, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
         return f"Element({self.flavor}, {render_element(self)})"
@@ -222,8 +194,16 @@ def mirror(f):
 
 
 def mirror_even_part(f):
-    """Project onto the +1 eigenspace of the mirror involution."""
-    return (f + mirror(f)) * Fraction(1, 2)
+    """Project onto the +1 eigenspace of the mirror involution.
+
+    The mirror is diagonal on normal-form monomials, so this keeps the
+    monomials of mirror sign +1.
+    """
+    return Element(
+        f.flavor,
+        f.degree,
+        {m: c for m, c in f.coeffs.items() if mirror_sign(f.flavor, m) > 0},
+    )
 
 
 def permute_variables(perm, f):
@@ -260,7 +240,9 @@ def symmetrize(flavor, triple):
 
     Normalized so the descending-sorted monomial has coefficient +1; returns
     the zero element when the orbit sum cancels.  Cancellation is detected by
-    actually summing the orbit, not by a parity shortcut.
+    actually summing the orbit, not by a parity shortcut.  Every orbit
+    coefficient is +- the signed sum over the stabilizer, so dividing by the
+    leading one is exact.
     """
     rep = tuple(sorted(triple, reverse=True))
     degree = sum(rep)
@@ -271,7 +253,7 @@ def symmetrize(flavor, triple):
     lead = total.coefficient(rep)
     if not lead:
         return Element.zero(flavor, degree)
-    return total * (Fraction(1) / lead)
+    return Element(flavor, degree, {m: c // lead for m, c in total.coeffs.items()})
 
 
 def is_admissible(flavor, triple):
@@ -310,23 +292,21 @@ def basis_coordinates(f):
     """Expand an equivariant element over the symmetrized basis.
 
     The coefficient on the basis element labelled by a sorted triple is f's
-    coefficient on that monomial; the expansion is then rebuilt and compared
-    against f, so a non-equivariant input raises ValueError instead of
-    returning garbage.  Keys come back in descending lexicographic order.
+    coefficient on that monomial, since each symmetrized monomial has
+    coefficient 1 there and the orbits are disjoint.  f must be fixed by the
+    transpositions (1, 0, 2) and (0, 2, 1), which generate S3; otherwise
+    ValueError is raised instead of returning garbage.  The invariant elements
+    are exactly the span of the orbit sums, so no rebuild is needed.  Keys
+    come back in descending lexicographic order.
     """
-    coords = {}
-    for mono in f.coeffs:
-        rep = tuple(sorted(mono, reverse=True))
-        if rep not in coords:
-            c = f.coefficient(rep)
-            if c:
-                coords[rep] = c
-    rebuilt = Element.zero(f.flavor, f.degree)
-    for rep, c in coords.items():
-        rebuilt = rebuilt + symmetrize(f.flavor, rep) * c
-    if rebuilt != f:
-        raise ValueError(f"element is not equivariant for {f.flavor}")
-    return dict(sorted(coords.items(), reverse=True))
+    for perm in ((1, 0, 2), (0, 2, 1)):
+        if permute_variables(perm, f) != f:
+            raise ValueError(f"element is not equivariant for {f.flavor}")
+    return {
+        mono: f.coeffs[mono]
+        for mono in sorted(f.coeffs, reverse=True)
+        if mono[0] >= mono[1] >= mono[2]
+    }
 
 
 def generator_sum(flavor):

@@ -203,22 +203,12 @@ def euler_relation_check(case, kmax):
     return True
 
 
-def total_degree(case, k, m_rep=None, n_rep=None):
+def total_degree(case, k):
     """Total degree k(N-m-2) + N-3 of a defect-0 graph with k hairs.
 
-    Representatives default to the case's canonical (m, N); explicit ones
-    must match the case's parities and satisfy N >= 2m + 2.  Only the parity
-    of the result is geometrically meaningful across representatives, which
-    is what the Euler-characteristic sign uses.
+    Uses the case's canonical representatives (m, N).  Only the parity of the
+    result is geometrically meaningful across representatives, which is what
+    the Euler-characteristic sign uses.
     """
-    if m_rep is None and n_rep is None:
-        m_rep, n_rep = case.representative
-    if m_rep is None or n_rep is None:
-        raise ValueError("give both representatives or neither")
-    if m_rep % 2 != (1 if case.m_odd else 0) or n_rep % 2 != (1 if case.n_odd else 0):
-        raise ValueError(
-            f"representatives (m, N) = {(m_rep, n_rep)} do not match case {case}"
-        )
-    if n_rep < 2 * m_rep + 2:
-        raise ValueError(f"need N >= 2m + 2, got (m, N) = {(m_rep, n_rep)}")
-    return k * (n_rep - m_rep - 2) + n_rep - 3
+    m, n = case.representative
+    return k * (n - m - 2) + n - 3

@@ -44,11 +44,9 @@ class RationalMatrix:
     def from_columns(cls, rows, columns):
         """Build from per-column sparse maps {row index: value}."""
         columns = list(columns)
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, value in col.items():
-                if value:
-                    entries[i, j] = Fraction(value)
+        entries = {
+            (i, j): value for j, col in enumerate(columns) for i, value in col.items()
+        }
         return cls(rows, len(columns), entries)
 
     def entry(self, i, j):

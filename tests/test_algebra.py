@@ -23,65 +23,18 @@ from theta_homology.algebra import (
     mirror_even_part,
     mirror_sign,
     mul_e1,
-    normalize_word,
     permutation_parity,
     permute_variables,
     render_element,
     symmetrize,
     vandermonde,
 )
+from word_oracle import word_mirror, word_mul
 
 
 # xi1 xi2 + xi2 xi3 + xi3 xi1 and xi1 xi2 xi3, the ASym[xi] elements [1,1,0], [1,1,1]
 ALT_PAIR_SUM = Element(ASYM_ODD, 2, {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): -1})
 GENERATOR_PRODUCT = Element(ASYM_ODD, 3, {(1, 1, 1): 1})
-
-
-# --- word-level oracle, sharing no code with the package ---------------------
-
-
-def word_normalize(word):
-    """Bubble sort; each swap of distinct letters flips the sign."""
-    word = list(word)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - 1):
-            if word[i] > word[i + 1]:
-                word[i], word[i + 1] = word[i + 1], word[i]
-                sign = -sign
-                changed = True
-    counts = (word.count(1), word.count(2), word.count(3))
-    return counts, sign
-
-
-def word_of(mono):
-    return (1,) * mono[0] + (2,) * mono[1] + (3,) * mono[2]
-
-
-def oracle_mul(fa, fb):
-    """Odd-flavor product on coefficient dicts, by word concatenation."""
-    out = {}
-    for a, ca in fa.items():
-        for b, cb in fb.items():
-            mono, sign = word_normalize(word_of(a) + word_of(b))
-            out[mono] = out.get(mono, Fraction(0)) + sign * ca * cb
-    return {m: c for m, c in out.items() if c}
-
-
-def oracle_mirror(coeffs):
-    """Anti-automorphism negating the letters, built letter by letter."""
-    out = {}
-    for mono, c in coeffs.items():
-        reversed_word = ()
-        acc = Fraction(c)
-        for letter in word_of(mono):
-            acc = acc * (-1) ** len(reversed_word) * (-1)
-            reversed_word = (letter,) + reversed_word
-        m, s = word_normalize(reversed_word)
-        out[m] = out.get(m, Fraction(0)) + s * acc
-    return {m: c for m, c in out.items() if c}
 
 
 def random_element(rng, flavor, degree, spread=3):
@@ -94,26 +47,7 @@ def random_element(rng, flavor, degree, spread=3):
     return Element(flavor, degree, coeffs)
 
 
-# --- normal form -------------------------------------------------------------
-
-
-def test_normalize_word_examples():
-    assert normalize_word([2, 1], odd=True) == ((1, 1, 0), -1)
-    assert normalize_word([1, 1], odd=True) == ((2, 0, 0), 1)
-    assert normalize_word([3, 2, 1], odd=True) == ((1, 1, 1), -1)
-    assert normalize_word([2, 1], odd=False) == ((1, 1, 0), 1)
-    assert normalize_word([], odd=True) == ((0, 0, 0), 1)
-    # squares do not vanish and sort without sign
-    assert normalize_word([2, 2, 1], odd=True) == ((1, 2, 0), 1)
-    with pytest.raises(ValueError):
-        normalize_word([0], odd=True)
-
-
-def test_normalize_word_matches_bubble_sort():
-    rng = random.Random(3)
-    for _ in range(200):
-        word = [rng.randrange(1, 4) for _ in range(rng.randrange(7))]
-        assert normalize_word(word, odd=True) == word_normalize(word)
+# --- permutation parity ------------------------------------------------------
 
 
 def test_permutation_parity():
@@ -135,6 +69,12 @@ def test_element_validation():
         Element(SYM, -1, {})
     zero = Element(SYM, 5, {(5, 0, 0): 0})
     assert zero.is_zero() and zero.degree == 5
+    # coefficients are ints; an integral Fraction is stored as one
+    with pytest.raises(ValueError):
+        Element(SYM, 1, {(1, 0, 0): Fraction(1, 2)})
+    integral = Element(SYM, 1, {(1, 0, 0): Fraction(6, 3)})
+    assert integral.coeffs == {(1, 0, 0): 2}
+    assert type(integral.coeffs[1, 0, 0]) is int
 
 
 def test_element_add_sub():
@@ -151,6 +91,9 @@ def test_element_add_sub():
 def test_scalar_multiplication():
     f = Element(SYM_ODD, 2, {(1, 1, 0): 3})
     assert (f * Fraction(1, 3)).coeffs == {(1, 1, 0): Fraction(1)}
+    assert type((f * Fraction(1, 3)).coeffs[1, 1, 0]) is int
+    with pytest.raises(ValueError):
+        f * Fraction(1, 2)
     assert (2 * f).coeffs == {(1, 1, 0): Fraction(6)}
     assert (f * 0).is_zero()
 
@@ -188,7 +131,7 @@ def test_odd_product_matches_word_oracle():
         da, db = rng.randrange(4), rng.randrange(4)
         a = random_element(rng, SYM_ODD, da)
         b = random_element(rng, SYM_ODD, db)
-        assert (a * b).coeffs == oracle_mul(a.coeffs, b.coeffs)
+        assert (a * b).coeffs == word_mul(a.coeffs, b.coeffs)
 
 
 def test_odd_product_associative():
@@ -217,7 +160,7 @@ def test_mirror_matches_recursive_oracle():
     rng = random.Random(23)
     for _ in range(60):
         f = random_element(rng, SYM_ODD, rng.randrange(7))
-        assert mirror(f).coeffs == oracle_mirror(f.coeffs)
+        assert mirror(f).coeffs == word_mirror(f.coeffs)
 
 
 def test_mirror_is_involution():
@@ -386,6 +329,51 @@ def test_basis_coordinates_roundtrip():
             assert basis_coordinates(f) == wanted
 
 
+def rebuild_coordinates(f):
+    """The rebuild criterion: expand over the symmetrized basis, rebuild, compare.
+
+    Returns the coordinates, or None where the rebuild differs from f.
+    """
+    coords = {}
+    for mono in f.coeffs:
+        rep = tuple(sorted(mono, reverse=True))
+        if rep not in coords:
+            c = f.coefficient(rep)
+            if c:
+                coords[rep] = c
+    rebuilt = Element.zero(f.flavor, f.degree)
+    for rep, c in coords.items():
+        rebuilt = rebuilt + symmetrize(f.flavor, rep) * c
+    if rebuilt != f:
+        return None
+    return dict(sorted(coords.items(), reverse=True))
+
+
+def test_basis_coordinates_matches_rebuild_criterion():
+    rng = random.Random(53)
+    outcomes = set()
+    for flavor in FLAVORS:
+        for _ in range(40):
+            degree = rng.randrange(8)
+            f = Element.zero(flavor, degree)
+            for triple in admissible_basis(flavor, degree):
+                f = f + symmetrize(flavor, triple) * rng.randrange(-3, 4)
+            k1 = rng.randrange(degree + 1)
+            k2 = rng.randrange(degree - k1 + 1)
+            mono = (k1, k2, degree - k1 - k2)
+            bump = Element(flavor, degree, {mono: rng.choice((-2, -1, 1, 2))})
+            for g in (f, f + bump):
+                expected = rebuild_coordinates(g)
+                outcomes.add(expected is None)
+                if expected is None:
+                    with pytest.raises(ValueError):
+                        basis_coordinates(g)
+                else:
+                    got = basis_coordinates(g)
+                    assert got == expected and list(got) == list(expected)
+    assert outcomes == {True, False}
+
+
 def test_basis_coordinates_ordering_and_rejection():
     f = e2() * e2()
     keys = list(basis_coordinates(f))
@@ -473,7 +461,7 @@ def test_render_element():
     assert render_element(Element.zero(SYM, 3)) == "0"
     f = Element(SYM, 2, {(2, 0, 0): 1, (1, 1, 0): -1})
     assert render_element(f) == "x1^2 - x1*x2"
-    g = Element(SYM_ODD, 2, {(1, 1, 0): Fraction(1, 2)})
-    assert render_element(g) == "1/2*xi1*xi2"
+    g = Element(SYM_ODD, 2, {(1, 1, 0): 2})
+    assert render_element(g) == "2*xi1*xi2"
     constant = Element(SYM, 0, {(0, 0, 0): -3})
     assert render_element(constant) == "-3"

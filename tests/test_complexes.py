@@ -30,49 +30,10 @@ from theta_homology.complexes import (
     slice_as_dict,
 )
 from theta_homology.linalg import is_zero_composition
+from word_oracle import word_mirror, word_mul
 
 
-# --- word-level oracle for the odd-generator differentials -------------------
-
-
-def word_normalize(word):
-    word = list(word)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - 1):
-            if word[i] > word[i + 1]:
-                word[i], word[i + 1] = word[i + 1], word[i]
-                sign = -sign
-                changed = True
-    return (word.count(1), word.count(2), word.count(3)), sign
-
-
-def word_of(mono):
-    return (1,) * mono[0] + (2,) * mono[1] + (3,) * mono[2]
-
-
-def word_mul(fa, fb):
-    out = {}
-    for a, ca in fa.items():
-        for b, cb in fb.items():
-            mono, sign = word_normalize(word_of(a) + word_of(b))
-            out[mono] = out.get(mono, Fraction(0)) + sign * ca * cb
-    return {m: c for m, c in out.items() if c}
-
-
-def word_mirror(coeffs):
-    out = {}
-    for mono, c in coeffs.items():
-        reversed_word = ()
-        acc = Fraction(c)
-        for letter in word_of(mono):
-            acc = acc * (-1) ** len(reversed_word) * (-1)
-            reversed_word = (letter,) + reversed_word
-        m, s = word_normalize(reversed_word)
-        out[m] = out.get(m, Fraction(0)) + s * acc
-    return {m: c for m, c in out.items() if c}
+# --- the odd-generator differentials through the word-level oracle ---------
 
 
 E1 = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1), (0, 0, 1): Fraction(1)}

@@ -195,19 +195,16 @@ def test_total_degree():
     assert total_degree(CASE_EO, 2) == 10
     assert total_degree(CASE_OE, 1) == 2
     assert total_degree(CASE_EE, 0) == 3
-    assert total_degree(CASE_OO, 1, m_rep=1, n_rep=7) == 8
-    # only the parity is representative-independent
-    assert total_degree(CASE_OO, 3, m_rep=1, n_rep=7) % 2 == total_degree(
-        CASE_OO, 3
-    ) % 2
-
-
-def test_total_degree_validation():
-    with pytest.raises(ValueError):
-        total_degree(CASE_OO, 1, m_rep=2, n_rep=5)
-    with pytest.raises(ValueError):
-        total_degree(CASE_OO, 1, m_rep=1, n_rep=6)
-    with pytest.raises(ValueError):
-        total_degree(CASE_OO, 1, m_rep=1)
-    with pytest.raises(ValueError):
-        total_degree(CASE_OO, 1, m_rep=1, n_rep=3)
+    # only the parity is representative-independent: k(N-m-2) + N-3 for other
+    # (m, N) with the case's parities and N >= 2m + 2
+    for case in ALL_CASES:
+        values = set()
+        for m in range(7):
+            for n in range(2 * m + 2, 2 * m + 10):
+                if (m % 2 == 1, n % 2 == 1) != (case.m_odd, case.n_odd):
+                    continue
+                for k in range(8):
+                    degree = k * (n - m - 2) + n - 3
+                    values.add((k, degree))
+                    assert degree % 2 == total_degree(case, k) % 2
+        assert any(degree != total_degree(case, k) for k, degree in values)
