@@ -22,10 +22,12 @@ normal-form monomials as an anti-automorphism and acts diagonally:
 >>> mirror(Element(SYM_ODD, 1, {(1, 0, 0): 1})).coeffs
 {(1, 0, 0): -1}
 
-Symmetrized monomials, written (k1,k2,k3) in the plain flavors and [k1,k2,k3]
-in the sign-twisted ones, are the signed S3-orbit sums normalized to
-coefficient +1 on the descending-sorted monomial; the ones that survive form
-the admissible bases enumerated here.
+S3 renames the generators, with one signed rule per monomial (_act, read by
+permute_variables, symmetrize and basis_coordinates).  Symmetrized monomials,
+written (k1,k2,k3) in the plain flavors and [k1,k2,k3] in the sign-twisted
+ones, are the signed S3-orbit sums normalized to coefficient +1 on the
+descending-sorted monomial; the ones that survive form the admissible bases
+enumerated here.
 """
 
 from __future__ import annotations
@@ -56,17 +58,6 @@ FLAVORS = (SYM, ASYM, SYM_ODD, ASYM_ODD)
 
 # permutations of {0,1,2}; perm[i] is the image of generator i
 S3 = tuple(permutations(range(3)))
-
-
-def permutation_parity(perm):
-    """0 for even permutations, 1 for odd ones."""
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return inv % 2
 
 
 class Element:
@@ -206,32 +197,34 @@ def mirror_even_part(f):
     )
 
 
-def permute_variables(perm, f):
-    """Rename generator i to perm[i] (0-based) and renormalize.
+def _act(flavor, perm, mono):
+    """The S3 action on one monomial: (renamed monomial, sign).
 
-    Odd flavors pick up the sign from sorting the renamed word; antisymmetric
-    flavors are additionally twisted by the sign of the permutation.
+    Generator i is renamed to perm[i], so renamed[perm[i]] = mono[i].  The
+    sign is (-1)^s, where s sums A + O*k_i*k_j over the pairs i < j that perm
+    inverts (perm[i] > perm[j]), with k = mono.  A = 1 in the antisymmetric
+    flavors, so they are twisted by the sign of the permutation; O = 1 in the
+    odd flavors, since sorting the renamed word moves xi^k_i past xi^k_j in
+    k_i*k_j transpositions.  Both are 0 otherwise.
     """
+    renamed = [0, 0, 0]
+    s = 0
+    for i in range(3):
+        renamed[perm[i]] = mono[i]
+        for j in range(i + 1, 3):
+            if perm[i] > perm[j]:
+                s += flavor.antisymmetric + flavor.odd * mono[i] * mono[j]
+    return tuple(renamed), -1 if s % 2 else 1
+
+
+def permute_variables(perm, f):
+    """Rename generator i to perm[i] (0-based), with the signs of _act."""
     if tuple(sorted(perm)) != (0, 1, 2):
         raise ValueError(f"not a permutation of 0..2: {perm}")
     out = {}
     for mono, c in f.coeffs.items():
-        renamed = [0, 0, 0]
-        for i in range(3):
-            renamed[perm[i]] = mono[i]
-        sign = 1
-        if f.flavor.odd:
-            crossings = sum(
-                mono[i] * mono[j]
-                for i in range(3)
-                for j in range(i + 1, 3)
-                if perm[i] > perm[j]
-            )
-            if crossings % 2:
-                sign = -sign
-        if f.flavor.antisymmetric and permutation_parity(perm):
-            sign = -sign
-        out[tuple(renamed)] = sign * c
+        renamed, sign = _act(f.flavor, perm, mono)
+        out[renamed] = sign * c
     return Element(f.flavor, f.degree, out)
 
 
@@ -246,14 +239,14 @@ def symmetrize(flavor, triple):
     """
     rep = tuple(sorted(triple, reverse=True))
     degree = sum(rep)
-    base = Element(flavor, degree, {rep: 1})
-    total = Element.zero(flavor, degree)
+    total = {}
     for perm in S3:
-        total = total + permute_variables(perm, base)
-    lead = total.coefficient(rep)
+        mono, sign = _act(flavor, perm, rep)
+        total[mono] = total.get(mono, 0) + sign
+    lead = total[rep]
     if not lead:
         return Element.zero(flavor, degree)
-    return Element(flavor, degree, {m: c // lead for m, c in total.coeffs.items()})
+    return Element(flavor, degree, {m: c // lead for m, c in total.items()})
 
 
 def is_admissible(flavor, triple):
@@ -295,13 +288,17 @@ def basis_coordinates(f):
     coefficient on that monomial, since each symmetrized monomial has
     coefficient 1 there and the orbits are disjoint.  f must be fixed by the
     transpositions (1, 0, 2) and (0, 2, 1), which generate S3; otherwise
-    ValueError is raised instead of returning garbage.  The invariant elements
-    are exactly the span of the orbit sums, so no rebuild is needed.  Keys
-    come back in descending lexicographic order.
+    ValueError is raised instead of returning garbage.  tau f == f is read as
+    f[tau mu] == sign * f[mu] for each monomial mu of f (_act), the same test
+    since tau is an involution on monomials.  The invariant elements are
+    exactly the span of the orbit sums, so no rebuild is needed.  Keys come
+    back in descending lexicographic order.
     """
     for perm in ((1, 0, 2), (0, 2, 1)):
-        if permute_variables(perm, f) != f:
-            raise ValueError(f"element is not equivariant for {f.flavor}")
+        for mono, c in f.coeffs.items():
+            renamed, sign = _act(f.flavor, perm, mono)
+            if f.coeffs.get(renamed, 0) != sign * c:
+                raise ValueError(f"element is not equivariant for {f.flavor}")
     return {
         mono: f.coeffs[mono]
         for mono in sorted(f.coeffs, reverse=True)

@@ -4,8 +4,9 @@ For each parity case the graded dimensions of the two surviving homology
 groups, a_k = dim H0 and b_k = dim H1 at Hodge degree k, have rational
 generating functions h0(t), h1(t), and the graded Euler characteristic has
 chi(t); the twelve functions are stored verbatim as numerator/denominator
-coefficient tuples.  Series expansion is exact, by the linear recurrence the
-denominator imposes on the coefficients, so no symbolic algebra is needed.
+coefficient tuples.  Every denominator has constant term +-1, so series
+expansion stays in the integers, by the linear recurrence the denominator
+imposes on the coefficients; no symbolic algebra is needed.
 
 The same dimensions have direct piecewise formulas (floors and ceilings with
 mod-2 or mod-4 side conditions), transcribed without simplification in
@@ -19,7 +20,6 @@ which euler_relation_check verifies coefficient by coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cases import ParityCase
 
@@ -54,27 +54,25 @@ def t_power(n, coefficient=1):
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """A rational function num/den with integer coefficients, expandable at 0."""
+    """num/den with integer coefficients and den[0] = +-1, so an integer series."""
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.denominator or self.denominator[0] == 0:
-            raise ValueError("denominator needs a nonzero constant term")
+        if not self.denominator or self.denominator[0] not in (1, -1):
+            raise ValueError("denominator needs constant term 1 or -1")
 
     def coefficients(self, kmax):
-        """Maclaurin coefficients of t^0 .. t^kmax, exactly."""
+        """Maclaurin coefficients of t^0 .. t^kmax, as ints."""
         num, den = self.numerator, self.denominator
         out = []
         for k in range(kmax + 1):
-            acc = Fraction(num[k] if k < len(num) else 0)
+            acc = num[k] if k < len(num) else 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * out[k - j]
-            out.append(acc / den[0])
-        if any(c.denominator != 1 for c in out):
-            return out
-        return [int(c) for c in out]
+            out.append(acc // den[0])
+        return out
 
 
 @dataclass(frozen=True)
@@ -188,27 +186,23 @@ def rank_formula(case, which, k):
     return _ceil_div(k, 12)
 
 
+def euler_sign(case, k):
+    """(-1)^(N-1+k(N-m)), from the case's representative (m, N).
+
+    The sign of chi_k against a_k - b_k in the Euler relation.  It is also
+    (-1) to the total degree k(N-m-2) + N-3 of a defect-0 graph with k hairs,
+    whose parity is the same and depends only on the parities of m and N.
+    """
+    m, n = case.representative
+    return -1 if (n - 1 + k * (n - m)) % 2 else 1
+
+
 def euler_relation_check(case, kmax):
     """chi(t) == (-1)^(N-1) [h0(s t) - h1(s t)] with s = (-1)^(N-m), through t^kmax."""
     f = formulas(case)
     a = f.h0.coefficients(kmax)
     b = f.h1.coefficients(kmax)
     chi = f.chi.coefficients(kmax)
-    flip = -1 if case.m_odd != case.n_odd else 1
-    prefactor = 1 if case.n_odd else -1
-    for k in range(kmax + 1):
-        s = prefactor * (flip ** k)
-        if chi[k] != s * (a[k] - b[k]):
-            return False
-    return True
-
-
-def total_degree(case, k):
-    """Total degree k(N-m-2) + N-3 of a defect-0 graph with k hairs.
-
-    Uses the case's canonical representatives (m, N).  Only the parity of the
-    result is geometrically meaningful across representatives, which is what
-    the Euler-characteristic sign uses.
-    """
-    m, n = case.representative
-    return k * (n - m - 2) + n - 3
+    return all(
+        chi[k] == euler_sign(case, k) * (a[k] - b[k]) for k in range(kmax + 1)
+    )

@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .cases import ParityCase
 from .complexes import ComplexConsistencyError, apply_defect1, build_slice
-from .genfun import total_degree
+from .genfun import euler_sign
 from .linalg import RationalMatrix, is_zero_composition
 
 
@@ -54,9 +54,11 @@ class RankRow:
 
 
 def euler_characteristic(slice_):
-    """Signed alternating dimension sum (-1)^d0 (dim C0 - dim C1 + dim C2)."""
-    d0 = total_degree(slice_.case, slice_.t)
-    sign = -1 if d0 % 2 else 1
+    """(-1)^d0 (dim C0 - dim C1 + dim C2), d0 the defect-0 total degree.
+
+    The sign is euler_sign(case, t), the one the Euler relation puts on a - b.
+    """
+    sign = euler_sign(slice_.case, slice_.t)
     return sign * (len(slice_.basis0) - len(slice_.basis1) + len(slice_.basis2))
 
 

@@ -23,7 +23,6 @@ from theta_homology.algebra import (
     mirror_even_part,
     mirror_sign,
     mul_e1,
-    permutation_parity,
     permute_variables,
     render_element,
     symmetrize,
@@ -45,16 +44,6 @@ def random_element(rng, flavor, degree, spread=3):
         mono = (k1, k2, degree - k1 - k2)
         coeffs[mono] = coeffs.get(mono, 0) + rng.randrange(-spread, spread + 1)
     return Element(flavor, degree, coeffs)
-
-
-# --- permutation parity ------------------------------------------------------
-
-
-def test_permutation_parity():
-    assert permutation_parity((0, 1, 2)) == 0
-    assert permutation_parity((1, 0, 2)) == 1
-    assert permutation_parity((1, 2, 0)) == 0
-    assert sum(permutation_parity(p) for p in S3) == 3
 
 
 # --- Element construction and arithmetic ------------------------------------
@@ -219,6 +208,23 @@ def test_permute_variables_odd_signs():
         permute_variables((0, 0, 2), f)
 
 
+def test_permute_variables_signs_on_x1x2x3():
+    # x1x2x3 is renamed to itself, so only the sign moves: the sign character
+    # in ASym[x], the reordering sign in Sym[xi], and in ASym[xi] both, which
+    # cancel
+    even = {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    for perm in S3:
+        parity_sign = 1 if perm in even else -1
+        for flavor, want in (
+            (SYM, 1),
+            (ASYM, parity_sign),
+            (SYM_ODD, parity_sign),
+            (ASYM_ODD, 1),
+        ):
+            f = Element(flavor, 3, {(1, 1, 1): 1})
+            assert permute_variables(perm, f).coeffs == {(1, 1, 1): want}, (flavor, perm)
+
+
 def test_permute_variables_is_a_group_action():
     rng = random.Random(37)
     for flavor in FLAVORS:
@@ -267,13 +273,27 @@ def test_symmetrize_is_invariant():
                 assert permute_variables(perm, f) == f
 
 
+def orbit_sum_through_elements(flavor, triple):
+    """symmetrize written out in the Element algebra: the sum of
+    permute_variables over S3, divided by the leading coefficient."""
+    rep = tuple(sorted(triple, reverse=True))
+    base = Element(flavor, sum(rep), {rep: 1})
+    total = Element.zero(flavor, base.degree)
+    for perm in S3:
+        total = total + permute_variables(perm, base)
+    lead = total.coefficient(rep)
+    if not lead:
+        return total
+    return total * Fraction(1, lead)
+
+
 def test_is_admissible_matches_orbit_sums():
     for flavor in FLAVORS:
         for degree in range(9):
             for triple in admissible_basis(SYM, degree):
-                assert is_admissible(flavor, triple) == (
-                    not symmetrize(flavor, triple).is_zero()
-                )
+                f = symmetrize(flavor, triple)
+                assert f == orbit_sum_through_elements(flavor, triple), (flavor, triple)
+                assert is_admissible(flavor, triple) == (not f.is_zero())
 
 
 def test_admissible_basis_examples():

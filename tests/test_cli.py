@@ -1,7 +1,9 @@
 """Tests for the command-line front end: output formats, exit codes, the
---out/outdir plumbing, and determinism of repeated runs."""
+--out/outdir plumbing, determinism of repeated runs, and recorded SHA-256
+digests of stdout for a fixed set of runs."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -194,3 +196,40 @@ def test_repeated_runs_identical(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+# exit code and SHA-256 of stdout per run, recorded from a tree whose output
+# was checked by hand; byte-identical output is the behavioural contract
+RECORDED_DIGESTS = [
+    ("table --case all --max-hodge 16 --mode bruteforce --format text", 0, "739ca309db01b4735f15a8e76665220f733becf5b7a71540a435f4fc995db570"),
+    ("table --case all --max-hodge 16 --mode bruteforce --format csv", 0, "9ddea23bb205f0aa015dbf3a4d32fcac0dc564da931a01ffe42549e0df147898"),
+    ("table --case all --max-hodge 16 --mode bruteforce --format json", 0, "827d33bbdacdf338a03549d07aad6760293f6bce5e335fa0d6e0fe5e1e9b2c6c"),
+    ("table --case all --max-hodge 16 --mode closedform --format text", 0, "111423bb5891f8bc06b7911caf988e94f29ddb5bc9fb9f61594303c70329897d"),
+    ("table --case all --max-hodge 16 --mode closedform --format csv", 0, "59bd390fc2b865ad8812fb6ebc4830b4f5603b813a4720795f4b340c01fd2393"),
+    ("table --case all --max-hodge 16 --mode closedform --format json", 0, "40055ad297b847492be774c9b52901d0f24d42f0e80bf2f0c8910d76e021afad"),
+    ("table --case all --max-hodge 16 --mode crosscheck --format text", 0, "739ca309db01b4735f15a8e76665220f733becf5b7a71540a435f4fc995db570"),
+    ("table --case all --max-hodge 16 --mode crosscheck --format csv", 0, "9ddea23bb205f0aa015dbf3a4d32fcac0dc564da931a01ffe42549e0df147898"),
+    ("table --case all --max-hodge 16 --mode crosscheck --format json", 0, "827d33bbdacdf338a03549d07aad6760293f6bce5e335fa0d6e0fe5e1e9b2c6c"),
+    ("series --case all --terms 30 --which h0 --format text", 0, "5a9629cad956b51958d8464d411a8fe34170af6a7d075483b0413e0102677a47"),
+    ("series --case all --terms 30 --which h0 --format csv", 0, "d260c01b3d1fe5e8581ec30fc91fec5adac944fd3c1b0d15c04b0175404ffd2d"),
+    ("series --case all --terms 30 --which h0 --format json", 0, "e19c35ba9959f5b39b3306f6477821478d0bbd0e47a7034b8a3080e054bc97f4"),
+    ("series --case all --terms 30 --which h1 --format text", 0, "b3e1cdf778baf1540bc618aea9bacd17875f0980885f9b50612b791c842a9867"),
+    ("series --case all --terms 30 --which h1 --format csv", 0, "a4429418fdf5b6425c3358668e0906f612c6958dd83e00917d0cee96c78b8c43"),
+    ("series --case all --terms 30 --which h1 --format json", 0, "fe115f22549920dbe7056397ecf09a1c0e51c3d302cf7d40c4ec5f1228d08dc6"),
+    ("series --case all --terms 30 --which chi --format text", 0, "60adf95239682403624ee2d6e1f5bf648ce76c1e72daa923e47ff8778bafe7c5"),
+    ("series --case all --terms 30 --which chi --format csv", 0, "d6f1e738e06c53de1cd71908d2db1349a8f17f1a4cff9fef32d78b2a27bd75a2"),
+    ("series --case all --terms 30 --which chi --format json", 0, "ec0c09c2fc4eb64083d9bec64729fd83db784243abc9f14d5a863945d02e55a1"),
+    ("signs --max-exponent 4", 0, "247bf65a55c71126160c7caa9f9e6dafefa27f4f967a4ca0d36fb71e74e543a3"),
+    ("basis --case oo --hodge 9", 0, "95d6c6da58059c525f457dc94f73aacc83d5839719ea27271bcc3337348e7bdf"),
+    ("basis --case ee --hodge 9", 0, "4712f2b55989666a96d41267610177fe832c0ed69315966643e0f897cd73c73e"),
+    ("basis --case eo --hodge 9", 0, "5b974f65c5b39fa6cb604f7d19cf7389827bb949ccf963b4376100fe48a3b974"),
+    ("basis --case oe --hodge 9", 0, "aed90b69b529d5d7e4d39ee179546e480c8679d1a25b0da83274e515612445fa"),
+]
+
+
+def test_outputs_match_recorded_digests(capsys, monkeypatch):
+    monkeypatch.delenv("THETA_HOMOLOGY_OUTDIR", raising=False)
+    for command, want_rc, want_digest in RECORDED_DIGESTS:
+        rc, out, _ = run(capsys, command.split())
+        assert rc == want_rc, command
+        assert hashlib.sha256(out.encode()).hexdigest() == want_digest, command

@@ -6,14 +6,13 @@ t^200 against the piecewise formulas, and checked against a polynomial
 multiplication oracle (series times denominator gives back the numerator).
 """
 
-from fractions import Fraction
-
 import pytest
 
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.genfun import (
     GeneratingFunction,
     euler_relation_check,
+    euler_sign,
     formulas,
     one_minus_power,
     poly_mul,
@@ -21,7 +20,6 @@ from theta_homology.genfun import (
     rank_formula,
     series,
     t_power,
-    total_degree,
 )
 
 
@@ -42,13 +40,9 @@ def test_generating_function_expansion():
     assert geom.coefficients(5) == [1, 1, 1, 1, 1, 1]
     shifted = GeneratingFunction((0, 1), (1, 0, -1))
     assert shifted.coefficients(6) == [0, 1, 0, 1, 0, 1, 0]
-    halves = GeneratingFunction((1,), (2, -1))
-    assert halves.coefficients(3) == [
-        Fraction(1, 2),
-        Fraction(1, 4),
-        Fraction(1, 8),
-        Fraction(1, 16),
-    ]
+    negated = GeneratingFunction((1,), (-1, 1))
+    assert negated.coefficients(3) == [-1, -1, -1, -1]
+    assert all(type(c) is int for c in shifted.coefficients(6) + negated.coefficients(3))
 
 
 def test_generating_function_rejects_bad_denominator():
@@ -56,6 +50,9 @@ def test_generating_function_rejects_bad_denominator():
         GeneratingFunction((1,), ())
     with pytest.raises(ValueError):
         GeneratingFunction((1,), (0, 1))
+    # a constant term other than +-1 would give a non-integer series
+    with pytest.raises(ValueError):
+        GeneratingFunction((1,), (2, -1))
 
 
 def test_series_examples():
@@ -190,21 +187,14 @@ def test_euler_relation_spot_values():
     assert series(CASE_OO, "chi", 1)[1] == -1
 
 
-def test_total_degree():
-    assert total_degree(CASE_OO, 1) == 4
-    assert total_degree(CASE_EO, 2) == 10
-    assert total_degree(CASE_OE, 1) == 2
-    assert total_degree(CASE_EE, 0) == 3
-    # only the parity is representative-independent: k(N-m-2) + N-3 for other
+def test_euler_sign():
+    # (-1) to the total degree k(N-m-2) + N-3 of a defect-0 graph, for every
     # (m, N) with the case's parities and N >= 2m + 2
     for case in ALL_CASES:
-        values = set()
         for m in range(7):
             for n in range(2 * m + 2, 2 * m + 10):
                 if (m % 2 == 1, n % 2 == 1) != (case.m_odd, case.n_odd):
                     continue
                 for k in range(8):
                     degree = k * (n - m - 2) + n - 3
-                    values.add((k, degree))
-                    assert degree % 2 == total_degree(case, k) % 2
-        assert any(degree != total_degree(case, k) for k, degree in values)
+                    assert (-1) ** degree == euler_sign(case, k), (case.key, m, n, k)
