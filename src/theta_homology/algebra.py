@@ -64,7 +64,7 @@ class Element:
     """A homogeneous element of one of the four flavors.
 
     coeffs maps normal-form exponent triples to nonzero ints.  A coefficient
-    given as another number must equal an integer (Fraction(6, 3) is stored
+    given as another number must equal an integer (the rational 6/3 is stored
     as 2), or ValueError is raised.  The zero element keeps its (flavor,
     degree) so that degree bookkeeping, and the degree-dependent signs
     downstream, survive cancellation.

@@ -1,24 +1,25 @@
-"""Exact linear algebra over Q for sparse matrices.
+"""Exact linear algebra for sparse integer matrices.
 
-The differential matrices assembled elsewhere in this package have at most a
-handful of nonzero entries per column, and the homology ranks they decide are
-integers determined by exact cancellation.  Everything here therefore works
-over fractions.Fraction, never floating point, and rank is computed by plain
-Gaussian elimination on sparse row dictionaries.  Sizes grow roughly
-quadratically in the Hodge degree t: in the hundreds for t <= 40, and about
-1400 x 1400 near t = 128 (d1 of case oo at t = 128 is 1430 x 1408).
+The differential matrices assembled elsewhere in this package have a handful
+of small integer entries per column, and the homology ranks they decide rest
+on exact cancellation, so everything here works in int, never floating point.
+Rank is fraction-free column reduction on leading rows, with no pivot
+heuristic.  Sizes grow roughly quadratically in the Hodge degree t: in the
+hundreds for t <= 40, and about 1400 x 1400 near t = 128 (d1 of case oo at
+t = 128 is 1430 x 1408).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 
 class RationalMatrix:
-    """A rows x cols matrix over Q stored as {(i, j): nonzero Fraction}.
+    """A rows x cols integer matrix stored as {(i, j): nonzero int}.
 
-    Instances are treated as immutable after construction; all operations
-    return new matrices.
+    An entry given as another number must equal an integer (the rational 6/3
+    is stored as 2), or ValueError is raised.  rank() is the rank over Q.  All
+    operations return new matrices; instances are treated as immutable.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -35,9 +36,11 @@ class RationalMatrix:
         for (i, j), value in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            value = Fraction(value)
-            if value:
-                data[i, j] = value
+            integer = int(value)
+            if integer != value:
+                raise ValueError(f"non-integer entry {value} at ({i}, {j})")
+            if integer:
+                data[i, j] = integer
         self.entries = data
 
     @classmethod
@@ -52,7 +55,7 @@ class RationalMatrix:
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return self.entries.get((i, j), Fraction(0))
+        return self.entries.get((i, j), 0)
 
     def to_triplets(self):
         """Sorted list of (row, col, value) for the nonzero entries."""
@@ -80,41 +83,36 @@ class RationalMatrix:
         product = {}
         for (i, j), a in self.entries.items():
             for k, b in by_row.get(j, ()):
-                product[i, k] = product.get((i, k), Fraction(0)) + a * b
+                product[i, k] = product.get((i, k), 0) + a * b
         return RationalMatrix(self.rows, other.cols, product)
 
     def is_zero(self):
         return not self.entries
 
     def rank(self):
-        """Rank over Q, by Gaussian elimination on sparse row dictionaries."""
-        by_row = {}
+        """Rank over Q, by fraction-free column reduction in column order.
+
+        While an earlier column owns the leading row (smallest row index) of
+        a column, that column becomes p*col - q*pivot, p and q being the two
+        entries in that row, divided by the gcd of its entries.  The rank is
+        the number of distinct leading rows left.
+        """
+        columns = {}
         for (i, j), v in self.entries.items():
-            by_row.setdefault(i, {})[j] = v
-        active = list(by_row.values())
-        rank = 0
-        while active:
-            # sparsest row as pivot keeps fill-in down; any choice is exact
-            pivot_row = min(active, key=len)
-            active.remove(pivot_row)
-            pivot_col = min(pivot_row)
-            pivot_val = pivot_row[pivot_col]
-            rank += 1
-            remaining = []
-            for row in active:
-                coeff = row.get(pivot_col)
-                if coeff is not None:
-                    factor = coeff / pivot_val
-                    for col, val in pivot_row.items():
-                        new = row.get(col, Fraction(0)) - factor * val
-                        if new:
-                            row[col] = new
-                        elif col in row:
-                            del row[col]
-                if row:
-                    remaining.append(row)
-            active = remaining
-        return rank
+            columns.setdefault(j, {})[i] = v
+        pivots = {}
+        for j in sorted(columns):
+            col = columns[j]
+            while col and (lead := min(col)) in pivots:
+                pivot = pivots[lead]
+                p, q = pivot[lead], col[lead]
+                rows = col.keys() | pivot.keys()
+                col = {i: p * col.get(i, 0) - q * pivot.get(i, 0) for i in rows}
+                g = gcd(*col.values())
+                col = {i: v // g for i, v in col.items() if v}
+            if col:
+                pivots[min(col)] = col
+        return len(pivots)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):

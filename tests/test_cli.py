@@ -1,11 +1,16 @@
 """Tests for the command-line front end: output formats, exit codes, the
---out/outdir plumbing, determinism of repeated runs, and recorded SHA-256
-digests of stdout for a fixed set of runs."""
+--out/outdir plumbing, determinism of repeated runs, recorded SHA-256
+digests of stdout for a fixed set of runs, and that importing the CLI loads
+no fractions module."""
 
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +201,21 @@ def test_repeated_runs_identical(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+def test_import_loads_no_fractions():
+    # the package is integer-only: importing the CLI loads every submodule,
+    # and none of them may pull in the fractions module
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, theta_homology.cli; print('fractions' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 # exit code and SHA-256 of stdout per run, recorded from a tree whose output
