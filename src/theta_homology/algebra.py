@@ -22,12 +22,13 @@ normal-form monomials as an anti-automorphism and acts diagonally:
 >>> mirror(Element(SYM_ODD, 1, {(1, 0, 0): 1})).coeffs
 {(1, 0, 0): -1}
 
-S3 renames the generators, with one signed rule per monomial (_act, read by
-permute_variables, symmetrize and basis_coordinates).  Symmetrized monomials,
-written (k1,k2,k3) in the plain flavors and [k1,k2,k3] in the sign-twisted
-ones, are the signed S3-orbit sums normalized to coefficient +1 on the
-descending-sorted monomial; the ones that survive form the admissible bases
-enumerated here.
+S3 renames the generators, with one signed rule per monomial: _act is that
+rule's only statement, read by permute_variables, symmetrize, is_admissible
+and basis_coordinates.  Symmetrized monomials, written (k1,k2,k3) in the
+plain flavors and [k1,k2,k3] in the sign-twisted ones, are the signed
+S3-orbit sums normalized to coefficient +1 on the descending-sorted
+monomial; the ones that survive form the admissible bases enumerated here,
+and e2, e3 and the Vandermonde element are three of them.
 """
 
 from __future__ import annotations
@@ -63,24 +64,25 @@ S3 = tuple(permutations(range(3)))
 class Element:
     """A homogeneous element of one of the four flavors.
 
-    coeffs maps normal-form exponent triples to nonzero ints.  A coefficient
-    given as another number must equal an integer (the rational 6/3 is stored
-    as 2), or ValueError is raised.  The zero element keeps its (flavor,
-    degree) so that degree bookkeeping, and the degree-dependent signs
-    downstream, survive cancellation.
+    coeffs maps normal-form exponent triples to nonzero ints.  A degree,
+    exponent or coefficient given as another number must equal an integer
+    (the rational 6/3 is stored as 2), or ValueError is raised.  The zero
+    element keeps its (flavor, degree) so that degree bookkeeping, and the
+    degree-dependent signs downstream, survive cancellation.
     """
 
     __slots__ = ("flavor", "degree", "coeffs")
 
     def __init__(self, flavor, degree, coeffs=None):
+        if int(degree) != degree or degree < 0:
+            raise ValueError(f"degree {degree} is not a nonnegative integer")
         degree = int(degree)
-        if degree < 0:
-            raise ValueError("negative degree")
         clean = {}
         for mono, coefficient in (coeffs or {}).items():
-            mono = (int(mono[0]), int(mono[1]), int(mono[2]))
-            if min(mono) < 0:
-                raise ValueError(f"negative exponent in {mono}")
+            exponents = (int(mono[0]), int(mono[1]), int(mono[2]))
+            if exponents != tuple(mono) or min(exponents) < 0:
+                raise ValueError(f"exponents {mono} are not nonnegative integers")
+            mono = exponents
             if sum(mono) != degree:
                 raise ValueError(f"monomial {mono} is not of degree {degree}")
             integer = int(coefficient)
@@ -252,21 +254,17 @@ def symmetrize(flavor, triple):
 def is_admissible(flavor, triple):
     """Whether the symmetrization of the triple is nonzero.
 
-    Sym[x]: always.  ASym[x]: strictly decreasing parts.  Sym[xi]: equal
-    adjacent parts must be even.  ASym[xi]: equal adjacent parts must be odd.
-    (These shortcuts are verified against actual orbit sums in the tests.)
+    The leading orbit coefficient is the signed sum over the stabilizer of
+    the sorted triple, so it vanishes exactly when a stabilizing permutation
+    acts with sign -1.  The stabilizer is generated by (1, 0, 2) when
+    k1 == k2 and by (0, 2, 1) when k2 == k3, and _act, the sign rule's only
+    statement, gives their signs.
     """
-    k1, k2, k3 = sorted(triple, reverse=True)
-    if not flavor.odd:
-        if flavor.antisymmetric:
-            return k1 > k2 > k3
-        return True
-    need = 1 if flavor.antisymmetric else 0
-    if k1 == k2 and k1 % 2 != need:
-        return False
-    if k2 == k3 and k2 % 2 != need:
-        return False
-    return True
+    k1, k2, k3 = rep = sorted(triple, reverse=True)
+    return not (
+        (k1 == k2 and _act(flavor, (1, 0, 2), rep)[1] < 0)
+        or (k2 == k3 and _act(flavor, (0, 2, 1), rep)[1] < 0)
+    )
 
 
 def admissible_basis(flavor, degree):
@@ -275,10 +273,9 @@ def admissible_basis(flavor, degree):
     for k1 in range(degree, -1, -1):
         for k2 in range(min(k1, degree - k1), -1, -1):
             k3 = degree - k1 - k2
-            if 0 <= k3 <= k2:
+            if k3 <= k2 and is_admissible(flavor, (k1, k2, k3)):
                 triples.append((k1, k2, k3))
-    triples.sort(reverse=True)
-    return [t for t in triples if is_admissible(flavor, t)]
+    return triples
 
 
 def basis_coordinates(f):
@@ -325,28 +322,17 @@ def mul_e1(f, side):
 
 def e2():
     """Second elementary symmetric polynomial in the commuting generators."""
-    return Element(SYM, 2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
+    return symmetrize(SYM, (1, 1, 0))
 
 
 def e3():
     """Third elementary symmetric polynomial in the commuting generators."""
-    return Element(SYM, 3, {(1, 1, 1): 1})
+    return symmetrize(SYM, (1, 1, 1))
 
 
 def vandermonde():
     """(x1-x2)(x1-x3)(x2-x3), the fundamental ASym[x] element [2,1,0]."""
-    return Element(
-        ASYM,
-        3,
-        {
-            (2, 1, 0): 1,
-            (2, 0, 1): -1,
-            (1, 2, 0): -1,
-            (0, 2, 1): 1,
-            (1, 0, 2): 1,
-            (0, 1, 2): -1,
-        },
-    )
+    return symmetrize(ASYM, (2, 1, 0))
 
 
 def element_power(f, n):
@@ -356,21 +342,6 @@ def element_power(f, n):
     for _ in range(n):
         result = result * f
     return result
-
-
-def elementary_reconstruct(coeffs):
-    """Sum of c * e1^alpha e2^beta e3^gamma over {(alpha, beta, gamma): c}."""
-    terms = [
-        element_power(generator_sum(SYM), a) * element_power(e2(), b) * element_power(e3(), c) * coefficient
-        for (a, b, c), coefficient in coeffs.items()
-    ]
-    if not terms:
-        return Element.zero(SYM, 0)
-    degree = terms[0].degree
-    total = Element.zero(SYM, degree)
-    for term in terms:
-        total = total + term
-    return total
 
 
 def render_element(f):

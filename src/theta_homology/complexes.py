@@ -132,9 +132,9 @@ def _matrix_of(case, source, target, differential):
 
 def build_slice(case, t):
     """Assemble bases and differential matrices for one (case, t)."""
+    if int(t) != t or t < 1:
+        raise ValueError(f"Hodge degree {t} is not a positive integer (t counts hairs)")
     t = int(t)
-    if t < 1:
-        raise ValueError("Hodge degree must be at least 1 (graphs carry hairs)")
     basis2 = defect2_basis(case, t)
     basis1 = defect1_basis(case, t)
     basis0 = defect0_basis(case, t)
@@ -144,7 +144,7 @@ def build_slice(case, t):
 
 
 def slice_as_dict(s):
-    """JSON-ready dict: bases as triples, matrices as [row, col, "p/q"] triplets."""
+    """JSON-ready dict: bases as triples, matrices as [row, col, str(int)] triplets."""
     return {
         "case": s.case.key,
         "t": s.t,

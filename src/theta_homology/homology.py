@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 from .algebra import (
     basis_coordinates,
-    elementary_reconstruct,
+    e2,
+    e3,
+    element_power,
     render_element,
     symmetrize,
     vandermonde,
@@ -100,87 +102,62 @@ def _oo_monomials(degree):
     return out
 
 
+def _e2_e3(beta, gamma):
+    return element_power(e2(), beta) * element_power(e3(), gamma)
+
+
+# The closed-form families of the two odd-signature cases.  Per case, the
+# (k2 parity, k3 residues mod 4) rule of the H0 family (k2+1,k2,k3), the k3
+# residue of the single H0 element (k+1,k+1,k), and the rules of the H1
+# families (k2,k2,k3) and 2(k2+1,k2+1,k3) - (k2+1,k2,k3+1).
+_ODD_FAMILIES = {
+    "eo": ((1, (0, 3)), 3, (0, (0,)), (1, (3,))),
+    "oe": ((0, (1, 2)), 0, (1, (1,)), (0, (2,))),
+}
+
+
+def _k2_k3(n, rule, gap):
+    """(k2, k3) with 2 k2 + k3 = n and k2 >= k3 + gap obeying rule, k3 ascending."""
+    parity, residues = rule
+    out = []
+    for k3 in range(n % 2, n + 1, 2):
+        k2 = (n - k3) // 2
+        if k2 % 2 == parity and k3 % 4 in residues and k2 >= k3 + gap:
+            out.append((k2, k3))
+    return out
+
+
 def homology_generators(case, t):
     """The closed-form H0 and H1 representatives at Hodge degree t.
 
     Returns (h0 generators, h1 generators), elements of degree t and t-1.
     """
-    flavor = case.flavor
-    sym = lambda triple: symmetrize(flavor, triple)
-
     if case.m_odd and case.n_odd:
-        h0 = [
-            elementary_reconstruct({(0, beta, gamma): 1})
-            for beta, gamma in _oo_monomials(t)
-            if beta + gamma > 0
-        ]
-        h1 = [
-            elementary_reconstruct({(0, beta, gamma): 1})
-            for beta, gamma in _oo_monomials(t - 1)
-        ]
-        return h0, h1
+        h0 = [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t) if beta + gamma]
+        return h0, [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t - 1)]
 
     if not case.m_odd and not case.n_odd:
-        delta = vandermonde()
-
+        # Delta e3 e2^beta e3^gamma, gamma even, of total degree `degree`
         def classes(degree):
-            # Delta e3 e2^beta e3^gamma, gamma even, of total degree `degree`
             return [
-                delta * elementary_reconstruct({(0, beta, gamma + 1): 1})
+                vandermonde() * _e2_e3(beta, gamma + 1)
                 for beta, gamma in _oo_monomials(degree - 6)
-                if degree >= 6
             ]
 
         return classes(t), classes(t - 1)
 
-    if case.n_odd:  # m even, N odd
-        h0 = []
-        for k3 in range(t + 1):
-            if (t - 1 - k3) % 2 == 0:
-                k2 = (t - 1 - k3) // 2
-                if k2 >= 0 and k2 % 2 == 1 and k3 % 4 in (0, 3) and k2 > k3:
-                    h0.append(sym((k2 + 1, k2, k3)))
-        if (t - 2) % 3 == 0 and (t - 2) // 3 >= 0 and ((t - 2) // 3) % 4 == 3:
-            k3 = (t - 2) // 3
-            h0.append(sym((k3 + 1, k3 + 1, k3)))
-        h1 = []
-        degree = t - 1
-        for k3 in range(degree + 1):
-            if (degree - k3) % 2 == 0:
-                k2 = (degree - k3) // 2
-                if k2 % 2 == 0 and k3 % 4 == 0 and k2 >= k3:
-                    h1.append(sym((k2, k2, k3)))
-        for k3 in range(degree + 1):
-            if (degree - 2 - k3) % 2 == 0:
-                k2 = (degree - 2 - k3) // 2
-                if k2 >= 0 and k2 % 2 == 1 and k3 % 4 == 3 and k2 > k3:
-                    h1.append(
-                        sym((k2 + 1, k2 + 1, k3)) * 2 - sym((k2 + 1, k2, k3 + 1))
-                    )
-        return h0, h1
-
-    # m odd, N even
-    h0 = []
-    for k3 in range(t + 1):
-        if (t - 1 - k3) % 2 == 0:
-            k2 = (t - 1 - k3) // 2
-            if k2 >= 0 and k2 % 2 == 0 and k3 % 4 in (1, 2) and k2 > k3:
-                h0.append(sym((k2 + 1, k2, k3)))
-    if (t - 2) % 3 == 0 and (t - 2) // 3 >= 0 and ((t - 2) // 3) % 4 == 0:
-        k3 = (t - 2) // 3
-        h0.append(sym((k3 + 1, k3 + 1, k3)))
-    h1 = []
-    degree = t - 1
-    for k3 in range(degree + 1):
-        if (degree - 2 - k3) % 2 == 0:
-            k2 = (degree - 2 - k3) // 2
-            if k2 >= 0 and k2 % 2 == 0 and k3 % 4 == 2 and k2 > k3:
-                h1.append(sym((k2 + 1, k2 + 1, k3)) * 2 - sym((k2 + 1, k2, k3 + 1)))
-    for k3 in range(degree + 1):
-        if (degree - k3) % 2 == 0:
-            k2 = (degree - k3) // 2
-            if k2 % 2 == 1 and k3 % 4 == 1 and k2 >= k3:
-                h1.append(sym((k2, k2, k3)))
+    sym = lambda triple: symmetrize(case.flavor, triple)
+    h0_rule, h0_residue, square_rule, pair_rule = _ODD_FAMILIES[case.key]
+    h0 = [sym((k2 + 1, k2, k3)) for k2, k3 in _k2_k3(t - 1, h0_rule, 1)]
+    k, rest = divmod(t - 2, 3)
+    if rest == 0 and k >= 0 and k % 4 == h0_residue:
+        h0.append(sym((k + 1, k + 1, k)))
+    # one H1 family lives at t = 0 mod 4 and the other at t = 1, never both
+    h1 = [sym((k2, k2, k3)) for k2, k3 in _k2_k3(t - 1, square_rule, 0)]
+    h1 += [
+        sym((k2 + 1, k2 + 1, k3)) * 2 - sym((k2 + 1, k2, k3 + 1))
+        for k2, k3 in _k2_k3(t - 3, pair_rule, 1)
+    ]
     return h0, h1
 
 

@@ -17,25 +17,26 @@ from math import gcd
 class RationalMatrix:
     """A rows x cols integer matrix stored as {(i, j): nonzero int}.
 
-    An entry given as another number must equal an integer (the rational 6/3
-    is stored as 2), or ValueError is raised.  rank() is the rank over Q.  All
-    operations return new matrices; instances are treated as immutable.
+    A dimension, index or entry given as another number must equal an
+    integer (the rational 6/3 is stored as 2), or ValueError is raised.
+    rank() is the rank over Q.  All operations return new matrices;
+    instances are treated as immutable.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries=()):
-        rows = int(rows)
-        cols = int(cols)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        if (int(rows), int(cols)) != (rows, cols) or min(rows, cols) < 0:
+            raise ValueError(f"dimensions {rows}x{cols} are not nonnegative integers")
+        rows, cols = int(rows), int(cols)
         self.rows = rows
         self.cols = cols
         data = {}
         items = entries.items() if hasattr(entries, "items") else entries
         for (i, j), value in items:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            if (int(i), int(j)) != (i, j) or not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"({i}, {j}) is no index of a {rows}x{cols} matrix")
+            i, j = int(i), int(j)
             integer = int(value)
             if integer != value:
                 raise ValueError(f"non-integer entry {value} at ({i}, {j})")

@@ -103,10 +103,10 @@ def reversal_sign(reversed_edges, case):
     return 1
 
 
-def _mapped_sign(defect, hairs, case, image, target_defect, target_hairs, reversed_edges):
-    """Koszul sign of the token map `image`, times the reversal contribution."""
+def _mapped_sign(defect, hairs, case, image, target_hairs, reversed_edges):
+    """Koszul sign of `image` onto (defect, target_hairs), times the reversal sign."""
     source = canonical_tokens(defect, hairs)
-    target = canonical_tokens(target_defect, target_hairs)
+    target = canonical_tokens(defect, target_hairs)
     index = {token: i for i, token in enumerate(target)}
     positions = [index[image(token)] for token in source]
     parities = [token_parity(token, case) for token in source]
@@ -139,7 +139,7 @@ def vertical_reflection_sign(defect, hairs, case):
         return (kind, e, hairs[e - 1] + 1 - token[2])
 
     reversed_edges = sum(hairs) + 3
-    return _mapped_sign(defect, hairs, case, image, defect, hairs, reversed_edges)
+    return _mapped_sign(defect, hairs, case, image, hairs, reversed_edges)
 
 
 def edge_swap_sign(defect, hairs, case, p, q):
@@ -162,7 +162,7 @@ def edge_swap_sign(defect, hairs, case, p, q):
 
     target = list(hairs)
     target[p - 1], target[q - 1] = target[q - 1], target[p - 1]
-    return _mapped_sign(defect, hairs, case, image, defect, tuple(target), 0)
+    return _mapped_sign(defect, hairs, case, image, tuple(target), 0)
 
 
 def _sum_pair_products(hairs):

@@ -16,7 +16,6 @@ from theta_homology.algebra import (
     e2,
     e3,
     element_power,
-    elementary_reconstruct,
     generator_sum,
     is_admissible,
     mirror,
@@ -64,6 +63,17 @@ def test_element_validation():
     integral = Element(SYM, 1, {(1, 0, 0): Fraction(6, 3)})
     assert integral.coeffs == {(1, 0, 0): 2}
     assert type(integral.coeffs[1, 0, 0]) is int
+    # the same rule for exponents and the degree: 1.5 is not truncated to 1
+    with pytest.raises(ValueError):
+        Element(SYM, 1, {(1.5, 0.5, 0): 1})
+    with pytest.raises(ValueError):
+        Element(SYM, 2, {(1.5, 0.5, 0): 1})
+    with pytest.raises(ValueError):
+        Element(SYM, 1.5, {})
+    integral = Element(SYM, Fraction(4, 2), {(Fraction(2), 0.0, 0): 1})
+    assert integral.degree == 2 and type(integral.degree) is int
+    assert integral.coeffs == {(2, 0, 0): 1}
+    assert all(type(k) is int for k in next(iter(integral.coeffs)))
 
 
 def test_element_add_sub():
@@ -239,14 +249,22 @@ def test_permute_variables_is_a_group_action():
 
 
 def test_symmetrize_examples():
+    pair_sum = {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
     assert symmetrize(SYM_ODD, (1, 0, 0)) == generator_sum(SYM_ODD)
-    assert symmetrize(SYM, (1, 1, 0)) == e2()
-    assert symmetrize(ASYM, (2, 1, 0)) == vandermonde()
+    assert symmetrize(SYM, (1, 1, 0)) == Element(SYM, 2, pair_sum)
+    assert symmetrize(SYM, (1, 1, 1)) == Element(SYM, 3, {(1, 1, 1): 1})
+    # (x1-x2)(x1-x3)(x2-x3), multiplied out
+    x1, x2, x3 = (
+        Element(SYM, 1, {mono: 1}) for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    )
+    product = (x1 - x2) * (x1 - x3) * (x2 - x3)
+    assert symmetrize(ASYM, (2, 1, 0)).coeffs == product.coeffs
+    assert symmetrize(ASYM, (2, 1, 0)).flavor == ASYM
     assert symmetrize(ASYM_ODD, (1, 1, 0)) == ALT_PAIR_SUM
     assert symmetrize(ASYM_ODD, (1, 1, 1)) == GENERATOR_PRODUCT
     assert symmetrize(SYM_ODD, (2, 2, 2)).coeffs == {(2, 2, 2): Fraction(1)}
     # sorted first, then symmetrized
-    assert symmetrize(SYM, (0, 1, 1)) == e2()
+    assert symmetrize(SYM, (0, 1, 1)) == Element(SYM, 2, pair_sum)
 
 
 def test_symmetrize_cancellation():
@@ -287,6 +305,16 @@ def orbit_sum_through_elements(flavor, triple):
     return total * Fraction(1, lead)
 
 
+def parity_shortcut(flavor, triple):
+    """Sym[x]: always.  ASym[x]: strictly decreasing parts.  Sym[xi]: equal
+    adjacent parts are even.  ASym[xi]: equal adjacent parts are odd."""
+    k1, k2, k3 = sorted(triple, reverse=True)
+    if not flavor.odd:
+        return k1 > k2 > k3 if flavor.antisymmetric else True
+    need = 1 if flavor.antisymmetric else 0
+    return (k1 != k2 or k1 % 2 == need) and (k2 != k3 or k2 % 2 == need)
+
+
 def test_is_admissible_matches_orbit_sums():
     for flavor in FLAVORS:
         for degree in range(9):
@@ -294,6 +322,12 @@ def test_is_admissible_matches_orbit_sums():
                 f = symmetrize(flavor, triple)
                 assert f == orbit_sum_through_elements(flavor, triple), (flavor, triple)
                 assert is_admissible(flavor, triple) == (not f.is_zero())
+                assert is_admissible(flavor, triple) == parity_shortcut(flavor, triple)
+                assert is_admissible(flavor, triple[::-1]) == is_admissible(flavor, triple)
+    for flavor in FLAVORS:
+        for degree in range(9, 40):
+            for triple in admissible_basis(SYM, degree):
+                assert is_admissible(flavor, triple) == parity_shortcut(flavor, triple)
 
 
 def test_admissible_basis_examples():
@@ -412,6 +446,7 @@ def test_named_elements():
         (0, 0, 1): Fraction(1),
     }
     assert generator_sum(ASYM_ODD).flavor == SYM_ODD
+    assert e2().coeffs == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
     assert e3().coeffs == {(1, 1, 1): Fraction(1)}
     assert vandermonde().coefficient((2, 0, 1)) == -1
     assert ALT_PAIR_SUM.coefficient((1, 0, 1)) == -1
@@ -460,18 +495,11 @@ def test_element_power():
     assert element_power(e3(), 2).coeffs == {(2, 2, 2): Fraction(1)}
     with pytest.raises(ValueError):
         element_power(e2(), -1)
-
-
-def test_elementary_reconstruct_examples():
-    assert elementary_reconstruct({(1, 0, 0): 1}) == generator_sum(SYM)
-    assert elementary_reconstruct({(0, 1, 0): 1}) == e2()
-    assert elementary_reconstruct({(0, 0, 1): 1}) == e3()
     # p2 = e1^2 - 2 e2
     power_sum = Element(SYM, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    assert elementary_reconstruct({(2, 0, 0): 1, (0, 1, 0): -2}) == power_sum
+    assert element_power(generator_sum(SYM), 2) - e2() * 2 == power_sum
     # e2 e3 = (2,2,1)
-    assert elementary_reconstruct({(0, 1, 1): 1}) == symmetrize(SYM, (2, 2, 1))
-    assert elementary_reconstruct({}) == Element.zero(SYM, 0)
+    assert e2() * e3() == symmetrize(SYM, (2, 2, 1))
 
 
 # --- rendering ---------------------------------------------------------------

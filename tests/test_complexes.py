@@ -210,6 +210,16 @@ def test_build_slice_rejects_nonpositive_degree():
         build_slice(CASE_EE, -3)
 
 
+def test_build_slice_rejects_non_integer_degree():
+    # 2.7 is refused, not silently built as t = 2
+    for t in (2.7, Fraction(5, 2)):
+        with pytest.raises(ValueError):
+            build_slice(CASE_OO, t)
+    s = build_slice(CASE_OO, 2.0)
+    assert s.t == 2 and type(s.t) is int
+    assert s == build_slice(CASE_OO, 2)
+
+
 def test_slice_matrix_entries():
     s = build_slice(CASE_OO, 3)
     # d2(e1) = -2 e1^2 = -2 (2,0,0)-basis part ... expand over (2,0,0),(1,1,0)

@@ -2,9 +2,11 @@
 the closed-form homology bases against the exact matrices."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
+from theta_homology.algebra import render_element
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.complexes import ComplexConsistencyError, build_slice
 from theta_homology.genfun import rank_formula, series
@@ -93,6 +95,24 @@ def test_generator_counts_match_formulas():
             h0, h1 = homology_generators(case, t)
             assert len(h0) == rank_formula(case, "a", t), (case.key, t)
             assert len(h1) == rank_formula(case, "b", t), (case.key, t)
+
+
+def test_generator_lists_digest():
+    # pins every closed-form generator, term by term, for t <= 40
+    digest = hashlib.sha256()
+    for case in ALL_CASES:
+        for t in range(1, 41):
+            h0, h1 = homology_generators(case, t)
+            rendered = (
+                case.key,
+                t,
+                [render_element(g) for g in h0],
+                [render_element(g) for g in h1],
+            )
+            digest.update(repr(rendered).encode())
+    assert digest.hexdigest() == (
+        "f2b2ca825c3ad4edc366ff6b879893d2c25a0654a41cb31baa670d4ada308422"
+    )
 
 
 def test_generator_degrees():

@@ -113,6 +113,20 @@ def test_entries_are_integers():
     assert all(type(v) is int for _, _, v in mat.to_triplets())
     assert all(type(v) is int for _, _, v in (mat @ mat).to_triplets())
     assert (mat @ mat).to_triplets() == [(0, 0, 4), (1, 0, 5), (1, 1, 9)]
+    # the same rule for indices and dimensions: 0.5 is not truncated to 0
+    with pytest.raises(ValueError):
+        RationalMatrix(2, 2, {(0.5, 0): 1})
+    with pytest.raises(ValueError):
+        RationalMatrix(2, 2, {(0, Fraction(3, 2)): 1})
+    with pytest.raises(ValueError):
+        RationalMatrix.from_columns(2.5, [{0: 1}])
+    with pytest.raises(ValueError):
+        RationalMatrix(2, 1.5)
+    mat = RationalMatrix(Fraction(4, 2), 2.0, {(Fraction(2, 2), 1.0): 7})
+    assert (mat.rows, mat.cols) == (2, 2)
+    assert type(mat.rows) is int and type(mat.cols) is int
+    assert mat.to_triplets() == [(1, 1, 7)]
+    assert all(type(x) is int for x in mat.to_triplets()[0])
 
 
 def test_matmul_and_zero_composition():
