@@ -23,8 +23,10 @@ normal-form monomials as an anti-automorphism and acts diagonally:
 {(1, 0, 0): -1}
 
 S3 renames the generators, with one signed rule per monomial: _act is that
-rule's only statement, read by permute_variables, symmetrize, is_admissible
-and basis_coordinates.  Symmetrized monomials, written (k1,k2,k3) in the
+rule's only statement, read by permute_variables, orbit, is_admissible
+and basis_coordinates.  crossing is the one statement of the odd product's
+sign, read by Element multiplication and by the integer assembly of the
+differentials in complexes.  Symmetrized monomials, written (k1,k2,k3) in the
 plain flavors and [k1,k2,k3] in the sign-twisted ones, are the signed
 S3-orbit sums normalized to coefficient +1 on the descending-sorted
 monomial; the ones that survive form the admissible bases enumerated here,
@@ -136,9 +138,8 @@ class Element:
                 for b, cb in other.coeffs.items():
                     mono = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
                     term = ca * cb
-                    # b's generators move left past a's higher-index ones
-                    if self.flavor.odd and (b[0] * (a[1] + a[2]) + b[1] * a[2]) % 2:
-                        term = -term
+                    if self.flavor.odd:
+                        term *= crossing(a, b)
                     out[mono] = out.get(mono, 0) + term
             return Element(flavor, self.degree + other.degree, out)
         return Element(
@@ -161,6 +162,16 @@ class Element:
 
     def __repr__(self):
         return f"Element({self.flavor}, {render_element(self)})"
+
+
+def crossing(a, b):
+    """Sign of the odd product of normal-form monomials a and b.
+
+    Bringing a*b to normal form moves each of b's generators left past a's
+    higher-index ones, one transposition per pair of generator factors:
+    (-1)^(b1 (a2 + a3) + b2 a3), written 0-based below.
+    """
+    return -1 if (b[0] * (a[1] + a[2]) + b[1] * a[2]) % 2 else 1
 
 
 def mirror_sign(flavor, mono):
@@ -209,20 +220,31 @@ def _act(flavor, perm, mono):
     odd flavors, since sorting the renamed word moves xi^k_i past xi^k_j in
     k_i*k_j transpositions.  Both are 0 otherwise.
     """
+    p0, p1, p2 = perm
+    k0, k1, k2 = mono
     renamed = [0, 0, 0]
+    renamed[p0], renamed[p1], renamed[p2] = k0, k1, k2
+    a, o = flavor.antisymmetric, flavor.odd
     s = 0
-    for i in range(3):
-        renamed[perm[i]] = mono[i]
-        for j in range(i + 1, 3):
-            if perm[i] > perm[j]:
-                s += flavor.antisymmetric + flavor.odd * mono[i] * mono[j]
+    if p0 > p1:
+        s += a + o * k0 * k1
+    if p0 > p2:
+        s += a + o * k0 * k2
+    if p1 > p2:
+        s += a + o * k1 * k2
     return tuple(renamed), -1 if s % 2 else 1
 
 
 def permute_variables(perm, f):
-    """Rename generator i to perm[i] (0-based), with the signs of _act."""
-    if tuple(sorted(perm)) != (0, 1, 2):
+    """Rename generator i to perm[i] (0-based), with the signs of _act.
+
+    An entry given as another number must equal an integer ((0, 1, 2.0)
+    acts as (0, 1, 2)); anything but a permutation of 0..2 raises ValueError.
+    """
+    integral = tuple(int(p) for p in perm)
+    if integral != tuple(perm) or sorted(integral) != [0, 1, 2]:
         raise ValueError(f"not a permutation of 0..2: {perm}")
+    perm = integral
     out = {}
     for mono, c in f.coeffs.items():
         renamed, sign = _act(f.flavor, perm, mono)
@@ -230,25 +252,30 @@ def permute_variables(perm, f):
     return Element(f.flavor, f.degree, out)
 
 
-def symmetrize(flavor, triple):
-    """Signed S3-orbit sum of a monomial, the basis element (k1,k2,k3) / [k1,k2,k3].
+def orbit(flavor, triple):
+    """Coefficients of the symmetrized monomial (k1,k2,k3) / [k1,k2,k3].
 
-    Normalized so the descending-sorted monomial has coefficient +1; returns
-    the zero element when the orbit sum cancels.  Cancellation is detected by
-    actually summing the orbit, not by a parity shortcut.  Every orbit
-    coefficient is +- the signed sum over the stabilizer, so dividing by the
-    leading one is exact.
+    The signed S3-orbit sum of the descending-sorted triple, as a dict from
+    monomials to ints, normalized so the sorted monomial has coefficient +1;
+    empty when the orbit sum cancels.  Cancellation is detected by actually
+    summing the orbit, not by a parity shortcut.  Every orbit coefficient is
+    +- the signed sum over the stabilizer, so dividing by the leading one is
+    exact.
     """
     rep = tuple(sorted(triple, reverse=True))
-    degree = sum(rep)
     total = {}
     for perm in S3:
         mono, sign = _act(flavor, perm, rep)
         total[mono] = total.get(mono, 0) + sign
     lead = total[rep]
     if not lead:
-        return Element.zero(flavor, degree)
-    return Element(flavor, degree, {m: c // lead for m, c in total.items()})
+        return {}
+    return {m: c // lead for m, c in total.items()}
+
+
+def symmetrize(flavor, triple):
+    """The symmetrized monomial of a triple as an Element (orbit); zero if it cancels."""
+    return Element(flavor, sum(triple), orbit(flavor, triple))
 
 
 def is_admissible(flavor, triple):

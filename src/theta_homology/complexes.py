@@ -22,28 +22,58 @@ The differentials move a junction hair onto the edges:
 where |f| is the degree mod 2 in the odd flavors and always even in the
 commuting ones.  Bases are the admissible symmetrized monomials in
 descending lexicographic order, so matrices are deterministic.
+
+build_slice assembles both matrices in integers on sorted triples: a column
+is the signed S3 orbit of its source triple (algebra.orbit), each monomial
+mu moved to mu + e_i with the odd sign algebra.crossing, keeping only the
+descending-sorted images, which are the coordinates of an equivariant image.
+Equivariance is checked once per (flavor, side) on the exponent parity
+classes (_check_equivariance), not per column.  apply_defect2 and
+apply_defect1 state the same differentials on Element values; they are the
+reference path, which homology applies to closed-form generators and the
+tests compare every assembled matrix with.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .algebra import (
+    S3,
     Triple,
+    _act,
     admissible_basis,
-    basis_coordinates,
+    crossing,
     mirror,
     mirror_even_part,
     mirror_sign,
     mul_e1,
-    symmetrize,
+    orbit,
 )
+
+# Not called here: perfbench/child.py's tracer wraps both on this module by name.
+from .algebra import basis_coordinates, symmetrize  # noqa: F401
 from .cases import ParityCase
 from .linalg import RationalMatrix
 
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
 
 class ComplexConsistencyError(Exception):
-    """An assembled complex violates a structural identity (a bug, not bad input)."""
+    """An assembled complex violates a structural identity (a bug, not bad input).
+
+    case, t, triple (the source basis triple) and component (the image
+    monomial) say where it happened; each is None where it does not apply.
+    """
+
+    def __init__(self, message, case=None, t=None, triple=None, component=None):
+        super().__init__(message)
+        self.case = case
+        self.t = t
+        self.triple = triple
+        self.component = component
 
 
 def defect2_basis(case, t):
@@ -114,18 +144,96 @@ class HodgeSlice:
     d1: RationalMatrix
 
 
-def _matrix_of(case, source, target, differential):
+def _e_sign(flavor, side, e, mu):
+    """Sign of e mu (side "left") or mu e ("right"), e a generator: crossing."""
+    if not flavor.odd:
+        return 1
+    return crossing(e, mu) if side == "left" else crossing(mu, e)
+
+
+@functools.cache
+def _check_equivariance(flavor, side):
+    """Check, once per (flavor, side), that e1 multiplication keeps equivariance.
+
+    On every parity class mu in {0,1}^3, for all sigma, tau in S3 and i:
+    (a) _act is a group action, sigma(tau mu) = (sigma tau) mu with signs;
+    (b) sigma(e_i mu) = e_sigma(i) sigma(mu) with the signs of _act and
+    crossing (mu e_i on the right side).  Both signs depend only on the
+    exponents' parities, so this covers every monomial.
+    """
+    for mu in itertools.product((0, 1), repeat=3):
+        for tau in S3:
+            tau_mu, tau_sign = _act(flavor, tau, mu)
+            for sigma in S3:
+                composed = tuple(sigma[tau[i]] for i in range(3))
+                image, sign = _act(flavor, sigma, tau_mu)
+                if (image, sign * tau_sign) != _act(flavor, composed, mu):
+                    raise ComplexConsistencyError(
+                        f"the S3 action of {flavor} is not a group action on {mu}"
+                    )
+        for i, e in enumerate(_UNIT):
+            nu = tuple(k + x for k, x in zip(mu, e))
+            c = _e_sign(flavor, side, e, mu)
+            for sigma in S3:
+                moved, sign = _act(flavor, sigma, nu)
+                sigma_mu, mu_sign = _act(flavor, sigma, mu)
+                sigma_e = _UNIT[sigma[i]]
+                target = tuple(k + x for k, x in zip(sigma_mu, sigma_e))
+                d = _e_sign(flavor, side, sigma_e, sigma_mu)
+                if (moved, c * sign) != (target, d * mu_sign):
+                    raise ComplexConsistencyError(
+                        f"S3 does not commute with {side} multiplication by e1 "
+                        f"in {flavor} (parity class {mu}, generator {i + 1})"
+                    )
+
+
+def _matrix_of(case, t, source, target, defect):
+    """Matrix of d2 (defect 2) or d1 (defect 1), assembled in integers.
+
+    A C2 source outside the defect-2 mirror eigenspace, or a nonzero kept
+    coefficient outside the target basis, raises ComplexConsistencyError.
+    """
+    flavor = case.flavor
+    side = "right" if defect == 2 else "left"
+    _check_equivariance(flavor, side)
+    if defect == 2:
+        factor = -2 if case.n_odd else 2
+    else:
+        factor = -1 if (case.m_odd and case.n_odd) else 1
     index = {triple: i for i, triple in enumerate(target)}
     columns = []
     for triple in source:
-        image = differential(case, symmetrize(case.flavor, triple))
+        scale = factor
+        if defect == 2:
+            if mirror_sign(flavor, triple) != case.defect2_mirror_sign:
+                raise ComplexConsistencyError(
+                    f"source {triple} is not in the mirror eigenspace "
+                    f"(sign {case.defect2_mirror_sign:+d}) of case {case}",
+                    case=case,
+                    t=t,
+                    triple=triple,
+                )
+            if flavor.odd and sum(triple) % 2:
+                scale = -factor
+        image = {}
+        for mu, c in orbit(flavor, triple).items():
+            for e in _UNIT:
+                nu = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
+                if nu[0] >= nu[1] >= nu[2]:
+                    image[nu] = image.get(nu, 0) + _e_sign(flavor, side, e, mu) * c
         column = {}
-        for rep, c in basis_coordinates(image).items():
+        for rep, c in image.items():
+            if not c or (defect == 1 and mirror_sign(flavor, rep) < 0):
+                continue
             if rep not in index:
                 raise ComplexConsistencyError(
-                    f"image component {rep} of {triple} misses the target basis"
+                    f"image component {rep} of {triple} misses the target basis",
+                    case=case,
+                    t=t,
+                    triple=triple,
+                    component=rep,
                 )
-            column[index[rep]] = c
+            column[index[rep]] = scale * c
         columns.append(column)
     return RationalMatrix.from_columns(len(target), columns)
 
@@ -138,8 +246,8 @@ def build_slice(case, t):
     basis2 = defect2_basis(case, t)
     basis1 = defect1_basis(case, t)
     basis0 = defect0_basis(case, t)
-    d2 = _matrix_of(case, basis2, basis1, apply_defect2)
-    d1 = _matrix_of(case, basis1, basis0, apply_defect1)
+    d2 = _matrix_of(case, t, basis2, basis1, 2)
+    d1 = _matrix_of(case, t, basis1, basis0, 1)
     return HodgeSlice(case, t, basis2, basis1, basis0, d2, d1)
 
 

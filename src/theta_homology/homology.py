@@ -68,7 +68,9 @@ def homology_ranks(slice_):
     """Rank arithmetic on one slice; raises if d1.d2 != 0."""
     if not is_zero_composition(slice_.d1, slice_.d2):
         raise ComplexConsistencyError(
-            f"d1 . d2 != 0 for case {slice_.case} at t = {slice_.t}"
+            f"d1 . d2 != 0 for case {slice_.case} at t = {slice_.t}",
+            case=slice_.case,
+            t=slice_.t,
         )
     dim2, dim1, dim0 = len(slice_.basis2), len(slice_.basis1), len(slice_.basis0)
     rank_d2 = slice_.d2.rank()

@@ -218,6 +218,17 @@ def test_permute_variables_odd_signs():
         permute_variables((0, 0, 2), f)
 
 
+def test_permute_variables_integral_rule():
+    # an entry equal to an integer acts as that integer; anything else is
+    # refused with ValueError, never a TypeError from indexing
+    f = Element(SYM_ODD, 2, {(1, 1, 0): 1})
+    assert permute_variables((0, 1, 2.0), f) == f
+    assert permute_variables((1.0, 0, 2), f) == permute_variables((1, 0, 2), f)
+    for perm in ((0, 1, 2.5), (0, 0, 2), (0, 1, 3), (0, 1)):
+        with pytest.raises(ValueError):
+            permute_variables(perm, f)
+
+
 def test_permute_variables_signs_on_x1x2x3():
     # x1x2x3 is renamed to itself, so only the sign moves: the sign character
     # in ASym[x], the reordering sign in Sym[xi], and in ASym[xi] both, which

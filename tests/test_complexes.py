@@ -18,8 +18,11 @@ from theta_homology.algebra import (
     symmetrize,
     vandermonde,
 )
+from theta_homology import complexes
+from theta_homology.algebra import ASYM, FLAVORS
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.complexes import (
+    ComplexConsistencyError,
     HodgeSlice,
     apply_defect1,
     apply_defect2,
@@ -29,7 +32,7 @@ from theta_homology.complexes import (
     defect2_basis,
     slice_as_dict,
 )
-from theta_homology.linalg import is_zero_composition
+from theta_homology.linalg import RationalMatrix, is_zero_composition
 from word_oracle import word_mirror, word_mul
 
 
@@ -191,6 +194,95 @@ def test_composition_vanishes_elementwise():
 
 
 # --- assembled slices --------------------------------------------------------
+
+
+def element_matrix_of(case, source, target, differential):
+    """A differential's matrix through the Element algebra, column by column:
+    symmetrize, apply_defect2 or apply_defect1, basis_coordinates."""
+    index = {triple: i for i, triple in enumerate(target)}
+    columns = []
+    for triple in source:
+        image = differential(case, symmetrize(case.flavor, triple))
+        columns.append({index[rep]: c for rep, c in basis_coordinates(image).items()})
+    return RationalMatrix.from_columns(len(target), columns)
+
+
+def test_assembly_matches_element_oracle():
+    for case in ALL_CASES:
+        for t in [*range(1, 41), 64, 97]:
+            s = build_slice(case, t)
+            d2 = element_matrix_of(case, s.basis2, s.basis1, apply_defect2)
+            d1 = element_matrix_of(case, s.basis1, s.basis0, apply_defect1)
+            assert s.d2 == d2, (case.key, t)
+            assert s.d1 == d1, (case.key, t)
+
+
+@pytest.fixture
+def fresh_equivariance_memo():
+    complexes._check_equivariance.cache_clear()
+    yield
+    complexes._check_equivariance.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda a, b: 1,  # no odd sign at all
+        lambda a, b: -1 if (b[0] * (a[1] + a[2])) % 2 else 1,  # drops b2 a3
+        lambda a, b: -1 if (b[0] * a[2] + b[1] * a[2]) % 2 else 1,  # drops b1 a2
+    ],
+    ids=["no_sign", "drops_b2a3", "drops_b1a2"],
+)
+def test_equivariance_check_catches_a_wrong_crossing_rule(
+    monkeypatch, fresh_equivariance_memo, wrong
+):
+    monkeypatch.setattr(complexes, "crossing", wrong)
+    for flavor in (SYM_ODD, ASYM_ODD):
+        with pytest.raises(ComplexConsistencyError, match="does not commute"):
+            complexes._check_equivariance(flavor, "left")
+        with pytest.raises(ComplexConsistencyError, match="does not commute"):
+            complexes._check_equivariance(flavor, "right")
+    with pytest.raises(ComplexConsistencyError):
+        build_slice(CASE_EO, 5)
+    # the commuting flavors never read the odd sign
+    for flavor in (SYM, ASYM):
+        complexes._check_equivariance(flavor, "left")
+        complexes._check_equivariance(flavor, "right")
+
+
+def test_equivariance_check_passes_on_every_flavor(fresh_equivariance_memo):
+    for flavor in FLAVORS:
+        for side in ("left", "right"):
+            complexes._check_equivariance(flavor, side)
+    assert complexes._check_equivariance.cache_info().currsize == 8
+
+
+def test_assembly_errors_say_where():
+    # a C2 source outside the defect-2 eigenspace
+    basis1 = defect1_basis(CASE_OO, 4)
+    with pytest.raises(ComplexConsistencyError) as caught:
+        complexes._matrix_of(CASE_OO, 4, ((1, 1, 0),), basis1, 2)
+    error = caught.value
+    assert (error.case, error.t, error.triple, error.component) == (
+        CASE_OO,
+        4,
+        (1, 1, 0),
+        None,
+    )
+    assert "not in the mirror eigenspace" in str(error)
+    # an image component missing from the target basis
+    basis2, basis1 = defect2_basis(CASE_OO, 5), defect1_basis(CASE_OO, 5)
+    assert basis2[0] == (3, 0, 0) and basis1[0] == (4, 0, 0)
+    with pytest.raises(ComplexConsistencyError) as caught:
+        complexes._matrix_of(CASE_OO, 5, basis2, basis1[1:], 2)
+    error = caught.value
+    assert (error.case, error.t, error.triple, error.component) == (
+        CASE_OO,
+        5,
+        (3, 0, 0),
+        (4, 0, 0),
+    )
+    assert str(error) == "image component (4, 0, 0) of (3, 0, 0) misses the target basis"
 
 
 def test_build_slice_shapes_and_composition():

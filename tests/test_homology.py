@@ -50,9 +50,9 @@ def test_chi_matches_dimension_count():
 
 
 def test_ranks_match_closed_forms():
-    # t <= 16, and one t per residue mod 4 past the acceptance range t <= 40
+    # every t to twice the acceptance range t <= 40
     for case in ALL_CASES:
-        for t in [*range(1, 17), 61, 62, 63, 64]:
+        for t in range(1, 81):
             row = homology_ranks(build_slice(case, t))
             assert row.a == rank_formula(case, "a", t), (case.key, t)
             assert row.b == rank_formula(case, "b", t), (case.key, t)
@@ -76,8 +76,16 @@ def test_homology_ranks_rejects_non_complex():
     assert value != 0
     fake_d1 = RationalMatrix(len(s.basis0), len(s.basis1), {(0, i): 1})
     broken = dataclasses.replace(s, d1=fake_d1)
-    with pytest.raises(ComplexConsistencyError):
+    with pytest.raises(ComplexConsistencyError) as caught:
         homology_ranks(broken)
+    error = caught.value
+    assert str(error) == "d1 . d2 != 0 for case eo at t = 6"
+    assert (error.case, error.t, error.triple, error.component) == (
+        CASE_EO,
+        6,
+        None,
+        None,
+    )
 
 
 def test_defect_concentration_check():
