@@ -96,15 +96,8 @@ class Element:
         self.degree = degree
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, flavor, degree):
-        return cls(flavor, degree, {})
-
     def is_zero(self):
         return not self.coeffs
-
-    def coefficient(self, mono):
-        return self.coeffs.get(tuple(mono), 0)
 
     def _check_compatible(self, other):
         if self.flavor != other.flavor:

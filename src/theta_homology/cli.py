@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -205,13 +206,7 @@ def run_series(args):
 
 def _sign_grid(max_exponent):
     """Yield (label, engine sign, formula sign) over the whole comparison grid."""
-    bound = max_exponent + 1
-    triples = [
-        (k1, k2, k3)
-        for k1 in range(bound)
-        for k2 in range(bound)
-        for k3 in range(bound)
-    ]
+    triples = list(itertools.product(range(max_exponent + 1), repeat=3))
     for case in ALL_CASES:
         for defect in (0, 2):
             for hairs in triples:
@@ -257,9 +252,10 @@ def build_parser():
         description="Exact homology of the two-loop hairy graph complexes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    keys = [case.key for case in ALL_CASES]
 
     table = sub.add_parser("table", help="homology rank table per Hodge degree")
-    table.add_argument("--case", default="all", choices=["oo", "ee", "eo", "oe", "all"])
+    table.add_argument("--case", default="all", choices=keys + ["all"])
     table.add_argument(
         "--max-hodge",
         type=_int_in(1, HODGE_CAP),
@@ -270,10 +266,9 @@ def build_parser():
         "--mode", default="crosscheck", choices=["bruteforce", "closedform", "crosscheck"]
     )
     table.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    table.add_argument("--out")
 
     ser = sub.add_parser("series", help="generating function coefficients")
-    ser.add_argument("--case", default="all", choices=["oo", "ee", "eo", "oe", "all"])
+    ser.add_argument("--case", default="all", choices=keys + ["all"])
     ser.add_argument("--which", default="h0", choices=["h0", "h1", "chi"])
     ser.add_argument(
         "--terms",
@@ -282,7 +277,6 @@ def build_parser():
         help=f"highest coefficient index, 0..{TERMS_CAP} (default %(default)s)",
     )
     ser.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    ser.add_argument("--out")
 
     sig = sub.add_parser("signs", help="symmetry sign verification grid")
     sig.add_argument(
@@ -291,18 +285,18 @@ def build_parser():
         default=6,
         help=f"largest hair count k_i, 0..{MAX_EXPONENT_CAP} (default %(default)s)",
     )
-    sig.add_argument("--out")
 
     basis = sub.add_parser("basis", help="JSON dump of one (case, t) slice")
-    basis.add_argument("--case", required=True, choices=["oo", "ee", "eo", "oe"])
+    basis.add_argument("--case", required=True, choices=keys)
     basis.add_argument(
         "--hodge",
         type=_int_in(1, HODGE_CAP),
         required=True,
         help=f"Hodge degree t, 1..{HODGE_CAP}",
     )
-    basis.add_argument("--out")
 
+    for subparser in (table, ser, sig, basis):
+        subparser.add_argument("--out")
     return parser
 
 

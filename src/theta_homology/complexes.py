@@ -23,15 +23,15 @@ where |f| is the degree mod 2 in the odd flavors and always even in the
 commuting ones.  Bases are the admissible symmetrized monomials in
 descending lexicographic order, so matrices are deterministic.
 
-build_slice assembles both matrices in integers on sorted triples: a column
-is the signed S3 orbit of its source triple (algebra.orbit), each monomial
-mu moved to mu + e_i with the odd sign algebra.crossing, keeping only the
-descending-sorted images, which are the coordinates of an equivariant image.
+build_slice takes C2 from defect2_basis, which alone selects the eigenspace,
+and assembles both matrices in integers on sorted triples: a column is the
+signed S3 orbit of its source triple (algebra.orbit), each monomial mu moved
+to mu + e_i with the odd sign algebra.crossing, keeping only the
+descending-sorted images, the coordinates of an equivariant image.
 Equivariance is checked once per (flavor, side) on the exponent parity
 classes (_check_equivariance), not per column.  apply_defect2 and
-apply_defect1 state the same differentials on Element values; they are the
-reference path, which homology applies to closed-form generators and the
-tests compare every assembled matrix with.
+apply_defect1 state the same differentials on Element values, the reference
+path that homology applies to closed-form generators and tests compare with.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def _check_equivariance(flavor, side):
 def _matrix_of(case, t, source, target, defect):
     """Matrix of d2 (defect 2) or d1 (defect 1), assembled in integers.
 
-    A C2 source outside the defect-2 mirror eigenspace, or a nonzero kept
-    coefficient outside the target basis, raises ComplexConsistencyError.
+    A d2 source is taken to lie in C2 (defect2_basis selects it); a nonzero
+    kept coefficient outside the target basis raises ComplexConsistencyError.
     """
     flavor = case.flavor
     side = "right" if defect == 2 else "left"
@@ -204,17 +204,8 @@ def _matrix_of(case, t, source, target, defect):
     columns = []
     for triple in source:
         scale = factor
-        if defect == 2:
-            if mirror_sign(flavor, triple) != case.defect2_mirror_sign:
-                raise ComplexConsistencyError(
-                    f"source {triple} is not in the mirror eigenspace "
-                    f"(sign {case.defect2_mirror_sign:+d}) of case {case}",
-                    case=case,
-                    t=t,
-                    triple=triple,
-                )
-            if flavor.odd and sum(triple) % 2:
-                scale = -factor
+        if defect == 2 and flavor.odd and sum(triple) % 2:
+            scale = -factor
         image = {}
         for mu, c in orbit(flavor, triple).items():
             for e in _UNIT:

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cases import ParityCase
-
 
 def poly_mul(a, b):
     """Convolution of integer coefficient tuples."""
@@ -75,49 +73,38 @@ class GeneratingFunction:
         return out
 
 
-@dataclass(frozen=True)
-class CaseFormulas:
-    case: ParityCase
-    h0: GeneratingFunction
-    h1: GeneratingFunction
-    chi: GeneratingFunction
-
-
 def formulas(case):
-    """The stored h0, h1, chi of the case, shapes kept as displayed."""
+    """The stored series of the case, {"h0": ..., "h1": ..., "chi": ...},
+    each a GeneratingFunction with its shape kept as displayed."""
     if case.m_odd and case.n_odd:
         den = poly_mul(one_minus_power(2), one_minus_power(6))
         chi_den = poly_mul((1, 1), one_minus_power(6))
-        return CaseFormulas(
-            case,
-            h0=GeneratingFunction(poly_sub((1,), den), den),  # 1/den - 1
-            h1=GeneratingFunction(t_power(1), den),
-            chi=GeneratingFunction(poly_sub((1,), chi_den), chi_den),
-        )
+        return {
+            "h0": GeneratingFunction(poly_sub((1,), den), den),  # 1/den - 1
+            "h1": GeneratingFunction(t_power(1), den),
+            "chi": GeneratingFunction(poly_sub((1,), chi_den), chi_den),
+        }
     if not case.m_odd and not case.n_odd:
         den = poly_mul(one_minus_power(2), one_minus_power(6))
         chi_den = poly_mul((1, 1), one_minus_power(6))
-        return CaseFormulas(
-            case,
-            h0=GeneratingFunction(t_power(6), den),
-            h1=GeneratingFunction(t_power(7), den),
-            chi=GeneratingFunction(t_power(6, -1), chi_den),
-        )
+        return {
+            "h0": GeneratingFunction(t_power(6), den),
+            "h1": GeneratingFunction(t_power(7), den),
+            "chi": GeneratingFunction(t_power(6, -1), chi_den),
+        }
     den = poly_mul(one_minus_power(4), one_minus_power(12))
     chi_den = poly_mul((1, 0, 1), one_minus_power(12))
     if case.n_odd:  # m even, N odd
-        return CaseFormulas(
-            case,
-            h0=GeneratingFunction(_sum_powers({3: 1, 11: 1, 14: 1, 15: -1}), den),
-            h1=GeneratingFunction(_sum_powers({1: 1, 16: 1}), den),
-            chi=GeneratingFunction(_sum_powers({1: 1, 11: -1, 13: -1, 14: 1}), chi_den),
-        )
-    return CaseFormulas(  # m odd, N even
-        case,
-        h0=GeneratingFunction(_sum_powers({2: 1, 11: 1}), den),
-        h1=GeneratingFunction(_sum_powers({4: 1, 13: 1}), den),
-        chi=GeneratingFunction(_sum_powers({2: -1, 11: 1}), chi_den),
-    )
+        return {
+            "h0": GeneratingFunction(_sum_powers({3: 1, 11: 1, 14: 1, 15: -1}), den),
+            "h1": GeneratingFunction(_sum_powers({1: 1, 16: 1}), den),
+            "chi": GeneratingFunction(_sum_powers({1: 1, 11: -1, 13: -1, 14: 1}), chi_den),
+        }
+    return {  # m odd, N even
+        "h0": GeneratingFunction(_sum_powers({2: 1, 11: 1}), den),
+        "h1": GeneratingFunction(_sum_powers({4: 1, 13: 1}), den),
+        "chi": GeneratingFunction(_sum_powers({2: -1, 11: 1}), chi_den),
+    }
 
 
 def _sum_powers(powers):
@@ -129,9 +116,8 @@ def _sum_powers(powers):
 
 def series(case, which, kmax):
     """Coefficients t^0..t^kmax of the case's h0, h1, or chi."""
-    f = formulas(case)
     try:
-        g = {"h0": f.h0, "h1": f.h1, "chi": f.chi}[which]
+        g = formulas(case)[which]
     except KeyError:
         raise ValueError(f"which must be h0, h1, or chi, got {which!r}") from None
     return g.coefficients(kmax)
@@ -147,9 +133,9 @@ def rank_formula(case, which, k):
     Transcribed with the exact floors, ceilings, and residue conditions;
     no simplification, so the code stays a faithful witness.
     """
+    if int(k) != k or k < 1:
+        raise ValueError(f"k must be an integer at least 1, got {k!r}")
     k = int(k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if which not in ("a", "b"):
         raise ValueError(f"which must be 'a' or 'b', got {which!r}")
     if case.m_odd and case.n_odd:
@@ -200,9 +186,7 @@ def euler_sign(case, k):
 def euler_relation_check(case, kmax):
     """chi(t) == (-1)^(N-1) [h0(s t) - h1(s t)] with s = (-1)^(N-m), through t^kmax."""
     f = formulas(case)
-    a = f.h0.coefficients(kmax)
-    b = f.h1.coefficients(kmax)
-    chi = f.chi.coefficients(kmax)
+    a, b, chi = (f[which].coefficients(kmax) for which in ("h0", "h1", "chi"))
     return all(
         chi[k] == euler_sign(case, k) * (a[k] - b[k]) for k in range(kmax + 1)
     )

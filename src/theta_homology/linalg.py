@@ -15,7 +15,7 @@ from math import gcd
 
 
 class RationalMatrix:
-    """A rows x cols integer matrix stored as {(i, j): nonzero int}.
+    """A rows x cols integer matrix; entries maps (i, j) to int, zeros dropped.
 
     A dimension, index or entry given as another number must equal an
     integer (the rational 6/3 is stored as 2), or ValueError is raised.
@@ -25,15 +25,14 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows, cols, entries=()):
+    def __init__(self, rows, cols, entries=None):
         if (int(rows), int(cols)) != (rows, cols) or min(rows, cols) < 0:
             raise ValueError(f"dimensions {rows}x{cols} are not nonnegative integers")
         rows, cols = int(rows), int(cols)
         self.rows = rows
         self.cols = cols
         data = {}
-        items = entries.items() if hasattr(entries, "items") else entries
-        for (i, j), value in items:
+        for (i, j), value in (entries or {}).items():
             if (int(i), int(j)) != (i, j) or not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"({i}, {j}) is no index of a {rows}x{cols} matrix")
             i, j = int(i), int(j)

@@ -33,12 +33,21 @@ class UnsupportedSymmetryError(ValueError):
 
 
 def _validate(defect, hairs):
+    """(defect, hairs) as ints: integral values as their int, else ValueError."""
     if defect not in (0, 1, 2):
         raise ValueError(f"defect must be 0, 1, or 2, got {defect!r}")
-    hairs = (int(hairs[0]), int(hairs[1]), int(hairs[2]))
-    if min(hairs) < 0:
-        raise ValueError(f"negative hair count in {hairs}")
-    return hairs
+    k1, k2, k3 = hairs
+    counts = (int(k1), int(k2), int(k3))
+    if counts != (k1, k2, k3) or min(counts) < 0:
+        raise ValueError(f"hair counts {hairs} are not nonnegative integers")
+    return int(defect), counts
+
+
+def _edge_pair(p, q):
+    """(p, q) as ints, two distinct edges among 1..3, or ValueError."""
+    if p == q or not {p, q} <= {1, 2, 3}:
+        raise ValueError(f"need two distinct edges among 1..3, got {(p, q)}")
+    return int(p), int(q)
 
 
 def canonical_tokens(defect, hairs):
@@ -49,7 +58,7 @@ def canonical_tokens(defect, hairs):
     (subdivision vertex, hair edge, hair tip, next segment).  Edge e consists
     of segments ("seg", e, 0..hairs[e]), oriented left junction to right.
     """
-    hairs = _validate(defect, hairs)
+    defect, hairs = _validate(defect, hairs)
     sides = (1, 2)[:defect]
     tokens = [("tip", s) for s in sides]
     tokens += [("tipedge", s) for s in sides]
@@ -123,7 +132,7 @@ def vertical_reflection_sign(defect, hairs, case):
     the reflection moves the junction hair to the other junction, a different
     graph presentation, so no self-symmetry sign exists and we refuse.
     """
-    hairs = _validate(defect, hairs)
+    defect, hairs = _validate(defect, hairs)
     if defect == 1:
         raise UnsupportedSymmetryError(
             "the vertical reflection is not a self-map at defect 1"
@@ -148,9 +157,8 @@ def edge_swap_sign(defect, hairs, case, p, q):
     Maps the graph with hair counts `hairs` to the one with counts swapped;
     junction data is fixed and no edge piece is reversed.
     """
-    hairs = _validate(defect, hairs)
-    if p == q or not {p, q} <= {1, 2, 3}:
-        raise ValueError(f"need two distinct edges among 1..3, got {(p, q)}")
+    defect, hairs = _validate(defect, hairs)
+    p, q = _edge_pair(p, q)
     swap = {p: q, q: p}
 
     def image(token):
@@ -165,18 +173,13 @@ def edge_swap_sign(defect, hairs, case, p, q):
     return _mapped_sign(defect, hairs, case, image, tuple(target), 0)
 
 
-def _sum_pair_products(hairs):
-    k1, k2, k3 = hairs
-    return k1 * k2 + k1 * k3 + k2 * k3
-
-
 def vertical_reflection_sign_formula(defect, hairs, case):
     """Closed form for the reflection sign at defects 2 and 0.
 
     Defect 2: (-1)^(m+N+1) (-1)^(k1+k2+k3) (-1)^((m+N) sum k_i(k_i-1)/2);
     defect 0 drops the leading (m+N+1) factor.  All exponents mod 2.
     """
-    hairs = _validate(defect, hairs)
+    defect, hairs = _validate(defect, hairs)
     if defect == 1:
         raise UnsupportedSymmetryError(
             "no closed form: the vertical reflection is not a self-map at defect 1"
@@ -196,14 +199,13 @@ def edge_swap_sign_formula(hairs, case, p, q):
     transposition (1,3) is the composite of three adjacent ones, which
     telescopes to (-1)^(N-1) (-1)^((m+N)(k1 k2 + k1 k3 + k2 k3)).
     """
-    hairs = _validate(0, hairs)
-    p, q = min(p, q), max(p, q)
-    if (p, q) not in ((1, 2), (2, 3), (1, 3)):
-        raise ValueError(f"need two distinct edges among 1..3, got {(p, q)}")
+    hairs = _validate(0, hairs)[1]
+    p, q = sorted(_edge_pair(p, q))
     m_plus_n = (1 if case.m_odd else 0) + (1 if case.n_odd else 0)
     exponent = 0 if case.n_odd else 1  # N - 1
     if (p, q) == (1, 3):
-        exponent += m_plus_n * _sum_pair_products(hairs)
+        k1, k2, k3 = hairs
+        exponent += m_plus_n * (k1 * k2 + k1 * k3 + k2 * k3)
     else:
         exponent += m_plus_n * hairs[p - 1] * hairs[q - 1]
     return -1 if exponent % 2 else 1

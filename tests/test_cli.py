@@ -253,3 +253,38 @@ def test_outputs_match_recorded_digests(capsys, monkeypatch):
         rc, out, _ = run(capsys, command.split())
         assert rc == want_rc, command
         assert hashlib.sha256(out.encode()).hexdigest() == want_digest, command
+
+
+# SHA-256 of the usage text at 80 columns: stdout of each --help, stderr of
+# each usage error; argparse builds both from the choice lists and options
+RECORDED_USAGE_DIGESTS = [
+    ("--help", "b7da6d378d09fa7c6f2fd8b4ec858e6a5045bc5de3ee39a0327cb4d71ddea95d"),
+    ("table --help", "725d113fc3153c3a6deb192f682423d39388bdb86ad94c5bb102f70f9c9235c6"),
+    ("series --help", "4b6a00af46e1578262a7be6874d21ac3cfc881acb25019b76583220a72d6a7d2"),
+    ("signs --help", "21b7aa7fbdbe20f34c51a6af3eed79fc2a20f3c7f483817d9a38b00701da2570"),
+    ("basis --help", "fdec16e899615e3adba569603116af0b8ad5b3f1468c0434f46d1a450fa2edf7"),
+    ("", "78835e1dfea181601c55ffd70171bc25f02db3b0eddc0d94a7e14a71e1a5fd37"),
+    ("table --case xx", "ee4c02ae32b363721d64f70fae53ca8ea2a4709d6d7662988428c5457e16b76c"),
+    ("table --max-hodge 0", "a15c19dff95d8405d2beddff544e734b2efdcd6874fb40923f1a9e4bc2d01b0f"),
+    ("basis --case oo", "f6d2a462dde3f28b314daa02d10b0e861cff8237de3d99f0a51af288946dc80e"),
+    ("basis --case oo --hodge 0", "f6baa0d627e5758572bcf238b967de775a16f679030426be7cbcab21739eb355"),
+    ("series --terms -1", "dfbdb5c033ad68ddc51d0180ff11bc51a9c8f24470131dab6fea4665a77cf7df"),
+    ("basis --case all --hodge 3", "ca7fa0db0be23ae6bbc7ecdf62e09958961851758b3ff3861efbb8bc023be019"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, want_digest",
+    RECORDED_USAGE_DIGESTS,
+    ids=[command or "no-arguments" for command, _ in RECORDED_USAGE_DIGESTS],
+)
+def test_usage_text_matches_recorded_digests(capsys, monkeypatch, command, want_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(command.split())
+    out, err = capsys.readouterr()
+    help_run = command.endswith("--help")
+    assert info.value.code == (0 if help_run else 2)
+    text, other = (out, err) if help_run else (err, out)
+    assert other == ""
+    assert hashlib.sha256(text.encode()).hexdigest() == want_digest

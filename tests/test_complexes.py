@@ -164,7 +164,7 @@ def test_differentials_match_word_oracle():
             triples = admissible_basis(flavor, degree)
             if not triples:
                 continue
-            f = Element.zero(flavor, degree)
+            f = Element(flavor, degree)
             for triple in triples:
                 f = f + symmetrize(flavor, triple) * rng.randrange(-2, 3)
             assert apply_defect1(case, f).coeffs == oracle_defect1(case, f.coeffs)
@@ -173,7 +173,7 @@ def test_differentials_match_word_oracle():
                 for tr in triples
                 if mirror_sign(flavor, tr) == case.defect2_mirror_sign
             ]
-            g = Element.zero(flavor, degree)
+            g = Element(flavor, degree)
             for triple in eigen:
                 g = g + symmetrize(flavor, triple) * rng.randrange(-2, 3)
             assert apply_defect2(case, g).coeffs == oracle_defect2(
@@ -258,19 +258,7 @@ def test_equivariance_check_passes_on_every_flavor(fresh_equivariance_memo):
 
 
 def test_assembly_errors_say_where():
-    # a C2 source outside the defect-2 eigenspace
-    basis1 = defect1_basis(CASE_OO, 4)
-    with pytest.raises(ComplexConsistencyError) as caught:
-        complexes._matrix_of(CASE_OO, 4, ((1, 1, 0),), basis1, 2)
-    error = caught.value
-    assert (error.case, error.t, error.triple, error.component) == (
-        CASE_OO,
-        4,
-        (1, 1, 0),
-        None,
-    )
-    assert "not in the mirror eigenspace" in str(error)
-    # an image component missing from the target basis
+    # an image component of d2 missing from the target basis
     basis2, basis1 = defect2_basis(CASE_OO, 5), defect1_basis(CASE_OO, 5)
     assert basis2[0] == (3, 0, 0) and basis1[0] == (4, 0, 0)
     with pytest.raises(ComplexConsistencyError) as caught:
@@ -279,6 +267,19 @@ def test_assembly_errors_say_where():
     assert (error.case, error.t, error.triple, error.component) == (
         CASE_OO,
         5,
+        (3, 0, 0),
+        (4, 0, 0),
+    )
+    assert str(error) == "image component (4, 0, 0) of (3, 0, 0) misses the target basis"
+    # the same for d1
+    basis1, basis0 = defect1_basis(CASE_OO, 4), defect0_basis(CASE_OO, 4)
+    assert basis1[0] == (3, 0, 0) and basis0[0] == (4, 0, 0)
+    with pytest.raises(ComplexConsistencyError) as caught:
+        complexes._matrix_of(CASE_OO, 4, basis1, basis0[1:], 1)
+    error = caught.value
+    assert (error.case, error.t, error.triple, error.component) == (
+        CASE_OO,
+        4,
         (3, 0, 0),
         (4, 0, 0),
     )

@@ -6,6 +6,8 @@ t^200 against the piecewise formulas, and checked against a polynomial
 multiplication oracle (series times denominator gives back the numerator).
 """
 
+from fractions import Fraction
+
 import pytest
 
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
@@ -77,36 +79,36 @@ def test_stored_shapes_frozen():
     chiden212 = (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, -1)
 
     f = formulas(CASE_OO)
-    assert f.h0.numerator == (0, 0, 1, 0, 0, 0, 1, 0, -1)
-    assert f.h0.denominator == den26
-    assert f.h1.numerator == (0, 1)
-    assert f.h1.denominator == den26
-    assert f.chi.numerator == (0, -1, 0, 0, 0, 0, 1, 1)
-    assert f.chi.denominator == chiden16
+    assert f["h0"].numerator == (0, 0, 1, 0, 0, 0, 1, 0, -1)
+    assert f["h0"].denominator == den26
+    assert f["h1"].numerator == (0, 1)
+    assert f["h1"].denominator == den26
+    assert f["chi"].numerator == (0, -1, 0, 0, 0, 0, 1, 1)
+    assert f["chi"].denominator == chiden16
 
     f = formulas(CASE_EE)
-    assert f.h0.numerator == (0, 0, 0, 0, 0, 0, 1)
-    assert f.h0.denominator == den26
-    assert f.h1.numerator == (0, 0, 0, 0, 0, 0, 0, 1)
-    assert f.h1.denominator == den26
-    assert f.chi.numerator == (0, 0, 0, 0, 0, 0, -1)
-    assert f.chi.denominator == chiden16
+    assert f["h0"].numerator == (0, 0, 0, 0, 0, 0, 1)
+    assert f["h0"].denominator == den26
+    assert f["h1"].numerator == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert f["h1"].denominator == den26
+    assert f["chi"].numerator == (0, 0, 0, 0, 0, 0, -1)
+    assert f["chi"].denominator == chiden16
 
     f = formulas(CASE_EO)
-    assert f.h0.numerator == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, -1)
-    assert f.h0.denominator == den412
-    assert f.h1.numerator == (0, 1) + (0,) * 14 + (1,)
-    assert f.h1.denominator == den412
-    assert f.chi.numerator == (0, 1) + (0,) * 9 + (-1, 0, -1, 1)
-    assert f.chi.denominator == chiden212
+    assert f["h0"].numerator == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, -1)
+    assert f["h0"].denominator == den412
+    assert f["h1"].numerator == (0, 1) + (0,) * 14 + (1,)
+    assert f["h1"].denominator == den412
+    assert f["chi"].numerator == (0, 1) + (0,) * 9 + (-1, 0, -1, 1)
+    assert f["chi"].denominator == chiden212
 
     f = formulas(CASE_OE)
-    assert f.h0.numerator == (0, 0, 1) + (0,) * 8 + (1,)
-    assert f.h0.denominator == den412
-    assert f.h1.numerator == (0, 0, 0, 0, 1) + (0,) * 8 + (1,)
-    assert f.h1.denominator == den412
-    assert f.chi.numerator == (0, 0, -1) + (0,) * 8 + (1,)
-    assert f.chi.denominator == chiden212
+    assert f["h0"].numerator == (0, 0, 1) + (0,) * 8 + (1,)
+    assert f["h0"].denominator == den412
+    assert f["h1"].numerator == (0, 0, 0, 0, 1) + (0,) * 8 + (1,)
+    assert f["h1"].denominator == den412
+    assert f["chi"].numerator == (0, 0, -1) + (0,) * 8 + (1,)
+    assert f["chi"].denominator == chiden212
 
 
 def test_expansion_matches_polynomial_multiplication():
@@ -114,7 +116,7 @@ def test_expansion_matches_polynomial_multiplication():
     kmax = 60
     for case in ALL_CASES:
         f = formulas(case)
-        for g in (f.h0, f.h1, f.chi):
+        for g in (f["h0"], f["h1"], f["chi"]):
             c = g.coefficients(kmax)
             for n in range(kmax + 1):
                 acc = sum(
@@ -144,6 +146,12 @@ def test_rank_formula_validation():
         rank_formula(CASE_OO, "a", 0)
     with pytest.raises(ValueError):
         rank_formula(CASE_OO, "c", 3)
+    # an integral degree is taken as its int; anything else raises
+    assert rank_formula(CASE_OE, "a", 3.0) == rank_formula(CASE_OE, "a", 3)
+    assert rank_formula(CASE_OO, "a", Fraction(12, 2)) == rank_formula(CASE_OO, "a", 6) == 2
+    for k in (2.7, Fraction(7, 2), "3", 0.5):
+        with pytest.raises(ValueError):
+            rank_formula(CASE_OE, "a", k)
 
 
 def test_series_equals_rank_formula():

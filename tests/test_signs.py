@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -201,3 +202,32 @@ def test_swap_then_swap_back():
         swapped[p - 1], swapped[q - 1] = swapped[q - 1], swapped[p - 1]
         back = edge_swap_sign(0, tuple(swapped), case, p, q)
         assert there * back == 1
+
+
+def test_integral_rule_for_defect_hairs_and_edges():
+    # an integral value is taken as its int, anything else raises ValueError
+    bad_hairs = ((1.5, 0, 0), (1, Fraction(1, 2), 0), ("1", 0, 0), (-1, 0, 0))
+    with_defect = (
+        vertical_reflection_sign,
+        vertical_reflection_sign_formula,
+        lambda d, h, c: edge_swap_sign(d, h, c, 1, 3),
+    )
+    for f in with_defect:
+        assert f(2.0, (1.0, Fraction(4, 2), 0), CASE_EO) == f(2, (1, 2, 0), CASE_EO)
+        for defect, hairs in [(0, h) for h in bad_hairs] + [(2.5, (1, 0, 0)), ("2", (1, 0, 0))]:
+            with pytest.raises(ValueError):
+                f(defect, hairs, CASE_EO)
+    assert canonical_tokens(2.0, (1, 0, 0)) == canonical_tokens(2, (1, 0, 0))
+    assert edge_swap_sign_formula((1.0, Fraction(2, 2), 0), CASE_EO, 1, 3) == -1
+    for hairs in bad_hairs:
+        with pytest.raises(ValueError):
+            edge_swap_sign_formula(hairs, CASE_EO, 1, 3)
+    for p, q in ((1.0, 2), (2, Fraction(3, 1))):
+        want = edge_swap_sign(0, (1, 1, 0), CASE_EO, int(p), int(q))
+        assert edge_swap_sign(0, (1, 1, 0), CASE_EO, p, q) == want
+        assert edge_swap_sign_formula((1, 1, 0), CASE_EO, p, q) == want
+    for p, q in ((1.5, 2), (2, 2.0), ("1", 2)):
+        with pytest.raises(ValueError):
+            edge_swap_sign(0, (1, 1, 0), CASE_EO, p, q)
+        with pytest.raises(ValueError):
+            edge_swap_sign_formula((1, 1, 0), CASE_EO, p, q)
