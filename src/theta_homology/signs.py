@@ -14,10 +14,11 @@ parameters (m, N) through their parities only:
 A symmetry of the graph permutes the tokens and may reverse edge pieces;
 its sign is the Koszul sign of that permutation (odd-degree tokens
 anticommute) times (-1)^N per reversed edge piece.  Everything in this module
-is computed from that definition alone, by explicitly building token lists
-and counting inversions; the closed-form predictions live in the
-*_formula functions and are checked against the engine by the test-suite
-and the `signs` CLI mode.
+is computed from that definition alone, by explicitly building token lists,
+mapping the odd-degree tokens (even ones never change the sign) and taking
+the cycle parity of the permutation they undergo; the closed-form
+predictions live in the *_formula functions and are checked against the
+engine by the test-suite and the `signs` CLI mode.
 
 Two symmetries matter downstream: the vertical reflection, exchanging the
 two junctions (it fixes the hair counts, and a graph whose reflection sign is
@@ -26,6 +27,11 @@ the three edges (they realize the S3 action on hair triples).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+_BLOCK = ("hairvert", "hairedge", "hairtip", "seg")
+_KINDS = frozenset(("tip", "tipedge", "junction") + _BLOCK)
 
 
 class UnsupportedSymmetryError(ValueError):
@@ -58,20 +64,18 @@ def canonical_tokens(defect, hairs):
     (subdivision vertex, hair edge, hair tip, next segment).  Edge e consists
     of segments ("seg", e, 0..hairs[e]), oriented left junction to right.
     """
-    defect, hairs = _validate(defect, hairs)
+    return _tokens(*_validate(defect, hairs), _KINDS)
+
+
+def _tokens(defect, hairs, kinds):
+    """canonical_tokens of validated input, keeping only tokens of the given kinds."""
     sides = (1, 2)[:defect]
-    tokens = [("tip", s) for s in sides]
-    tokens += [("tipedge", s) for s in sides]
-    tokens += [("junction", 1), ("junction", 2)]
-    tokens += [("seg", e, 0) for e in (1, 2, 3)]
-    for e in (1, 2, 3):
-        for i in range(1, hairs[e - 1] + 1):
-            tokens += [
-                ("hairvert", e, i),
-                ("hairedge", e, i),
-                ("hairtip", e, i),
-                ("seg", e, i),
-            ]
+    head = [("tip", s) for s in sides] + [("tipedge", s) for s in sides]
+    head += [("junction", 1), ("junction", 2)] + [("seg", e, 0) for e in (1, 2, 3)]
+    tokens = [token for token in head if token[0] in kinds]
+    block = [kind for kind in _BLOCK if kind in kinds]
+    for e, count in zip((1, 2, 3), hairs):
+        tokens += [(kind, e, i) for i in range(1, count + 1) for kind in block]
     return tokens
 
 
@@ -88,21 +92,48 @@ def token_parity(token, case):
     raise ValueError(f"unknown token {token!r}")
 
 
+@lru_cache(maxsize=4)  # one entry per parity case
+def _odd_kinds(case):
+    """The token kinds of odd degree in the case, read off token_parity."""
+    return frozenset(
+        token[0] for token in _tokens(2, (1, 0, 0), _KINDS) if token_parity(token, case)
+    )
+
+
 def koszul_sign(positions, parities):
     """Sign of the reordering sending slot i to position positions[i].
 
-    Each inversion pair whose two tokens both have odd degree contributes -1;
-    equivalently, the sign of the induced permutation of the odd tokens.
+    Odd-degree tokens anticommute and even ones commute, so the sign is that
+    of the induced permutation of the odd tokens: (-1)^(n - cycles) of the
+    permutation sorting their n target positions.  Two odd tokens trading
+    places give -1; an odd token passing an even one is free:
+
+    >>> koszul_sign([1, 0], [1, 1]), koszul_sign([1, 0], [1, 0])
+    (-1, 1)
+    >>> koszul_sign([30, 10, 20], [1, 1, 1])
+    1
     """
     if len(positions) != len(parities):
         raise ValueError("positions and parities have different lengths")
-    odd_targets = [p for p, parity in zip(positions, parities) if parity % 2]
-    inversions = 0
-    for i in range(len(odd_targets)):
-        for j in range(i + 1, len(odd_targets)):
-            if odd_targets[i] > odd_targets[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"positions {positions} repeat an entry")
+    targets = [p for p, parity in zip(positions, parities) if parity % 2]
+    return _permutation_sign(sorted(range(len(targets)), key=targets.__getitem__))
+
+
+def _permutation_sign(perm):
+    """(-1)^(n - cycles) of perm, a permutation of range(n)."""
+    seen = [False] * len(perm)
+    transpositions = len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        transpositions -= 1
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+    return -1 if transpositions % 2 else 1
 
 
 def reversal_sign(reversed_edges, case):
@@ -113,13 +144,18 @@ def reversal_sign(reversed_edges, case):
 
 
 def _mapped_sign(defect, hairs, case, image, target_hairs, reversed_edges):
-    """Koszul sign of `image` onto (defect, target_hairs), times the reversal sign."""
-    source = canonical_tokens(defect, hairs)
-    target = canonical_tokens(defect, target_hairs)
+    """Koszul sign of `image` onto (defect, target_hairs), times the reversal sign.
+
+    Only the odd tokens are mapped: `image` keeps each token's kind, so it
+    sends them to the odd tokens of the target, and their permutation of
+    slots carries the whole Koszul sign.
+    """
+    odd = _odd_kinds(case)
+    source = _tokens(defect, hairs, odd)
+    target = source if target_hairs == hairs else _tokens(defect, target_hairs, odd)
     index = {token: i for i, token in enumerate(target)}
     positions = [index[image(token)] for token in source]
-    parities = [token_parity(token, case) for token in source]
-    return koszul_sign(positions, parities) * reversal_sign(reversed_edges, case)
+    return _permutation_sign(positions) * reversal_sign(reversed_edges, case)
 
 
 def vertical_reflection_sign(defect, hairs, case):
@@ -159,14 +195,14 @@ def edge_swap_sign(defect, hairs, case, p, q):
     """
     defect, hairs = _validate(defect, hairs)
     p, q = _edge_pair(p, q)
-    swap = {p: q, q: p}
+    edge = {1: 1, 2: 2, 3: 3}
+    edge[p], edge[q] = q, p
 
     def image(token):
         kind = token[0]
         if kind in ("tip", "tipedge", "junction"):
             return token
-        e = token[1]
-        return (kind, swap.get(e, e)) + token[2:]
+        return (kind, edge[token[1]], token[2])
 
     target = list(hairs)
     target[p - 1], target[q - 1] = target[q - 1], target[p - 1]

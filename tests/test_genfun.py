@@ -71,6 +71,21 @@ def test_series_examples():
         series(CASE_OO, "h2", 5)
 
 
+def test_kmax_follows_the_integral_rule():
+    # an integral kmax is taken as its int; negative, fractional or bool raises
+    h0 = formulas(CASE_OO)["h0"]
+    assert series(CASE_OO, "h0", 2.0) == series(CASE_OO, "h0", 2) == [0, 0, 1]
+    assert h0.coefficients(Fraction(4, 2)) == h0.coefficients(2)
+    assert series(CASE_OO, "h0", 0) == [0]
+    for kmax in (-1, 1.5, True, Fraction(1, 2), "2"):
+        with pytest.raises(ValueError):
+            series(CASE_OO, "h0", kmax)
+        with pytest.raises(ValueError):
+            h0.coefficients(kmax)
+        with pytest.raises(ValueError):
+            euler_relation_check(CASE_OO, kmax)
+
+
 def test_stored_shapes_frozen():
     # the displayed forms, not any simplification of them
     den26 = (1, 0, -1, 0, 0, 0, -1, 0, 1)
@@ -149,7 +164,7 @@ def test_rank_formula_validation():
     # an integral degree is taken as its int; anything else raises
     assert rank_formula(CASE_OE, "a", 3.0) == rank_formula(CASE_OE, "a", 3)
     assert rank_formula(CASE_OO, "a", Fraction(12, 2)) == rank_formula(CASE_OO, "a", 6) == 2
-    for k in (2.7, Fraction(7, 2), "3", 0.5):
+    for k in (2.7, Fraction(7, 2), "3", 0.5, True):
         with pytest.raises(ValueError):
             rank_formula(CASE_OE, "a", k)
 

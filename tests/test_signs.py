@@ -45,6 +45,10 @@ def test_koszul_sign_examples():
     assert koszul_sign([], []) == 1
     with pytest.raises(ValueError):
         koszul_sign([0, 1], [1])
+    # a reordering is injective, whatever the parities of the clashing slots
+    for parities in ([1, 1, 1], [0, 1, 0], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            koszul_sign([4, 2, 4], parities)
 
 
 def test_koszul_sign_matches_adjacent_swap_oracle():
@@ -54,6 +58,75 @@ def test_koszul_sign_matches_adjacent_swap_oracle():
         positions = rng.sample(range(20), n)
         parities = [rng.randrange(2) for _ in range(n)]
         assert koszul_sign(positions, parities) == brute_koszul(positions, parities)
+
+
+def test_koszul_sign_matches_inversion_count():
+    # the O(n^2) definition: (-1) per pair of odd tokens that changes order
+    rng = random.Random(79)
+    for _ in range(300):
+        n = rng.randrange(81)
+        positions = rng.sample(range(3 * n + 1), n)
+        parities = [rng.randrange(2) for _ in range(n)]
+        inversions = sum(
+            parities[i] % 2 and parities[j] % 2 and positions[i] > positions[j]
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        assert koszul_sign(positions, parities) == (-1) ** inversions
+
+
+def reference_sign(defect, hairs, case, image, target_hairs, reversed_edges):
+    """Map every token, even-degree ones too, and count odd-odd inversions."""
+    index = {token: i for i, token in enumerate(canonical_tokens(defect, target_hairs))}
+    source = canonical_tokens(defect, hairs)
+    odd_targets = [index[image(token)] for token in source if token_parity(token, case)]
+    inversions = sum(
+        a > b for i, a in enumerate(odd_targets) for b in odd_targets[i + 1 :]
+    )
+    return (-1) ** inversions * reversal_sign(reversed_edges, case)
+
+
+def reference_reflection(defect, hairs, case):
+    def image(token):
+        if token[0] in ("tip", "tipedge", "junction"):
+            return (token[0], 3 - token[1])
+        kind, e, i = token
+        last = hairs[e - 1]
+        return (kind, e, last - i if kind == "seg" else last + 1 - i)
+
+    return reference_sign(defect, hairs, case, image, hairs, sum(hairs) + 3)
+
+
+def reference_swap(defect, hairs, case, p, q):
+    def image(token):
+        if token[0] in ("tip", "tipedge", "junction"):
+            return token
+        kind, e, i = token
+        return (kind, {p: q, q: p}.get(e, e), i)
+
+    target = list(hairs)
+    target[p - 1], target[q - 1] = target[q - 1], target[p - 1]
+    return reference_sign(defect, hairs, case, image, tuple(target), 0)
+
+
+def test_engine_matches_full_token_reference_and_formulas_past_the_grid():
+    # random cells with k_i up to 25, past the CLI grid's 8: dropping the
+    # even tokens does not change the sign, and the formulas still hold
+    rng = random.Random(83)
+    for _ in range(200):
+        case = rng.choice(ALL_CASES)
+        hairs = tuple(rng.randrange(26) for _ in range(3))
+        if rng.randrange(2):
+            defect = rng.choice((0, 2))
+            engine = vertical_reflection_sign(defect, hairs, case)
+            assert engine == reference_reflection(defect, hairs, case)
+            assert engine == vertical_reflection_sign_formula(defect, hairs, case)
+        else:
+            defect = rng.choice((0, 1, 2))
+            p, q = rng.sample((1, 2, 3), 2)
+            engine = edge_swap_sign(defect, hairs, case, p, q)
+            assert engine == reference_swap(defect, hairs, case, p, q)
+            assert engine == edge_swap_sign_formula(hairs, case, p, q)
 
 
 def test_canonical_tokens_structure():
