@@ -23,14 +23,16 @@ normal-form monomials as an anti-automorphism and acts diagonally:
 {(1, 0, 0): -1}
 
 S3 renames the generators, with one signed rule per monomial: _act is that
-rule's only statement, read by permute_variables, orbit, is_admissible
-and basis_coordinates.  crossing is the one statement of the odd product's
-sign, read by Element multiplication and by the integer assembly of the
-differentials in complexes.  Symmetrized monomials, written (k1,k2,k3) in the
-plain flavors and [k1,k2,k3] in the sign-twisted ones, are the signed
-S3-orbit sums normalized to coefficient +1 on the descending-sorted
-monomial; the ones that survive form the admissible bases enumerated here,
-and e2, e3 and the Vandermonde element are three of them.
+rule's only statement, read by permute_variables, orbit, is_admissible,
+basis_coordinates, the equivariance check in complexes and the edge-swap
+sign in signs, as mirror_sign is read for the reflection sign there.
+crossing is the one statement of the odd product's sign, read by Element
+multiplication and by the integer assembly of the differentials in
+complexes.  Symmetrized monomials, written (k1,k2,k3) in the plain flavors
+and [k1,k2,k3] in the sign-twisted ones, are the signed S3-orbit sums
+normalized to coefficient +1 on the descending-sorted monomial; the ones
+that survive form the admissible bases enumerated here, and e2, e3 and the
+Vandermonde element are three of them.
 """
 
 from __future__ import annotations
@@ -63,12 +65,32 @@ FLAVORS = (SYM, ASYM, SYM_ODD, ASYM_ODD)
 S3 = tuple(permutations(range(3)))
 
 
+def _integral(value, what, least=None):
+    """value as an int: the one statement of the integral-input rule.
+
+    An int passes, another number equal to an integer is taken as that int
+    (2.0 and 6/3 as 2), and a bool, 1.5, inf, None, "2" or a value below
+    `least` raises ValueError naming `what`.
+    """
+    if type(value) is not int:
+        try:
+            integral = not isinstance(value, bool) and int(value) == value
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    return value
+
+
 class Element:
     """A homogeneous element of one of the four flavors.
 
-    coeffs maps normal-form exponent triples to nonzero ints.  A degree,
-    exponent or coefficient given as another number must equal an integer
-    (the rational 6/3 is stored as 2), or ValueError is raised.  The zero
+    coeffs maps normal-form exponent triples to nonzero ints.  The degree,
+    exponents and coefficients follow _integral (the rational 6/3 is stored
+    as 2; 1.5, True or None raise ValueError).  The zero
     element keeps its (flavor, degree) so that degree bookkeeping, and the
     degree-dependent signs downstream, survive cancellation.
     """
@@ -76,22 +98,18 @@ class Element:
     __slots__ = ("flavor", "degree", "coeffs")
 
     def __init__(self, flavor, degree, coeffs=None):
-        if int(degree) != degree or degree < 0:
-            raise ValueError(f"degree {degree} is not a nonnegative integer")
-        degree = int(degree)
+        degree = _integral(degree, "degree", 0)
         clean = {}
         for mono, coefficient in (coeffs or {}).items():
-            exponents = (int(mono[0]), int(mono[1]), int(mono[2]))
-            if exponents != tuple(mono) or min(exponents) < 0:
-                raise ValueError(f"exponents {mono} are not nonnegative integers")
-            mono = exponents
+            k0, k1, k2 = mono
+            if not (type(k0) is type(k1) is type(k2) is int and min(mono) >= 0):
+                mono = tuple(_integral(k, f"exponent in {mono}", 0) for k in mono)
             if sum(mono) != degree:
                 raise ValueError(f"monomial {mono} is not of degree {degree}")
-            integer = int(coefficient)
-            if integer != coefficient:
-                raise ValueError(f"non-integer coefficient {coefficient} on {mono}")
-            if integer:
-                clean[mono] = integer
+            if type(coefficient) is not int:
+                coefficient = _integral(coefficient, f"coefficient on {mono}")
+            if coefficient:
+                clean[mono] = coefficient
         self.flavor = flavor
         self.degree = degree
         self.coeffs = clean
@@ -231,11 +249,11 @@ def _act(flavor, perm, mono):
 def permute_variables(perm, f):
     """Rename generator i to perm[i] (0-based), with the signs of _act.
 
-    An entry given as another number must equal an integer ((0, 1, 2.0)
-    acts as (0, 1, 2)); anything but a permutation of 0..2 raises ValueError.
+    Entries follow _integral ((0, 1, 2.0) acts as (0, 1, 2)); anything but
+    a permutation of 0..2 raises ValueError.
     """
-    integral = tuple(int(p) for p in perm)
-    if integral != tuple(perm) or sorted(integral) != [0, 1, 2]:
+    integral = tuple(_integral(p, "permutation entry") for p in perm)
+    if sorted(integral) != [0, 1, 2]:
         raise ValueError(f"not a permutation of 0..2: {perm}")
     perm = integral
     out = {}

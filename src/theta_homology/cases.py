@@ -36,7 +36,9 @@ class ParityCase:
 
     @property
     def defect2_mirror_sign(self):
-        """Mirror eigenvalue cutting out the defect-2 space (-1 commuting, +1 odd)."""
+        """Mirror eigenvalue cutting out the defect-2 space (-1 commuting, +1 odd),
+        also the defect-2 factor of the graph's reflection sign (which swaps
+        the junction hairs): C2 is the set of graphs whose reflection sign is +1."""
         return 1 if self.flavor.odd else -1
 
     @property

@@ -7,7 +7,8 @@ Subcommands:
              crosscheck: both, compared cell by cell)
     series   coefficients of a stored generating function (h0, h1, or chi)
     signs    verification grid, first-principles symmetry signs against the
-             closed forms, over all hair triples up to a bound
+             algebra's mirror and S3 sign rules, over all hair triples up to
+             a bound
     basis    JSON dump of one (case, t) slice: bases and matrices
 
 Case names are two letters, the parities of m and N in that order: oo, ee,
@@ -205,33 +206,33 @@ def run_series(args):
 
 
 def _sign_grid(max_exponent):
-    """Yield (label, engine sign, formula sign) over the whole comparison grid."""
+    """Yield (case, symmetry, defect, hairs, engine sign, formula sign) over the grid."""
     triples = list(itertools.product(range(max_exponent + 1), repeat=3))
     for case in ALL_CASES:
         for defect in (0, 2):
             for hairs in triples:
-                yield (
-                    f"{case.key} reflect defect={defect} hairs={hairs}",
-                    vertical_reflection_sign(defect, hairs, case),
-                    vertical_reflection_sign_formula(defect, hairs, case),
-                )
+                engine = vertical_reflection_sign(defect, hairs, case)
+                formula = vertical_reflection_sign_formula(defect, hairs, case)
+                yield case, "reflect", defect, hairs, engine, formula
         for p, q in ((1, 2), (2, 3), (1, 3)):
+            symmetry = f"swap({p},{q})"
             for defect in (0, 1, 2):
                 for hairs in triples:
-                    yield (
-                        f"{case.key} swap({p},{q}) defect={defect} hairs={hairs}",
-                        edge_swap_sign(defect, hairs, case, p, q),
-                        edge_swap_sign_formula(hairs, case, p, q),
-                    )
+                    engine = edge_swap_sign(defect, hairs, case, p, q)
+                    formula = edge_swap_sign_formula(hairs, case, p, q)
+                    yield case, symmetry, defect, hairs, engine, formula
 
 
 def run_signs(args):
     total = 0
     failures = []
-    for label, engine, formula in _sign_grid(args.max_exponent):
+    for case, symmetry, defect, hairs, engine, formula in _sign_grid(args.max_exponent):
         total += 1
         if engine != formula:
-            failures.append(f"FAIL {label}: engine {engine:+d}, formula {formula:+d}")
+            failures.append(
+                f"FAIL {case.key} {symmetry} defect={defect} hairs={hairs}: "
+                f"engine {engine:+d}, formula {formula:+d}"
+            )
     lines = failures + [
         f"{total - len(failures)}/{total} cells PASS (k_i <= {args.max_exponent})"
     ]

@@ -44,6 +44,7 @@ from .algebra import (
     S3,
     Triple,
     _act,
+    _integral,
     admissible_basis,
     crossing,
     mirror,
@@ -231,9 +232,7 @@ def _matrix_of(case, t, source, target, defect):
 
 def build_slice(case, t):
     """Assemble bases and differential matrices for one (case, t)."""
-    if int(t) != t or t < 1:
-        raise ValueError(f"Hodge degree {t} is not a positive integer (t counts hairs)")
-    t = int(t)
+    t = _integral(t, "Hodge degree t (the number of hairs)", 1)
     basis2 = defect2_basis(case, t)
     basis1 = defect1_basis(case, t)
     basis0 = defect0_basis(case, t)

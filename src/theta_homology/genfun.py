@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import _integral
+
 
 def poly_mul(a, b):
     """Convolution of integer coefficient tuples."""
@@ -63,7 +65,7 @@ class GeneratingFunction:
 
     def coefficients(self, kmax):
         """Maclaurin coefficients of t^0 .. t^kmax, as ints."""
-        kmax = _degree("kmax", kmax, 0)
+        kmax = _integral(kmax, "kmax", 0)
         num, den = self.numerator, self.denominator
         out = []
         for k in range(kmax + 1):
@@ -124,14 +126,6 @@ def series(case, which, kmax):
     return g.coefficients(kmax)
 
 
-def _degree(name, value, least):
-    """value as an int at least `least`: an integral value is taken as its
-    int; a bool or anything else raises ValueError."""
-    if isinstance(value, bool) or int(value) != value or value < least:
-        raise ValueError(f"{name} must be an integer at least {least}, got {value!r}")
-    return int(value)
-
-
 def _ceil_div(p, q):
     return -((-p) // q)
 
@@ -142,7 +136,7 @@ def rank_formula(case, which, k):
     Transcribed with the exact floors, ceilings, and residue conditions;
     no simplification, so the code stays a faithful witness.
     """
-    k = _degree("k", k, 1)
+    k = _integral(k, "k", 1)
     if which not in ("a", "b"):
         raise ValueError(f"which must be 'a' or 'b', got {which!r}")
     if case.m_odd and case.n_odd:

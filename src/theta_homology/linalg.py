@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from math import gcd
 
+from .algebra import _integral
+
 
 class RationalMatrix:
     """A rows x cols integer matrix; entries maps (i, j) to int, zeros dropped.
 
-    A dimension, index or entry given as another number must equal an
-    integer (the rational 6/3 is stored as 2), or ValueError is raised.
+    Dimensions, indices and entries follow algebra._integral (the rational
+    6/3 is stored as 2; 0.5, True or None raise ValueError).
     rank() is the rank over Q.  All operations return new matrices;
     instances are treated as immutable.
     """
@@ -26,21 +28,18 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries=None):
-        if (int(rows), int(cols)) != (rows, cols) or min(rows, cols) < 0:
-            raise ValueError(f"dimensions {rows}x{cols} are not nonnegative integers")
-        rows, cols = int(rows), int(cols)
-        self.rows = rows
-        self.cols = cols
+        rows = self.rows = _integral(rows, "row count", 0)
+        cols = self.cols = _integral(cols, "column count", 0)
         data = {}
         for (i, j), value in (entries or {}).items():
-            if (int(i), int(j)) != (i, j) or not (0 <= i < rows and 0 <= j < cols):
+            if type(i) is not int or type(j) is not int:
+                i, j = _integral(i, "row index"), _integral(j, "column index")
+            if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"({i}, {j}) is no index of a {rows}x{cols} matrix")
-            i, j = int(i), int(j)
-            integer = int(value)
-            if integer != value:
-                raise ValueError(f"non-integer entry {value} at ({i}, {j})")
-            if integer:
-                data[i, j] = integer
+            if type(value) is not int:
+                value = _integral(value, f"entry at ({i}, {j})")
+            if value:
+                data[i, j] = value
         self.entries = data
 
     @classmethod

@@ -13,12 +13,13 @@ parameters (m, N) through their parities only:
 
 A symmetry of the graph permutes the tokens and may reverse edge pieces;
 its sign is the Koszul sign of that permutation (odd-degree tokens
-anticommute) times (-1)^N per reversed edge piece.  Everything in this module
-is computed from that definition alone, by explicitly building token lists,
-mapping the odd-degree tokens (even ones never change the sign) and taking
-the cycle parity of the permutation they undergo; the closed-form
-predictions live in the *_formula functions and are checked against the
-engine by the test-suite and the `signs` CLI mode.
+anticommute) times (-1)^N per reversed edge piece.  vertical_reflection_sign
+and edge_swap_sign, the engine, compute it from that definition alone, by
+explicitly building token lists, mapping the odd-degree tokens (even ones
+never change the sign) and taking the cycle parity of the permutation they
+undergo.  The *_formula functions read the sign rules the complexes are
+built from, algebra.mirror_sign and algebra._act, so the test-suite and the
+`signs` CLI mode check those rules against the engine.
 
 Two symmetries matter downstream: the vertical reflection, exchanging the
 two junctions (it fixes the hair counts, and a graph whose reflection sign is
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .algebra import _act, _integral, mirror_sign
+
 _BLOCK = ("hairvert", "hairedge", "hairtip", "seg")
 _KINDS = frozenset(("tip", "tipedge", "junction") + _BLOCK)
 
@@ -39,21 +42,20 @@ class UnsupportedSymmetryError(ValueError):
 
 
 def _validate(defect, hairs):
-    """(defect, hairs) as ints: integral values as their int, else ValueError."""
+    """(defect, hairs) as ints under the integral rule, or ValueError."""
+    defect = _integral(defect, "defect")
     if defect not in (0, 1, 2):
         raise ValueError(f"defect must be 0, 1, or 2, got {defect!r}")
-    k1, k2, k3 = hairs
-    counts = (int(k1), int(k2), int(k3))
-    if counts != (k1, k2, k3) or min(counts) < 0:
-        raise ValueError(f"hair counts {hairs} are not nonnegative integers")
-    return int(defect), counts
+    k1, k2, k3 = (_integral(k, "hair count", 0) for k in hairs)
+    return defect, (k1, k2, k3)
 
 
 def _edge_pair(p, q):
-    """(p, q) as ints, two distinct edges among 1..3, or ValueError."""
+    """(p, q) as ints under the integral rule, two distinct edges among 1..3."""
+    p, q = _integral(p, "edge"), _integral(q, "edge")
     if p == q or not {p, q} <= {1, 2, 3}:
         raise ValueError(f"need two distinct edges among 1..3, got {(p, q)}")
-    return int(p), int(q)
+    return p, q
 
 
 def canonical_tokens(defect, hairs):
@@ -210,38 +212,24 @@ def edge_swap_sign(defect, hairs, case, p, q):
 
 
 def vertical_reflection_sign_formula(defect, hairs, case):
-    """Closed form for the reflection sign at defects 2 and 0.
-
-    Defect 2: (-1)^(m+N+1) (-1)^(k1+k2+k3) (-1)^((m+N) sum k_i(k_i-1)/2);
-    defect 0 drops the leading (m+N+1) factor.  All exponents mod 2.
-    """
+    """The reflection sign at defects 2 and 0, read from the algebra: the
+    mirror eigenvalue of x^hairs in the case's flavor, times the case's
+    defect2_mirror_sign at defect 2 (the junction hairs are swapped)."""
     defect, hairs = _validate(defect, hairs)
     if defect == 1:
         raise UnsupportedSymmetryError(
             "no closed form: the vertical reflection is not a self-map at defect 1"
         )
-    exponent = sum(hairs)
-    m_plus_n = (1 if case.m_odd else 0) + (1 if case.n_odd else 0)
-    if defect == 2:
-        exponent += m_plus_n + 1
-    exponent += m_plus_n * sum(k * (k - 1) // 2 for k in hairs)
-    return -1 if exponent % 2 else 1
+    sign = mirror_sign(case.flavor, hairs)
+    return sign * case.defect2_mirror_sign if defect == 2 else sign
 
 
 def edge_swap_sign_formula(hairs, case, p, q):
-    """Closed form for the edge transposition sign.
-
-    Adjacent transpositions: (-1)^(N-1) (-1)^(k_p k_q (m+N)).  The outer
-    transposition (1,3) is the composite of three adjacent ones, which
-    telescopes to (-1)^(N-1) (-1)^((m+N)(k1 k2 + k1 k3 + k2 k3)).
-    """
+    """The sign of transposing edges p and q, read from the algebra: the S3
+    sign of the generator transposition (p-1, q-1) on x^hairs in the case's
+    flavor.  Junction data plays no part, so there is no defect argument."""
     hairs = _validate(0, hairs)[1]
-    p, q = sorted(_edge_pair(p, q))
-    m_plus_n = (1 if case.m_odd else 0) + (1 if case.n_odd else 0)
-    exponent = 0 if case.n_odd else 1  # N - 1
-    if (p, q) == (1, 3):
-        k1, k2, k3 = hairs
-        exponent += m_plus_n * (k1 * k2 + k1 * k3 + k2 * k3)
-    else:
-        exponent += m_plus_n * hairs[p - 1] * hairs[q - 1]
-    return -1 if exponent % 2 else 1
+    p, q = _edge_pair(p, q)
+    transposition = [0, 1, 2]
+    transposition[p - 1], transposition[q - 1] = q - 1, p - 1
+    return _act(case.flavor, transposition, hairs)[1]

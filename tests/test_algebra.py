@@ -74,6 +74,17 @@ def test_element_validation():
     assert integral.degree == 2 and type(integral.degree) is int
     assert integral.coeffs == {(2, 0, 0): 1}
     assert all(type(k) is int for k in next(iter(integral.coeffs)))
+    # a bool, an infinity, None or a string is no integer anywhere
+    for bad in (True, float("inf"), None, "2"):
+        with pytest.raises(ValueError):
+            Element(SYM, bad, {})
+        with pytest.raises(ValueError):
+            Element(SYM, 2, {(bad, 0, 0): 1})
+        with pytest.raises(ValueError):
+            Element(SYM, 2, {(2, 0, 0): bad})
+    for two in (2.0, Fraction(4, 2)):
+        integral = Element(SYM, two, {(two, 0, 0): two})
+        assert integral.degree == 2 and integral.coeffs == {(2, 0, 0): 2}
 
 
 def test_element_add_sub():
@@ -227,6 +238,11 @@ def test_permute_variables_integral_rule():
     for perm in ((0, 1, 2.5), (0, 0, 2), (0, 1, 3), (0, 1)):
         with pytest.raises(ValueError):
             permute_variables(perm, f)
+    for bad in (True, float("inf"), None, "2"):
+        with pytest.raises(ValueError):
+            permute_variables((0, 1, bad), f)
+    for two in (2.0, Fraction(4, 2)):
+        assert permute_variables((1, 0, two), f) == permute_variables((1, 0, 2), f)
 
 
 def test_permute_variables_signs_on_x1x2x3():

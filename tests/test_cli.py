@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from theta_homology import cli
+from theta_homology import algebra, cli, signs
+from theta_homology.algebra import Flavor
 from theta_homology.cli import CSV_COLUMNS, main
 from theta_homology.complexes import ComplexConsistencyError
 
@@ -111,6 +112,38 @@ def test_signs_small_grid(capsys):
     assert rc == 0
     # 4 cases x (2 reflection defects + 3 swaps x 3 defects) x 27 triples
     assert out == "1188/1188 cells PASS (k_i <= 2)\n"
+
+
+def test_signs_grid_checks_the_algebra_rules(capsys, monkeypatch):
+    # the formula side of the grid is algebra._act and algebra.mirror_sign
+    # themselves, so dropping their odd-flavor term must fail cells
+    def commuting(flavor):
+        return Flavor(False, flavor.antisymmetric)
+
+    mutants = (
+        (
+            "_act",
+            lambda flavor, perm, mono: algebra._act(commuting(flavor), perm, mono),
+            2432,
+            "FAIL eo swap(1,2) defect=0 hairs=(1, 1, 0): engine -1, formula +1",
+        ),
+        (
+            "mirror_sign",
+            lambda flavor, mono: algebra.mirror_sign(commuting(flavor), mono),
+            2688,
+            "FAIL eo reflect defect=0 hairs=(0, 0, 2): engine -1, formula +1",
+        ),
+    )
+    for name, mutant, passed, first_failure in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(signs, name, mutant)
+            rc, out, _ = run(capsys, ["signs", "--max-exponent", "3"])
+        lines = out.splitlines()
+        assert rc == 1
+        assert lines[0] == first_failure
+        assert lines[-1] == f"{passed}/2816 cells PASS (k_i <= 3)"
+        assert len(lines) == 2816 - passed + 1
+        assert all(line.startswith("FAIL ") for line in lines[:-1])
 
 
 def test_usage_errors_exit_2(capsys):

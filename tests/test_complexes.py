@@ -305,12 +305,13 @@ def test_build_slice_rejects_nonpositive_degree():
 
 def test_build_slice_rejects_non_integer_degree():
     # 2.7 is refused, not silently built as t = 2
-    for t in (2.7, Fraction(5, 2)):
+    for t in (2.7, Fraction(5, 2), True, float("inf"), None, "2"):
         with pytest.raises(ValueError):
             build_slice(CASE_OO, t)
-    s = build_slice(CASE_OO, 2.0)
-    assert s.t == 2 and type(s.t) is int
-    assert s == build_slice(CASE_OO, 2)
+    for two in (2.0, Fraction(4, 2)):
+        s = build_slice(CASE_OO, two)
+        assert s.t == 2 and type(s.t) is int
+        assert s == build_slice(CASE_OO, 2)
 
 
 def test_slice_matrix_entries():

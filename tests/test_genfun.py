@@ -77,7 +77,8 @@ def test_kmax_follows_the_integral_rule():
     assert series(CASE_OO, "h0", 2.0) == series(CASE_OO, "h0", 2) == [0, 0, 1]
     assert h0.coefficients(Fraction(4, 2)) == h0.coefficients(2)
     assert series(CASE_OO, "h0", 0) == [0]
-    for kmax in (-1, 1.5, True, Fraction(1, 2), "2"):
+    assert series(CASE_OO, "h0", Fraction(4, 2)) == [0, 0, 1]
+    for kmax in (-1, 1.5, True, Fraction(1, 2), "2", float("inf"), None):
         with pytest.raises(ValueError):
             series(CASE_OO, "h0", kmax)
         with pytest.raises(ValueError):
@@ -164,7 +165,9 @@ def test_rank_formula_validation():
     # an integral degree is taken as its int; anything else raises
     assert rank_formula(CASE_OE, "a", 3.0) == rank_formula(CASE_OE, "a", 3)
     assert rank_formula(CASE_OO, "a", Fraction(12, 2)) == rank_formula(CASE_OO, "a", 6) == 2
-    for k in (2.7, Fraction(7, 2), "3", 0.5, True):
+    assert rank_formula(CASE_OE, "a", 2.0) == rank_formula(CASE_OE, "a", Fraction(4, 2))
+    assert rank_formula(CASE_OE, "a", 2.0) == rank_formula(CASE_OE, "a", 2)
+    for k in (2.7, Fraction(7, 2), "3", 0.5, True, float("inf"), None, "2"):
         with pytest.raises(ValueError):
             rank_formula(CASE_OE, "a", k)
 

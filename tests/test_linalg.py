@@ -127,6 +127,16 @@ def test_entries_are_integers():
     assert type(mat.rows) is int and type(mat.cols) is int
     assert mat.to_triplets() == [(1, 1, 7)]
     assert all(type(x) is int for x in mat.to_triplets()[0])
+    # a bool, an infinity, None or a string is no integer anywhere
+    for bad in (True, float("inf"), None, "2"):
+        for args in ((bad, 3), (3, bad), (3, 3, {(bad, 0): 1}), (3, 3, {(0, bad): 1})):
+            with pytest.raises(ValueError):
+                RationalMatrix(*args)
+        with pytest.raises(ValueError):
+            RationalMatrix(3, 3, {(0, 0): bad})
+    for two in (2.0, Fraction(4, 2)):
+        mat = RationalMatrix(3, two, {(two, 1): two})
+        assert mat.cols == 2 and mat.to_triplets() == [(2, 1, 2)]
 
 
 def test_matmul_and_zero_composition():

@@ -304,3 +304,29 @@ def test_integral_rule_for_defect_hairs_and_edges():
             edge_swap_sign(0, (1, 1, 0), CASE_EO, p, q)
         with pytest.raises(ValueError):
             edge_swap_sign_formula((1, 1, 0), CASE_EO, p, q)
+    # a bool, an infinity, None or a string is no integer anywhere (True
+    # would otherwise pass as defect 1, hair count 1 or edge 1)
+    for bad in (True, float("inf"), None, "2"):
+        calls = [
+            lambda f=f, d=d, h=h: f(d, h, CASE_EO)
+            for f in with_defect + (lambda d, h, c: canonical_tokens(d, h),)
+            for d, h in ((bad, (1, 0, 0)), (0, (bad, 0, 0)), (0, (1, 0, bad)))
+        ]
+        calls += [
+            lambda p=p, q=q: edge_swap_sign(0, (1, 1, 0), CASE_EO, p, q)
+            for p, q in ((bad, 2), (3, bad))
+        ]
+        calls += [
+            lambda h=h, p=p, q=q: edge_swap_sign_formula(h, CASE_EO, p, q)
+            for h, p, q in (((bad, 0, 0), 1, 2), ((1, 1, 0), bad, 2), ((1, 1, 0), 3, bad))
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+    for two in (2.0, Fraction(4, 2)):
+        for f in with_defect:
+            assert f(two, (two, 1, 0), CASE_EO) == f(2, (2, 1, 0), CASE_EO)
+        assert canonical_tokens(two, (two, 1, 0)) == canonical_tokens(2, (2, 1, 0))
+        want = edge_swap_sign(0, (2, 1, 0), CASE_EO, 2, 3)
+        assert edge_swap_sign(0, (two, 1, 0), CASE_EO, two, 3) == want
+        assert edge_swap_sign_formula((two, 1, 0), CASE_EO, two, 3) == want
