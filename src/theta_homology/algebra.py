@@ -374,8 +374,7 @@ def vandermonde():
 
 
 def element_power(f, n):
-    if n < 0:
-        raise ValueError("negative power")
+    n = _integral(n, "power", 0)
     result = Element(Flavor(f.flavor.odd, False), 0, {(0, 0, 0): 1})
     for _ in range(n):
         result = result * f

@@ -92,30 +92,27 @@ def _emit(text, out_path):
         out_path.write_text(text)
 
 
-def _closed_form_row(case, t, chi_series):
-    return {
-        "t": t,
-        "a": rank_formula(case, "a", t),
-        "b": rank_formula(case, "b", t),
-        "chi": chi_series[t],
-    }
-
-
-def _brute_rows(case, max_hodge):
-    return [homology_ranks(build_slice(case, t)) for t in range(1, max_hodge + 1)]
-
-
 def run_table(args):
     cases = _cases_argument(args.case)
+    degrees = range(1, args.max_hodge + 1)
     sections = []
     mismatches = []
     for case in cases:
-        chi_series = series(case, "chi", args.max_hodge)
-        closed = [_closed_form_row(case, t, chi_series) for t in range(1, args.max_hodge + 1)]
+        if args.mode != "bruteforce":
+            chi_series = series(case, "chi", args.max_hodge)
+            closed = [
+                {
+                    "t": t,
+                    "a": rank_formula(case, "a", t),
+                    "b": rank_formula(case, "b", t),
+                    "chi": chi_series[t],
+                }
+                for t in degrees
+            ]
         if args.mode == "closedform":
             rows = closed
         else:
-            brute = _brute_rows(case, args.max_hodge)
+            brute = [homology_ranks(build_slice(case, t)) for t in degrees]
             rows = [{c: getattr(r, c) for c in CSV_COLUMNS} for r in brute]
             if args.mode == "crosscheck":
                 for got, want in zip(rows, closed):

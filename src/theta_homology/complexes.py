@@ -29,9 +29,11 @@ signed S3 orbit of its source triple (algebra.orbit), each monomial mu moved
 to mu + e_i with the odd sign algebra.crossing, keeping only the
 descending-sorted images, the coordinates of an equivariant image.
 Equivariance is checked once per (flavor, side) on the exponent parity
-classes (_check_equivariance), not per column.  apply_defect2 and
-apply_defect1 state the same differentials on Element values, the reference
-path that homology applies to closed-form generators and tests compare with.
+classes (_check_equivariance), not per column.  _differential is the one
+statement of each differential's side and scalar; _matrix_of reads it once
+per matrix, and apply_defect2 and apply_defect1 read it on Element values,
+the reference path that homology applies to closed-form generators and tests
+compare with.
 """
 
 from __future__ import annotations
@@ -77,17 +79,15 @@ class ComplexConsistencyError(Exception):
         self.component = component
 
 
+def _mirror_class(flavor, degree, sign):
+    """Admissible triples of the given degree with mirror eigenvalue sign."""
+    basis = admissible_basis(flavor, degree)
+    return tuple(triple for triple in basis if mirror_sign(flavor, triple) == sign)
+
+
 def defect2_basis(case, t):
     """Admissible triples of degree t-2 in the defect-2 mirror eigenspace."""
-    degree = t - 2
-    if degree < 0:
-        return ()
-    want = case.defect2_mirror_sign
-    return tuple(
-        triple
-        for triple in admissible_basis(case.flavor, degree)
-        if mirror_sign(case.flavor, triple) == want
-    )
+    return _mirror_class(case.flavor, t - 2, case.defect2_mirror_sign)
 
 
 def defect1_basis(case, t):
@@ -97,13 +97,15 @@ def defect1_basis(case, t):
 
 def defect0_basis(case, t):
     """Admissible mirror-even triples of degree t (positive, since t >= 1)."""
-    if t < 1:
-        return ()
-    return tuple(
-        triple
-        for triple in admissible_basis(case.flavor, t)
-        if mirror_sign(case.flavor, triple) == 1
-    )
+    return _mirror_class(case.flavor, t, 1) if t >= 1 else ()
+
+
+def _differential(case, defect, degree):
+    """(side of e1, scalar) of d2 or d1 on sources of the given degree: the one
+    statement of both differentials, as in the module docstring."""
+    if defect == 2:
+        return "right", 2 * (-1) ** (case.n_odd + (case.flavor.odd and degree % 2))
+    return "left", (-1) ** (case.m_odd and case.n_odd)
 
 
 def _require_flavor(case, f):
@@ -119,19 +121,15 @@ def apply_defect2(case, f):
         raise ValueError(
             f"element is not in the mirror eigenspace (sign {want:+d}) of case {case}"
         )
-    sign = 1
-    if case.n_odd:
-        sign = -sign
-    if case.flavor.odd and f.degree % 2:
-        sign = -sign
-    return mul_e1(f, "right") * (2 * sign)
+    side, scalar = _differential(case, 2, f.degree)
+    return mul_e1(f, side) * scalar
 
 
 def apply_defect1(case, f):
     """The defect-1 differential on any element of the case's flavor."""
     _require_flavor(case, f)
-    sign = -1 if (case.m_odd and case.n_odd) else 1
-    return mirror_even_part(mul_e1(f, "left")) * sign
+    side, scalar = _differential(case, 1, f.degree)
+    return mirror_even_part(mul_e1(f, side)) * scalar
 
 
 @dataclass(frozen=True)
@@ -191,22 +189,16 @@ def _check_equivariance(flavor, side):
 def _matrix_of(case, t, source, target, defect):
     """Matrix of d2 (defect 2) or d1 (defect 1), assembled in integers.
 
-    A d2 source is taken to lie in C2 (defect2_basis selects it); a nonzero
-    kept coefficient outside the target basis raises ComplexConsistencyError.
+    A d2 source is taken to lie in C2 (defect2_basis selects it).  An image
+    component outside the target basis is dropped if it is a mirror-odd d1
+    component (the projection); any other one raises ComplexConsistencyError.
     """
     flavor = case.flavor
-    side = "right" if defect == 2 else "left"
+    side, scale = _differential(case, defect, t - defect)
     _check_equivariance(flavor, side)
-    if defect == 2:
-        factor = -2 if case.n_odd else 2
-    else:
-        factor = -1 if (case.m_odd and case.n_odd) else 1
     index = {triple: i for i, triple in enumerate(target)}
     columns = []
     for triple in source:
-        scale = factor
-        if defect == 2 and flavor.odd and sum(triple) % 2:
-            scale = -factor
         image = {}
         for mu, c in orbit(flavor, triple).items():
             for e in _UNIT:
@@ -215,9 +207,9 @@ def _matrix_of(case, t, source, target, defect):
                     image[nu] = image.get(nu, 0) + _e_sign(flavor, side, e, mu) * c
         column = {}
         for rep, c in image.items():
-            if not c or (defect == 1 and mirror_sign(flavor, rep) < 0):
-                continue
-            if rep not in index:
+            if rep in index:
+                column[index[rep]] = scale * c
+            elif c and not (defect == 1 and mirror_sign(flavor, rep) < 0):
                 raise ComplexConsistencyError(
                     f"image component {rep} of {triple} misses the target basis",
                     case=case,
@@ -225,7 +217,6 @@ def _matrix_of(case, t, source, target, defect):
                     triple=triple,
                     component=rep,
                 )
-            column[index[rep]] = scale * c
         columns.append(column)
     return RationalMatrix.from_columns(len(target), columns)
 

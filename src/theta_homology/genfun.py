@@ -54,12 +54,16 @@ def t_power(n, coefficient=1):
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """num/den with integer coefficients and den[0] = +-1, so an integer series."""
+    """num/den with integer coefficients (algebra._integral) and den[0] = +-1."""
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("numerator", "denominator"):
+            coefficients = getattr(self, name)
+            coefficients = tuple(_integral(c, f"{name} coefficient") for c in coefficients)
+            object.__setattr__(self, name, coefficients)
         if not self.denominator or self.denominator[0] not in (1, -1):
             raise ValueError("denominator needs constant term 1 or -1")
 
@@ -180,6 +184,7 @@ def euler_sign(case, k):
     (-1) to the total degree k(N-m-2) + N-3 of a defect-0 graph with k hairs,
     whose parity is the same and depends only on the parities of m and N.
     """
+    k = _integral(k, "k", 0)
     m, n = case.representative
     return -1 if (n - 1 + k * (n - m)) % 2 else 1
 

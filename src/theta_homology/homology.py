@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    _integral,
     basis_coordinates,
     e2,
     e3,
@@ -134,6 +135,7 @@ def homology_generators(case, t):
 
     Returns (h0 generators, h1 generators), elements of degree t and t-1.
     """
+    t = _integral(t, "Hodge degree t (the number of hairs)", 1)
     if case.m_odd and case.n_odd:
         h0 = [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t) if beta + gamma]
         return h0, [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t - 1)]
@@ -197,6 +199,7 @@ def homology_basis_report(case, t):
     """Check the closed-form basis at Hodge degree t; returns found problems."""
     problems = []
     slice_ = build_slice(case, t)
+    t = slice_.t
     row = homology_ranks(slice_)
     h0, h1 = homology_generators(case, t)
 

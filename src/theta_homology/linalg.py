@@ -52,6 +52,8 @@ class RationalMatrix:
         return cls(rows, len(columns), entries)
 
     def entry(self, i, j):
+        if type(i) is not int or type(j) is not int:
+            i, j = _integral(i, "row index"), _integral(j, "column index")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
         return self.entries.get((i, j), 0)

@@ -50,12 +50,14 @@ def _validate(defect, hairs):
     return defect, (k1, k2, k3)
 
 
-def _edge_pair(p, q):
-    """(p, q) as ints under the integral rule, two distinct edges among 1..3."""
+def _transposition(p, q):
+    """The 0-based S3 transposition of edges p and q, distinct integers in 1..3."""
     p, q = _integral(p, "edge"), _integral(q, "edge")
     if p == q or not {p, q} <= {1, 2, 3}:
         raise ValueError(f"need two distinct edges among 1..3, got {(p, q)}")
-    return p, q
+    perm = [0, 1, 2]
+    perm[p - 1], perm[q - 1] = q - 1, p - 1
+    return tuple(perm)
 
 
 def canonical_tokens(defect, hairs):
@@ -102,27 +104,6 @@ def _odd_kinds(case):
     )
 
 
-def koszul_sign(positions, parities):
-    """Sign of the reordering sending slot i to position positions[i].
-
-    Odd-degree tokens anticommute and even ones commute, so the sign is that
-    of the induced permutation of the odd tokens: (-1)^(n - cycles) of the
-    permutation sorting their n target positions.  Two odd tokens trading
-    places give -1; an odd token passing an even one is free:
-
-    >>> koszul_sign([1, 0], [1, 1]), koszul_sign([1, 0], [1, 0])
-    (-1, 1)
-    >>> koszul_sign([30, 10, 20], [1, 1, 1])
-    1
-    """
-    if len(positions) != len(parities):
-        raise ValueError("positions and parities have different lengths")
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"positions {positions} repeat an entry")
-    targets = [p for p, parity in zip(positions, parities) if parity % 2]
-    return _permutation_sign(sorted(range(len(targets)), key=targets.__getitem__))
-
-
 def _permutation_sign(perm):
     """(-1)^(n - cycles) of perm, a permutation of range(n)."""
     seen = [False] * len(perm)
@@ -138,15 +119,8 @@ def _permutation_sign(perm):
     return -1 if transpositions % 2 else 1
 
 
-def reversal_sign(reversed_edges, case):
-    """(-1)^(N * number of reversed edge pieces)."""
-    if case.n_odd and reversed_edges % 2:
-        return -1
-    return 1
-
-
 def _mapped_sign(defect, hairs, case, image, target_hairs, reversed_edges):
-    """Koszul sign of `image` onto (defect, target_hairs), times the reversal sign.
+    """Koszul sign of `image` onto (defect, target_hairs), (-1)^N per reversed piece.
 
     Only the odd tokens are mapped: `image` keeps each token's kind, so it
     sends them to the odd tokens of the target, and their permutation of
@@ -157,7 +131,7 @@ def _mapped_sign(defect, hairs, case, image, target_hairs, reversed_edges):
     target = source if target_hairs == hairs else _tokens(defect, target_hairs, odd)
     index = {token: i for i, token in enumerate(target)}
     positions = [index[image(token)] for token in source]
-    return _permutation_sign(positions) * reversal_sign(reversed_edges, case)
+    return _permutation_sign(positions) * (-1) ** (case.n_odd * reversed_edges)
 
 
 def vertical_reflection_sign(defect, hairs, case):
@@ -193,12 +167,16 @@ def edge_swap_sign(defect, hairs, case, p, q):
     """First-principles sign of transposing edges p and q (1-based).
 
     Maps the graph with hair counts `hairs` to the one with counts swapped;
-    junction data is fixed and no edge piece is reversed.
+    junction data is fixed and no edge piece is reversed.  Two edges that
+    carry one hair each, in a case with m even and N odd:
+
+    >>> from theta_homology.cases import CASE_EO
+    >>> edge_swap_sign(0, (1, 1, 0), CASE_EO, 1, 2)
+    -1
     """
     defect, hairs = _validate(defect, hairs)
-    p, q = _edge_pair(p, q)
-    edge = {1: 1, 2: 2, 3: 3}
-    edge[p], edge[q] = q, p
+    perm = _transposition(p, q)
+    edge = {1: perm[0] + 1, 2: perm[1] + 1, 3: perm[2] + 1}
 
     def image(token):
         kind = token[0]
@@ -206,9 +184,8 @@ def edge_swap_sign(defect, hairs, case, p, q):
             return token
         return (kind, edge[token[1]], token[2])
 
-    target = list(hairs)
-    target[p - 1], target[q - 1] = target[q - 1], target[p - 1]
-    return _mapped_sign(defect, hairs, case, image, tuple(target), 0)
+    target = (hairs[perm[0]], hairs[perm[1]], hairs[perm[2]])
+    return _mapped_sign(defect, hairs, case, image, target, 0)
 
 
 def vertical_reflection_sign_formula(defect, hairs, case):
@@ -229,7 +206,4 @@ def edge_swap_sign_formula(hairs, case, p, q):
     sign of the generator transposition (p-1, q-1) on x^hairs in the case's
     flavor.  Junction data plays no part, so there is no defect argument."""
     hairs = _validate(0, hairs)[1]
-    p, q = _edge_pair(p, q)
-    transposition = [0, 1, 2]
-    transposition[p - 1], transposition[q - 1] = q - 1, p - 1
-    return _act(case.flavor, transposition, hairs)[1]
+    return _act(case.flavor, _transposition(p, q), hairs)[1]

@@ -85,6 +85,11 @@ def test_element_validation():
     for two in (2.0, Fraction(4, 2)):
         integral = Element(SYM, two, {(two, 0, 0): two})
         assert integral.degree == 2 and integral.coeffs == {(2, 0, 0): 2}
+        assert element_power(integral, two) == element_power(integral, 2)
+    # element_power's exponent too: True is not the first power
+    for bad in (True, 1.5, -1, float("inf"), None, "2"):
+        with pytest.raises(ValueError):
+            element_power(integral, bad)
 
 
 def test_element_add_sub():

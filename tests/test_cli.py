@@ -199,6 +199,18 @@ def test_crosscheck_mismatch_exit_1(capsys, monkeypatch):
     assert "MISMATCH" in err and "t=2" in err
 
 
+def test_bruteforce_table_reads_no_closed_forms(capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("bruteforce mode read a closed form")
+
+    monkeypatch.setattr(cli, "series", unused)
+    monkeypatch.setattr(cli, "rank_formula", unused)
+    argv = ["table", "--case", "all", "--max-hodge", "6", "--mode", "bruteforce"]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert out.count("dim_c2") == 4
+
+
 def test_consistency_error_exit_3(capsys, monkeypatch):
     def broken(case, t):
         raise ComplexConsistencyError("boom")

@@ -170,6 +170,21 @@ def test_rank_formula_validation():
     for k in (2.7, Fraction(7, 2), "3", 0.5, True, float("inf"), None, "2"):
         with pytest.raises(ValueError):
             rank_formula(CASE_OE, "a", k)
+    # the same rule for euler_sign's k and a GeneratingFunction's coefficients
+    for three in (3.0, Fraction(6, 2)):
+        assert euler_sign(CASE_EO, three) == euler_sign(CASE_EO, 3)
+    g = GeneratingFunction((Fraction(4, 2), 0.0), (1.0, -1))
+    assert g == GeneratingFunction((2, 0), (1, -1))
+    assert g.coefficients(2) == [2, 2, 2]
+    assert all(type(c) is int for c in g.numerator + g.denominator)
+    for bad in (1.5, True, float("inf"), None, "2", -1):
+        with pytest.raises(ValueError):
+            euler_sign(CASE_EO, bad)
+    for bad in (0.5, True, float("inf"), None, "2"):
+        with pytest.raises(ValueError):
+            GeneratingFunction((bad,), (1,))
+        with pytest.raises(ValueError):
+            GeneratingFunction((1,), (1, bad))
 
 
 def test_series_equals_rank_formula():

@@ -3,6 +3,7 @@ the closed-form homology bases against the exact matrices."""
 
 import dataclasses
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -129,6 +130,19 @@ def test_generator_degrees():
             h0, h1 = homology_generators(case, t)
             assert all(g.degree == t for g in h0)
             assert all(g.degree == t - 1 for g in h1)
+
+
+def test_hodge_degree_follows_the_integral_rule():
+    # an integral t is taken as its int; True is no t = 1, and t >= 1
+    for six in (6.0, Fraction(12, 2)):
+        assert homology_generators(CASE_OO, six) == homology_generators(CASE_OO, 6)
+        assert verify_homology_basis(CASE_OO, six)
+        assert homology_basis_report(CASE_OE, six + 7) == homology_basis_report(CASE_OE, 13)
+    for bad in (True, 0, -1, 1.5, float("inf"), None, "6"):
+        with pytest.raises(ValueError):
+            homology_generators(CASE_OO, bad)
+        with pytest.raises(ValueError):
+            verify_homology_basis(CASE_OO, bad)
 
 
 def test_verify_examples():

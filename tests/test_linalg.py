@@ -137,6 +137,12 @@ def test_entries_are_integers():
     for two in (2.0, Fraction(4, 2)):
         mat = RationalMatrix(3, two, {(two, 1): two})
         assert mat.cols == 2 and mat.to_triplets() == [(2, 1, 2)]
+        assert mat.entry(two, 1) == mat.entry(2, Fraction(2, 2)) == 2
+    # entry reads by the same rule: 1.5 is not truncated, True is not row 1
+    for bad in (1.5, True, "1", None, float("inf")):
+        for i, j in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError):
+                mat.entry(i, j)
 
 
 def test_matmul_and_zero_composition():

@@ -7,83 +7,39 @@ import pytest
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.signs import (
     UnsupportedSymmetryError,
+    _permutation_sign,
     canonical_tokens,
     edge_swap_sign,
     edge_swap_sign_formula,
-    koszul_sign,
-    reversal_sign,
     token_parity,
     vertical_reflection_sign,
     vertical_reflection_sign_formula,
 )
 
 
-def brute_koszul(positions, parities):
-    """Oracle: move tokens one adjacent swap at a time, count odd-odd swaps."""
-    order = list(range(len(positions)))
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(order) - 1):
-            if positions[order[i]] > positions[order[i + 1]]:
-                if parities[order[i]] % 2 and parities[order[i + 1]] % 2:
-                    sign = -sign
-                order[i], order[i + 1] = order[i + 1], order[i]
-                changed = True
-    return sign
-
-
-def test_koszul_sign_examples():
-    # swapping two odd tokens
-    assert koszul_sign([1, 0], [1, 1]) == -1
-    # odd past even: free
-    assert koszul_sign([1, 0], [1, 0]) == 1
-    assert koszul_sign([0, 1, 2], [1, 1, 1]) == 1
-    # full reversal of three odd tokens: three inversions
-    assert koszul_sign([2, 1, 0], [1, 1, 1]) == -1
-    assert koszul_sign([], []) == 1
-    with pytest.raises(ValueError):
-        koszul_sign([0, 1], [1])
-    # a reordering is injective, whatever the parities of the clashing slots
-    for parities in ([1, 1, 1], [0, 1, 0], [0, 0, 0]):
-        with pytest.raises(ValueError):
-            koszul_sign([4, 2, 4], parities)
-
-
-def test_koszul_sign_matches_adjacent_swap_oracle():
-    rng = random.Random(61)
-    for _ in range(150):
-        n = rng.randrange(8)
-        positions = rng.sample(range(20), n)
-        parities = [rng.randrange(2) for _ in range(n)]
-        assert koszul_sign(positions, parities) == brute_koszul(positions, parities)
-
-
 def test_koszul_sign_matches_inversion_count():
-    # the O(n^2) definition: (-1) per pair of odd tokens that changes order
+    # the engine's Koszul sign is the sign of the permutation the odd tokens
+    # undergo; the O(n^2) definition: (-1) per pair that changes order
     rng = random.Random(79)
     for _ in range(300):
         n = rng.randrange(81)
-        positions = rng.sample(range(3 * n + 1), n)
-        parities = [rng.randrange(2) for _ in range(n)]
+        perm = rng.sample(range(n), n)
         inversions = sum(
-            parities[i] % 2 and parities[j] % 2 and positions[i] > positions[j]
-            for i in range(n)
-            for j in range(i + 1, n)
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
         )
-        assert koszul_sign(positions, parities) == (-1) ** inversions
+        assert _permutation_sign(perm) == (-1) ** inversions
 
 
 def reference_sign(defect, hairs, case, image, target_hairs, reversed_edges):
-    """Map every token, even-degree ones too, and count odd-odd inversions."""
+    """Map every token, even-degree ones too, count odd-odd inversions, and
+    take (-1)^N per reversed edge piece."""
     index = {token: i for i, token in enumerate(canonical_tokens(defect, target_hairs))}
     source = canonical_tokens(defect, hairs)
     odd_targets = [index[image(token)] for token in source if token_parity(token, case)]
     inversions = sum(
         a > b for i, a in enumerate(odd_targets) for b in odd_targets[i + 1 :]
     )
-    return (-1) ** inversions * reversal_sign(reversed_edges, case)
+    return (-1) ** (inversions + (reversed_edges if case.n_odd else 0))
 
 
 def reference_reflection(defect, hairs, case):
@@ -163,13 +119,6 @@ def test_token_parity():
     assert token_parity(("hairedge", 2, 1), CASE_EE) == 1
     with pytest.raises(ValueError):
         token_parity(("wat", 0), CASE_OO)
-
-
-def test_reversal_sign():
-    assert reversal_sign(3, CASE_OO) == -1
-    assert reversal_sign(4, CASE_OO) == 1
-    assert reversal_sign(3, CASE_OE) == 1
-    assert reversal_sign(7, CASE_EE) == 1
 
 
 def test_reflection_sign_hairless():
