@@ -13,11 +13,15 @@ Subcommands:
 
 Case names are two letters, the parities of m and N in that order: oo, ee,
 eo, oe ("eo" means m even, N odd); `table` and `series` also accept "all".
-Numeric arguments are capped: --max-hodge and --hodge at 200, --terms at
-10000, --max-exponent at 12.  Exit codes: 0 success, 1 a comparison failed,
-2 usage error or unwritable output, 3 internal consistency violation.
-Output goes to stdout, or to --out PATH; a relative --out lands in
-$THETA_HOMOLOGY_OUTDIR when that is set.
+Numeric arguments are ASCII integers, capped: --max-hodge and --hodge at
+200, --terms at 10000, --max-exponent at 12.  Exit codes: 0 success, 1 a
+comparison failed, 2 usage error or unwritable output, 3 internal
+consistency violation.
+
+Each subcommand handler returns (text, exit status, stderr lines) and writes
+nothing; main alone writes the text to stdout, or to --out PATH (a relative
+--out lands in $THETA_HOMOLOGY_OUTDIR when that is set), and then prints the
+stderr lines.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -56,10 +61,9 @@ def _int_in(low, high):
     """argparse type: an integer in [low, high]; anything else exits 2."""
 
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
+        if not re.fullmatch(r"[+-]?[0-9]+", text):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = int(text)
         if not low <= value <= high:
             raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
         return value
@@ -73,23 +77,16 @@ def _cases_argument(value):
     return [case_from_key(value)]
 
 
-def _resolve_out(path):
-    if path is None:
-        return None
-    path = Path(path)
-    if not path.is_absolute():
-        base = os.environ.get("THETA_HOMOLOGY_OUTDIR")
-        if base:
-            path = Path(base) / path
-    return path
+def _json(sections):
+    """The JSON layout of every subcommand: one section bare, several as a list."""
+    payload = sections[0] if len(sections) == 1 else sections
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text)
+def _csv(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def run_table(args):
@@ -119,40 +116,24 @@ def run_table(args):
                     for column in ("a", "b", "chi"):
                         if got[column] != want[column]:
                             mismatches.append(
-                                f"{case.key} t={got['t']} {column}: "
+                                f"MISMATCH {case.key} t={got['t']} {column}: "
                                 f"bruteforce {got[column]}, closedform {want[column]}"
                             )
         sections.append((case, rows))
 
-    text = _format_table(sections, args.format)
-    _emit(text, _resolve_out(args.out))
-    if mismatches:
-        for line in mismatches:
-            print("MISMATCH", line, file=sys.stderr)
-        return 1
-    return 0
+    return _format_table(sections, args.format), 1 if mismatches else 0, mismatches
 
 
 def _format_table(sections, fmt):
     if fmt == "json":
-        payload = [
-            {"case": case.key, "rows": rows} for case, rows in sections
-        ]
-        if len(payload) == 1:
-            payload = payload[0]
-        return json.dumps(payload, indent=2) + "\n"
+        return _json([{"case": case.key, "rows": rows} for case, rows in sections])
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        text = ""
         for case, rows in sections:
-            if len(sections) > 1:
-                buffer.write(f"# case: {case.key}\n")
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([row.get(column, "") for column in CSV_COLUMNS])
-            if len(sections) > 1:
-                buffer.write("\n")
-        return buffer.getvalue()
+            cells = ([row.get(c, "") for c in CSV_COLUMNS] for row in rows)
+            block = _csv([CSV_COLUMNS, *cells])
+            text += block if len(sections) == 1 else f"# case: {case.key}\n{block}\n"
+        return text
     lines = []
     for case, rows in sections:
         lines.append(f"case {case.key}")
@@ -170,26 +151,21 @@ def _format_table(sections, fmt):
 
 def run_series(args):
     cases = _cases_argument(args.case)
-    sections = []
-    for case in cases:
-        coefficients = series(case, args.which, args.terms)
-        sections.append((case, coefficients))
+    sections = [(case, series(case, args.which, args.terms)) for case in cases]
     if args.format == "json":
-        payload = [
-            {"case": case.key, "which": args.which, "coefficients": coefficients}
-            for case, coefficients in sections
-        ]
-        if len(payload) == 1:
-            payload = payload[0]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(
+            [
+                {"case": case.key, "which": args.which, "coefficients": coefficients}
+                for case, coefficients in sections
+            ]
+        )
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("case", "which", "k", "coefficient"))
-        for case, coefficients in sections:
-            for k, c in enumerate(coefficients):
-                writer.writerow((case.key, args.which, k, c))
-        text = buffer.getvalue()
+        rows = [
+            (case.key, args.which, k, c)
+            for case, coefficients in sections
+            for k, c in enumerate(coefficients)
+        ]
+        text = _csv([("case", "which", "k", "coefficient"), *rows])
     else:
         lines = []
         for case, coefficients in sections:
@@ -198,8 +174,7 @@ def run_series(args):
                 lines.append(f"{k:4d}  {c}")
             lines.append("")
         text = "\n".join(lines)
-    _emit(text, _resolve_out(args.out))
-    return 0
+    return text, 0, []
 
 
 def _sign_grid(max_exponent):
@@ -233,15 +208,12 @@ def run_signs(args):
     lines = failures + [
         f"{total - len(failures)}/{total} cells PASS (k_i <= {args.max_exponent})"
     ]
-    _emit("\n".join(lines) + "\n", _resolve_out(args.out))
-    return 1 if failures else 0
+    return "\n".join(lines) + "\n", 1 if failures else 0, []
 
 
 def run_basis(args):
     case = case_from_key(args.case)
-    payload = slice_as_dict(build_slice(case, args.hodge))
-    _emit(json.dumps(payload, indent=2) + "\n", _resolve_out(args.out))
-    return 0
+    return _json([slice_as_dict(build_slice(case, args.hodge))]), 0, []
 
 
 def build_parser():
@@ -299,8 +271,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handler = {
         "table": run_table,
         "series": run_series,
@@ -308,13 +279,25 @@ def main(argv=None):
         "basis": run_basis,
     }[args.command]
     try:
-        return handler(args)
+        result = handler(args)
+        if isinstance(result, int):  # perfbench/tests stand-ins write their own text
+            return result
+        text, status, errors = result
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            path = Path(os.environ.get("THETA_HOMOLOGY_OUTDIR", ""), args.out)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
     except ComplexConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
+    for line in errors:
+        print(line, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

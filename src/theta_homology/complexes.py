@@ -79,6 +79,11 @@ class ComplexConsistencyError(Exception):
         self.component = component
 
 
+def _hodge_degree(t, least=None):
+    """t under the integral rule (algebra._integral), named as a Hodge degree."""
+    return _integral(t, "Hodge degree t (the number of hairs)", least)
+
+
 def _mirror_class(flavor, degree, sign):
     """Admissible triples of the given degree with mirror eigenvalue sign."""
     basis = admissible_basis(flavor, degree)
@@ -87,16 +92,17 @@ def _mirror_class(flavor, degree, sign):
 
 def defect2_basis(case, t):
     """Admissible triples of degree t-2 in the defect-2 mirror eigenspace."""
-    return _mirror_class(case.flavor, t - 2, case.defect2_mirror_sign)
+    return _mirror_class(case.flavor, _hodge_degree(t) - 2, case.defect2_mirror_sign)
 
 
 def defect1_basis(case, t):
     """All admissible triples of degree t-1."""
-    return tuple(admissible_basis(case.flavor, t - 1))
+    return tuple(admissible_basis(case.flavor, _hodge_degree(t) - 1))
 
 
 def defect0_basis(case, t):
     """Admissible mirror-even triples of degree t (positive, since t >= 1)."""
+    t = _hodge_degree(t)
     return _mirror_class(case.flavor, t, 1) if t >= 1 else ()
 
 
@@ -223,7 +229,7 @@ def _matrix_of(case, t, source, target, defect):
 
 def build_slice(case, t):
     """Assemble bases and differential matrices for one (case, t)."""
-    t = _integral(t, "Hodge degree t (the number of hairs)", 1)
+    t = _hodge_degree(t, 1)
     basis2 = defect2_basis(case, t)
     basis1 = defect1_basis(case, t)
     basis0 = defect0_basis(case, t)

@@ -42,14 +42,12 @@ def poly_sub(a, b):
     )
 
 
-def one_minus_power(n):
-    """1 - t^n as a coefficient tuple."""
-    return (1,) + (0,) * (n - 1) + (-1,)
-
-
-def t_power(n, coefficient=1):
-    """coefficient * t^n as a coefficient tuple."""
-    return (0,) * n + (coefficient,)
+def _sum_powers(powers):
+    """The polynomial sum of c t^n over powers {n: c}, as a coefficient tuple."""
+    out = [0] * (max(powers) + 1)
+    for n, c in powers.items():
+        out[n] = c
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -84,23 +82,23 @@ def formulas(case):
     """The stored series of the case, {"h0": ..., "h1": ..., "chi": ...},
     each a GeneratingFunction with its shape kept as displayed."""
     if case.m_odd and case.n_odd:
-        den = poly_mul(one_minus_power(2), one_minus_power(6))
-        chi_den = poly_mul((1, 1), one_minus_power(6))
-        return {
-            "h0": GeneratingFunction(poly_sub((1,), den), den),  # 1/den - 1
-            "h1": GeneratingFunction(t_power(1), den),
-            "chi": GeneratingFunction(poly_sub((1,), chi_den), chi_den),
+        den = poly_mul(_sum_powers({0: 1, 2: -1}), _sum_powers({0: 1, 6: -1}))
+        chi_den = poly_mul(_sum_powers({0: 1, 1: 1}), _sum_powers({0: 1, 6: -1}))
+        return {  # h0 = 1/den - 1
+            "h0": GeneratingFunction(poly_sub(_sum_powers({0: 1}), den), den),
+            "h1": GeneratingFunction(_sum_powers({1: 1}), den),
+            "chi": GeneratingFunction(poly_sub(_sum_powers({0: 1}), chi_den), chi_den),
         }
     if not case.m_odd and not case.n_odd:
-        den = poly_mul(one_minus_power(2), one_minus_power(6))
-        chi_den = poly_mul((1, 1), one_minus_power(6))
+        den = poly_mul(_sum_powers({0: 1, 2: -1}), _sum_powers({0: 1, 6: -1}))
+        chi_den = poly_mul(_sum_powers({0: 1, 1: 1}), _sum_powers({0: 1, 6: -1}))
         return {
-            "h0": GeneratingFunction(t_power(6), den),
-            "h1": GeneratingFunction(t_power(7), den),
-            "chi": GeneratingFunction(t_power(6, -1), chi_den),
+            "h0": GeneratingFunction(_sum_powers({6: 1}), den),
+            "h1": GeneratingFunction(_sum_powers({7: 1}), den),
+            "chi": GeneratingFunction(_sum_powers({6: -1}), chi_den),
         }
-    den = poly_mul(one_minus_power(4), one_minus_power(12))
-    chi_den = poly_mul((1, 0, 1), one_minus_power(12))
+    den = poly_mul(_sum_powers({0: 1, 4: -1}), _sum_powers({0: 1, 12: -1}))
+    chi_den = poly_mul(_sum_powers({0: 1, 2: 1}), _sum_powers({0: 1, 12: -1}))
     if case.n_odd:  # m even, N odd
         return {
             "h0": GeneratingFunction(_sum_powers({3: 1, 11: 1, 14: 1, 15: -1}), den),
@@ -112,13 +110,6 @@ def formulas(case):
         "h1": GeneratingFunction(_sum_powers({4: 1, 13: 1}), den),
         "chi": GeneratingFunction(_sum_powers({2: -1, 11: 1}), chi_den),
     }
-
-
-def _sum_powers(powers):
-    out = [0] * (max(powers) + 1)
-    for n, c in powers.items():
-        out[n] = c
-    return tuple(out)
 
 
 def series(case, which, kmax):

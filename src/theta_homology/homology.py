@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    _integral,
     basis_coordinates,
     e2,
     e3,
@@ -33,7 +32,7 @@ from .algebra import (
     vandermonde,
 )
 from .cases import ParityCase
-from .complexes import ComplexConsistencyError, apply_defect1, build_slice
+from .complexes import ComplexConsistencyError, _hodge_degree, apply_defect1, build_slice
 from .genfun import euler_sign
 from .linalg import RationalMatrix, is_zero_composition
 
@@ -135,7 +134,7 @@ def homology_generators(case, t):
 
     Returns (h0 generators, h1 generators), elements of degree t and t-1.
     """
-    t = _integral(t, "Hodge degree t (the number of hairs)", 1)
+    t = _hodge_degree(t, 1)
     if case.m_odd and case.n_odd:
         h0 = [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t) if beta + gamma]
         return h0, [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t - 1)]

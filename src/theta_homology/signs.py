@@ -99,9 +99,7 @@ def token_parity(token, case):
 @lru_cache(maxsize=4)  # one entry per parity case
 def _odd_kinds(case):
     """The token kinds of odd degree in the case, read off token_parity."""
-    return frozenset(
-        token[0] for token in _tokens(2, (1, 0, 0), _KINDS) if token_parity(token, case)
-    )
+    return frozenset(kind for kind in _KINDS if token_parity((kind,), case))
 
 
 def _permutation_sign(perm):

@@ -154,6 +154,10 @@ def test_usage_errors_exit_2(capsys):
         ["basis", "--case", "oo"],
         ["basis", "--case", "oo", "--hodge", "0"],
         ["series", "--terms", "-1"],
+        # integers are ASCII: int() would take these as 10, 3 and 7
+        ["table", "--max-hodge", "1_0"],
+        ["table", "--max-hodge", "\u0663"],
+        ["basis", "--case", "oo", "--hodge", " 7"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -197,6 +201,61 @@ def test_crosscheck_mismatch_exit_1(capsys, monkeypatch):
     rc, _, err = run(capsys, ["table", "--case", "oo", "--max-hodge", "3"])
     assert rc == 1
     assert "MISMATCH" in err and "t=2" in err
+
+
+def test_mismatch_lines_follow_the_written_output(tmp_path, capsys, monkeypatch):
+    # main writes the text first and prints the MISMATCH lines after it; an
+    # unwritable --out ends the run before any of them
+    real = cli.rank_formula
+    monkeypatch.setattr(
+        cli, "rank_formula", lambda case, which, k: real(case, which, k) + (k == 2)
+    )
+    argv = ["table", "--case", "oo", "--max-hodge", "3"]
+    _, table, _ = run(capsys, argv + ["--mode", "bruteforce"])
+    target = tmp_path / "t.txt"
+    rc, out, err = run(capsys, argv + ["--out", str(target)])
+    assert (rc, out) == (1, "")
+    assert target.read_text() == table
+    assert err == (
+        "MISMATCH oo t=2 a: bruteforce 1, closedform 2\n"
+        "MISMATCH oo t=2 b: bruteforce 0, closedform 1\n"
+    )
+
+    (tmp_path / "afile").write_text("")
+    unwritable = str(tmp_path / "afile" / "t.txt")
+    rc, out, err = run(capsys, argv + ["--out", unwritable])
+    assert (rc, out) == (2, "")
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
+def test_signs_failures_go_to_the_out_file(tmp_path, capsys, monkeypatch):
+    def commuting(flavor, perm, mono):
+        return algebra._act(Flavor(False, flavor.antisymmetric), perm, mono)
+
+    monkeypatch.setattr(signs, "_act", commuting)
+    target = tmp_path / "signs.txt"
+    rc, out, err = run(capsys, ["signs", "--max-exponent", "1", "--out", str(target)])
+    assert (rc, out, err) == (1, "", "")
+    lines = target.read_text().splitlines()
+    passed = int(lines[-1].split("/")[0])
+    assert lines[-1] == f"{passed}/352 cells PASS (k_i <= 1)"
+    assert len(lines) == 352 - passed + 1 > 1
+    assert all(line.startswith("FAIL ") for line in lines[:-1])
+
+
+def test_module_run_exit_status(tmp_path):
+    # `python -m theta_homology.cli` passes main's status to sys.exit
+    (tmp_path / "afile").write_text("")
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["signs", "--max-exponent", "0", "--out", str(tmp_path / "afile" / "x.txt")]
+    result = subprocess.run(
+        [sys.executable, "-m", "theta_homology.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("cannot write output:")
 
 
 def test_bruteforce_table_reads_no_closed_forms(capsys, monkeypatch):

@@ -79,6 +79,18 @@ def test_basis_dimensions_examples():
     assert defect1_basis(CASE_OE, 2) == ()
 
 
+def test_basis_degree_follows_the_integral_rule():
+    # each basis reads t under the integral rule, with no lower bound, so
+    # defect0_basis(case, 0) stays ()
+    for basis in (defect0_basis, defect1_basis, defect2_basis):
+        for six in (6.0, Fraction(12, 2)):
+            assert basis(CASE_OO, six) == basis(CASE_OO, 6)
+        for bad in (True, 1.5, None, "6"):
+            with pytest.raises(ValueError, match="Hodge degree t"):
+                basis(CASE_OO, bad)
+    assert defect0_basis(CASE_OO, 0) == ()
+
+
 def test_defect2_basis_is_the_eigenspace():
     for case in ALL_CASES:
         for t in range(2, 12):

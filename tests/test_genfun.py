@@ -16,12 +16,10 @@ from theta_homology.genfun import (
     euler_relation_check,
     euler_sign,
     formulas,
-    one_minus_power,
     poly_mul,
     poly_sub,
     rank_formula,
     series,
-    t_power,
 )
 
 
@@ -31,10 +29,6 @@ def test_poly_helpers():
     assert poly_mul((), (1, 2)) == ()
     assert poly_sub((1, 2, 3), (1,)) == (0, 2, 3)
     assert poly_sub((1,), (0, 0, 5)) == (1, 0, -5)
-    assert one_minus_power(2) == (1, 0, -1)
-    assert one_minus_power(6) == (1, 0, 0, 0, 0, 0, -1)
-    assert t_power(3) == (0, 0, 0, 1)
-    assert t_power(6, -1) == (0, 0, 0, 0, 0, 0, -1)
 
 
 def test_generating_function_expansion():
