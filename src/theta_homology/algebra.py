@@ -30,9 +30,10 @@ crossing is the one statement of the odd product's sign, read by Element
 multiplication and by the integer assembly of the differentials in
 complexes.  Symmetrized monomials, written (k1,k2,k3) in the plain flavors
 and [k1,k2,k3] in the sign-twisted ones, are the signed S3-orbit sums
-normalized to coefficient +1 on the descending-sorted monomial; the ones
-that survive form the admissible bases enumerated here, and e2, e3 and the
-Vandermonde element are three of them.
+normalized to coefficient +1 on the descending-sorted monomial.
+is_admissible is the one statement of which of them cancel; orbit and the
+admissible bases enumerated here read it, and e2, e3 and the Vandermonde
+element are three of the survivors.
 """
 
 from __future__ import annotations
@@ -266,22 +267,15 @@ def permute_variables(perm, f):
 def orbit(flavor, triple):
     """Coefficients of the symmetrized monomial (k1,k2,k3) / [k1,k2,k3].
 
-    The signed S3-orbit sum of the descending-sorted triple, as a dict from
-    monomials to ints, normalized so the sorted monomial has coefficient +1;
-    empty when the orbit sum cancels.  Cancellation is detected by actually
-    summing the orbit, not by a parity shortcut.  Every orbit coefficient is
-    +- the signed sum over the stabilizer, so dividing by the leading one is
-    exact.
+    The signed S3 images of the descending-sorted triple, a dict from
+    monomials to +-1; empty unless the triple is_admissible.  Then every
+    stabilizing permutation acts with +1, and two permutations reaching one
+    monomial differ by one of those, so they give it the same sign.
     """
     rep = tuple(sorted(triple, reverse=True))
-    total = {}
-    for perm in S3:
-        mono, sign = _act(flavor, perm, rep)
-        total[mono] = total.get(mono, 0) + sign
-    lead = total[rep]
-    if not lead:
+    if not is_admissible(flavor, rep):
         return {}
-    return {m: c // lead for m, c in total.items()}
+    return dict(_act(flavor, perm, rep) for perm in S3)
 
 
 def symmetrize(flavor, triple):
@@ -292,11 +286,10 @@ def symmetrize(flavor, triple):
 def is_admissible(flavor, triple):
     """Whether the symmetrization of the triple is nonzero.
 
-    The leading orbit coefficient is the signed sum over the stabilizer of
-    the sorted triple, so it vanishes exactly when a stabilizing permutation
-    acts with sign -1.  The stabilizer is generated by (1, 0, 2) when
-    k1 == k2 and by (0, 2, 1) when k2 == k3, and _act, the sign rule's only
-    statement, gives their signs.
+    The one test of cancellation.  The orbit sum's coefficient on the sorted
+    triple sums the signs of its stabilizer, so it vanishes exactly when one
+    is -1.  The stabilizer is generated by (1, 0, 2) when k1 == k2 and by
+    (0, 2, 1) when k2 == k3; _act, the sign rule's one statement, signs them.
     """
     k1, k2, k3 = rep = sorted(triple, reverse=True)
     return not (
@@ -306,7 +299,8 @@ def is_admissible(flavor, triple):
 
 
 def admissible_basis(flavor, degree):
-    """Admissible triples of the given degree, in descending lexicographic order."""
+    """Admissible triples of a degree (_integral), in descending lex order."""
+    degree = _integral(degree, "degree")
     triples = []
     for k1 in range(degree, -1, -1):
         for k2 in range(min(k1, degree - k1), -1, -1):

@@ -1,11 +1,12 @@
 """The four parity cases of the two-loop complexes.
 
-Only the parities of the two degree parameters (m, N) matter: m is the degree
-carried by an external (hair-end) vertex, N by an internal one, and every
-structural choice downstream, the algebra flavor, the mirror eigenvalue
-selecting the defect-2 space, the signs in the differentials, depends on
-those parities alone.  Case keys are two letters, the parity of m first:
-"oo", "ee", "eo", "oe" ("eo" means m even, N odd).
+Only the parities of the two degree parameters (m, N) matter, in the stable
+range N >= 2m + 2: m is the degree carried by an external (hair-end) vertex,
+N by an internal one, and every structural choice downstream, the algebra
+flavor, the mirror eigenvalue selecting the defect-2 space, the signs in the
+differentials and the Euler sign, depends on those parities alone.  Case
+keys are two letters, the parity of m first: "oo", "ee", "eo", "oe" ("eo"
+means m even, N odd).
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ class ParityCase:
         also the defect-2 factor of the graph's reflection sign (which swaps
         the junction hairs): C2 is the set of graphs whose reflection sign is +1."""
         return 1 if self.flavor.odd else -1
-
-    @property
-    def representative(self):
-        """Smallest (m, N) with these parities satisfying N >= 2m + 2."""
-        return {
-            "oo": (1, 5),
-            "ee": (2, 6),
-            "eo": (2, 7),
-            "oe": (1, 4),
-        }[self.key]
 
     def __str__(self):
         return self.key

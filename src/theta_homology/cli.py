@@ -61,11 +61,17 @@ def _int_in(low, high):
     """argparse type: an integer in [low, high]; anything else exits 2."""
 
     def parse(text):
-        if not re.fullmatch(r"[+-]?[0-9]+", text):
+        match = re.fullmatch(r"([+-]?)0*([0-9]+)", text)
+        if not match:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        value = int(text)
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
+        # more digits than both bounds is out of range; int() would refuse
+        # a string past the interpreter's digit limit, so it is not converted
+        sign, digits = match.groups()
+        fits = len(digits) <= len(str(max(abs(low), abs(high))))
+        value = int(sign + digits) if fits else None
+        if value is None or not low <= value <= high:
+            shown = sign.lstrip("+") + digits if value is None else value
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {shown}")
         return value
 
     return parse

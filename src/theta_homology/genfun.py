@@ -169,19 +169,19 @@ def rank_formula(case, which, k):
 
 
 def euler_sign(case, k):
-    """(-1)^(N-1+k(N-m)), from the case's representative (m, N).
+    """(-1)^(N-1+k(N-m)), from the parities: N-1 = 1 + N and N-m = m + N mod 2.
 
     The sign of chi_k against a_k - b_k in the Euler relation.  It is also
     (-1) to the total degree k(N-m-2) + N-3 of a defect-0 graph with k hairs,
-    whose parity is the same and depends only on the parities of m and N.
+    whose parity is the same.
     """
     k = _integral(k, "k", 0)
-    m, n = case.representative
-    return -1 if (n - 1 + k * (n - m)) % 2 else 1
+    return -1 if (1 + case.n_odd + k * (case.m_odd + case.n_odd)) % 2 else 1
 
 
 def euler_relation_check(case, kmax):
     """chi(t) == (-1)^(N-1) [h0(s t) - h1(s t)] with s = (-1)^(N-m), through t^kmax."""
+    kmax = _integral(kmax, "kmax", 0)
     f = formulas(case)
     a, b, chi = (f[which].coefficients(kmax) for which in ("h0", "h1", "chi"))
     return all(

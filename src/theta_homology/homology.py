@@ -130,7 +130,7 @@ def _k2_k3(n, rule, gap):
 
 
 def homology_generators(case, t):
-    """The closed-form H0 and H1 representatives at Hodge degree t.
+    """The closed-form H0 and H1 generators at Hodge degree t.
 
     Returns (h0 generators, h1 generators), elements of degree t and t-1.
     """

@@ -22,6 +22,7 @@ from theta_homology.algebra import (
     mirror_even_part,
     mirror_sign,
     mul_e1,
+    orbit,
     permute_variables,
     render_element,
     symmetrize,
@@ -360,6 +361,21 @@ def test_is_admissible_matches_orbit_sums():
         for degree in range(9, 40):
             for triple in admissible_basis(SYM, degree):
                 assert is_admissible(flavor, triple) == parity_shortcut(flavor, triple)
+    # orbit reads is_admissible and sums nothing; the summation is the
+    # reference, also on unsorted triples with large parts, most of them with
+    # repeated parts so that the stabilizers are exercised
+    rng = random.Random(15)
+    for _ in range(300):
+        parts = [rng.randrange(201)]
+        for _ in range(2):
+            parts.append(rng.choice(parts + [rng.randrange(201)]))
+        rng.shuffle(parts)
+        triple = tuple(parts)
+        for flavor in FLAVORS:
+            f = orbit_sum_through_elements(flavor, triple)
+            assert orbit(flavor, triple) == f.coeffs, (flavor, triple)
+            assert symmetrize(flavor, triple) == f, (flavor, triple)
+            assert is_admissible(flavor, triple) == (not f.is_zero()), (flavor, triple)
 
 
 def test_admissible_basis_examples():
@@ -372,6 +388,15 @@ def test_admissible_basis_examples():
     assert admissible_basis(SYM, 0) == [(0, 0, 0)]
     assert admissible_basis(ASYM_ODD, 3) == [(2, 1, 0), (1, 1, 1)]
     assert admissible_basis(SYM_ODD, 3) == [(3, 0, 0), (2, 1, 0)]
+
+
+def test_admissible_basis_degree_follows_the_integral_rule():
+    for two in (2.0, Fraction(4, 2)):
+        assert admissible_basis(SYM, two) == admissible_basis(SYM, 2)
+    assert admissible_basis(SYM, -1) == []
+    for bad in (True, 1.5, None, "2"):
+        with pytest.raises(ValueError):
+            admissible_basis(SYM, bad)
 
 
 def test_admissible_basis_is_descending():

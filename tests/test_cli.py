@@ -184,6 +184,24 @@ def test_numeric_caps(capsys, argv, dest, cap):
     assert f"got {cap + 1}" in capsys.readouterr().err
 
 
+def test_long_integer_options_are_read_by_value(capsys):
+    # past int()'s 4300-digit limit: leading zeros still pad the value, and
+    # a longer value is out of range by its length alone
+    padded = "0" * 4300 + "3"
+    assert run(capsys, ["table", "--max-hodge", padded]) == run(
+        capsys, ["table", "--max-hodge", "3"]
+    )
+    huge = "9" * 5001
+    for argv, message in (
+        (["table", "--max-hodge", huge], f"must be in 1..{cli.HODGE_CAP}, got {huge}\n"),
+        (["series", "--terms", "-" + huge], f"must be in 0..{cli.TERMS_CAP}, got -{huge}\n"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(message)
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     (tmp_path / "afile").write_text("")
     target = tmp_path / "afile" / "x.txt"

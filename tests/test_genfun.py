@@ -72,6 +72,7 @@ def test_kmax_follows_the_integral_rule():
     assert h0.coefficients(Fraction(4, 2)) == h0.coefficients(2)
     assert series(CASE_OO, "h0", 0) == [0]
     assert series(CASE_OO, "h0", Fraction(4, 2)) == [0, 0, 1]
+    assert euler_relation_check(CASE_OO, 2.0) and euler_relation_check(CASE_OO, Fraction(4, 2))
     for kmax in (-1, 1.5, True, Fraction(1, 2), "2", float("inf"), None):
         with pytest.raises(ValueError):
             series(CASE_OO, "h0", kmax)

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from theta_homology.algebra import render_element
+from theta_homology import homology
+from theta_homology.algebra import (
+    Element,
+    is_admissible,
+    mirror_sign,
+    render_element,
+    symmetrize,
+)
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.complexes import ComplexConsistencyError, build_slice
 from theta_homology.genfun import rank_formula, series
@@ -173,3 +180,26 @@ def test_verify_oe_divergent_degrees():
 
 def test_report_clean_on_good_slice():
     assert homology_basis_report(CASE_EE, 8) == []
+
+
+def test_report_names_each_problem(monkeypatch):
+    # eo at t = 11 (Sym[xi], a = 2, b = 0); each substituted H0 list breaks
+    # one check of the report, which names it
+    case, t = CASE_EO, 11
+    good, h1 = homology_generators(case, t)
+    flavor = case.flavor
+    assert is_admissible(flavor, (7, 3, 1)) and mirror_sign(flavor, (7, 3, 1)) == -1
+    for h0, line in (
+        ([], "H0 at t=11: 0 generators listed, rank is 2"),
+        ([good[0], symmetrize(flavor, (6, 4, 0))], "has degree 10, expected 11"),
+        ([good[0], Element(flavor, t, {(t, 0, 0): 1})], "xi1^11 is not equivariant"),
+        (
+            [good[0], symmetrize(flavor, (7, 3, 1))],
+            "sticks out of the space (component (7, 3, 1))",
+        ),
+        ([good[0], good[0]], "H0 at t=11: generators are dependent modulo boundaries"),
+    ):
+        monkeypatch.setattr(homology, "homology_generators", lambda case, t, h0=h0: (h0, h1))
+        problems = homology_basis_report(case, t)
+        assert any(line in p for p in problems), (line, problems)
+        assert not verify_homology_basis(case, t)
