@@ -296,7 +296,10 @@ def main(argv=None):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
     except ComplexConsistencyError as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
+        where = ""
+        if exc.case is not None and exc.t is not None:
+            where = f" (case {exc.case.key}, t={exc.t})"
+        print(f"internal consistency error: {exc}{where}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

@@ -24,16 +24,20 @@ commuting ones.  Bases are the admissible symmetrized monomials in
 descending lexicographic order, so matrices are deterministic.
 
 build_slice takes C2 from defect2_basis, which alone selects the eigenspace,
-and assembles both matrices in integers on sorted triples: a column is the
-signed S3 orbit of its source triple (algebra.orbit), each monomial mu moved
-to mu + e_i with the odd sign algebra.crossing, keeping only the
-descending-sorted images, the coordinates of an equivariant image.
-Equivariance is checked once per (flavor, side) on the exponent parity
-classes (_check_equivariance), not per column.  _differential is the one
-statement of each differential's side and scalar; _matrix_of reads it once
-per matrix, and apply_defect2 and apply_defect1 read it on Element values,
-the reference path that homology applies to closed-form generators and tests
-compare with.
+and assembles both matrices in integers on sorted triples.  The column of e1
+times a symmetrized monomial k is a stencil: at most three entries, in rows
+k + e_0, k + e_1 and k + e_2, whose coefficients depend only on the stencil
+key of k, its parities and its gaps clipped at 2 (_stencil_table says why).
+One table per (flavor, side) maps each of the 32 keys to its stencil.  It is
+derived on first use from the orbit path (algebra.orbit, each monomial mu
+moved to mu + e_i with the odd sign algebra.crossing, only the sorted images
+kept), at two representatives of every key, which must agree.  _matrix_of
+reads at most three table entries per column.  Equivariance is checked once
+per (flavor, side) on the exponent parity classes (_check_equivariance), not
+per column.  _differential is the one statement of each differential's side
+and scalar; _matrix_of reads it once per matrix, and apply_defect2 and
+apply_defect1 read it on Element values, the reference path that homology
+applies to closed-form generators and tests compare with.
 """
 
 from __future__ import annotations
@@ -84,9 +88,16 @@ def _hodge_degree(t, least=None):
     return _integral(t, "Hodge degree t (the number of hairs)", least)
 
 
+@functools.lru_cache(maxsize=8)
+def _admissible(flavor, degree):
+    """admissible_basis as a tuple, kept for the last few (flavor, degree): a
+    table run reads each degree as C0, C1 and C2 of consecutive slices."""
+    return tuple(admissible_basis(flavor, degree))
+
+
 def _mirror_class(flavor, degree, sign):
     """Admissible triples of the given degree with mirror eigenvalue sign."""
-    basis = admissible_basis(flavor, degree)
+    basis = _admissible(flavor, degree)
     return tuple(triple for triple in basis if mirror_sign(flavor, triple) == sign)
 
 
@@ -97,7 +108,7 @@ def defect2_basis(case, t):
 
 def defect1_basis(case, t):
     """All admissible triples of degree t-1."""
-    return tuple(admissible_basis(case.flavor, _hodge_degree(t) - 1))
+    return _admissible(case.flavor, _hodge_degree(t) - 1)
 
 
 def defect0_basis(case, t):
@@ -192,30 +203,96 @@ def _check_equivariance(flavor, side):
                     )
 
 
+def _stencil_key(triple):
+    """(k1, k2, k3 mod 2, min(k1 - k2, 2), min(k2 - k3, 2)) of a sorted triple."""
+    k1, k2, k3 = triple
+    return k1 & 1, k2 & 1, k3 & 1, min(k1 - k2, 2), min(k2 - k3, 2)
+
+
+# One base triple (k3 + b + a, k3 + b, k3) per valid stencil key: a gap of 0
+# forces equal parities and a gap of 1 different ones, and the gaps 2 and 3
+# are the two parities of a clipped gap 2, so these 32 triples cover the keys.
+_STENCIL_BASES = tuple(
+    (k3 + b + a, k3 + b, k3) for k3 in (0, 1) for b in range(4) for a in range(4)
+)
+
+
+def _orbit_column(flavor, side, triple):
+    """e1 times the symmetrized monomial of a sorted triple, on the orbit path:
+    ((i, coefficient on triple + e_i), ...) with zero coefficients omitted.
+
+    Each orbit monomial mu moves to mu + e with the sign _e_sign, and only
+    the descending-sorted images, the coordinates of the equivariant image,
+    are kept.  Such an image is a permutation of the triple with one entry
+    raised, so it is triple + e_i, i the first index of its block of equal
+    entries.
+    """
+    image = {}
+    for mu, c in orbit(flavor, triple).items():
+        for e in _UNIT:
+            nu = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
+            if nu[0] >= nu[1] >= nu[2]:
+                image[nu] = image.get(nu, 0) + _e_sign(flavor, side, e, mu) * c
+    k1, k2, k3 = triple
+    column = []
+    for i, e in enumerate(_UNIT):
+        c = image.get((k1 + e[0], k2 + e[1], k3 + e[2]), 0)
+        if c:
+            column.append((i, c))
+    return tuple(column)
+
+
+@functools.cache
+def _stencil_table(flavor, side):
+    """{stencil key: column} for e1 multiplication on the given side.
+
+    A column is _orbit_column's ((i, coefficient on k + e_i), ...).  The key
+    (_stencil_key) determines it: the signs of _act and crossing read only
+    the exponents' parities (the parity-class argument of
+    _check_equivariance), and is_admissible and the stabilizers of k and of
+    k + e_i read only whether a gap is 0 or 1, since a gap of 2 or more stays
+    positive when one entry is raised.  The table is derived from the orbit
+    path at every base triple and at the same triple shifted by 2 in each
+    coordinate; if the two disagree, ComplexConsistencyError names the key.
+    """
+    table = {}
+    for base in _STENCIL_BASES:
+        key = _stencil_key(base)
+        column = _orbit_column(flavor, side, base)
+        if _orbit_column(flavor, side, tuple(k + 2 for k in base)) != column:
+            raise ComplexConsistencyError(
+                f"{side} multiplication by e1 in {flavor} differs between two "
+                f"triples of stencil key {key}"
+            )
+        table[key] = column
+    return table
+
+
 def _matrix_of(case, t, source, target, defect):
     """Matrix of d2 (defect 2) or d1 (defect 1), assembled in integers.
 
-    A d2 source is taken to lie in C2 (defect2_basis selects it).  An image
-    component outside the target basis is dropped if it is a mirror-odd d1
-    component (the projection); any other one raises ComplexConsistencyError.
+    A d2 source is taken to lie in C2 (defect2_basis selects it).  Each column
+    is the source triple's stencil (_stencil_table) times the differential's
+    scalar.  An image component outside the target basis is dropped if it is
+    a mirror-odd d1 component (the projection); any other one raises
+    ComplexConsistencyError.
     """
     flavor = case.flavor
     side, scale = _differential(case, defect, t - defect)
     _check_equivariance(flavor, side)
+    stencil = _stencil_table(flavor, side)
     index = {triple: i for i, triple in enumerate(target)}
     columns = []
     for triple in source:
-        image = {}
-        for mu, c in orbit(flavor, triple).items():
-            for e in _UNIT:
-                nu = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
-                if nu[0] >= nu[1] >= nu[2]:
-                    image[nu] = image.get(nu, 0) + _e_sign(flavor, side, e, mu) * c
+        k1, k2, k3 = triple
         column = {}
-        for rep, c in image.items():
-            if rep in index:
-                column[index[rep]] = scale * c
-            elif c and not (defect == 1 and mirror_sign(flavor, rep) < 0):
+        for i, c in stencil[_stencil_key(triple)]:
+            e = _UNIT[i]
+            rep = (k1 + e[0], k2 + e[1], k3 + e[2])
+            row = index.get(rep)
+            if row is not None:
+                column[row] = scale * c
+            elif not (defect == 1 and mirror_sign(flavor, rep) < 0):
                 raise ComplexConsistencyError(
                     f"image component {rep} of {triple} misses the target basis",
                     case=case,

@@ -290,12 +290,20 @@ def test_bruteforce_table_reads_no_closed_forms(capsys, monkeypatch):
 
 def test_consistency_error_exit_3(capsys, monkeypatch):
     def broken(case, t):
-        raise ComplexConsistencyError("boom")
+        raise ComplexConsistencyError("boom", case=case, t=t)
 
     monkeypatch.setattr(cli, "build_slice", broken)
-    rc, _, err = run(capsys, ["table", "--case", "oo", "--max-hodge", "2"])
-    assert rc == 3
-    assert "internal consistency error" in err
+    rc, out, err = run(capsys, ["table", "--case", "oo", "--max-hodge", "2"])
+    assert (rc, out) == (3, "")
+    assert err == "internal consistency error: boom (case oo, t=1)\n"
+
+    # a check that is not tied to one slice, such as the equivariance check
+    def unplaced(case, t):
+        raise ComplexConsistencyError("boom")
+
+    monkeypatch.setattr(cli, "build_slice", unplaced)
+    rc, out, err = run(capsys, ["table", "--case", "oo", "--max-hodge", "2"])
+    assert (rc, out, err) == (3, "", "internal consistency error: boom\n")
 
 
 def test_out_file_and_outdir(tmp_path, capsys, monkeypatch):

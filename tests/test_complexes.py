@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,12 @@ from theta_homology.algebra import (
     Element,
     admissible_basis,
     basis_coordinates,
+    crossing,
     generator_sum,
     is_admissible,
     mirror,
     mirror_sign,
+    mul_e1,
     symmetrize,
     vandermonde,
 )
@@ -229,11 +233,18 @@ def test_assembly_matches_element_oracle():
             assert s.d1 == d1, (case.key, t)
 
 
+def clear_assembly_memos():
+    complexes._check_equivariance.cache_clear()
+    complexes._stencil_table.cache_clear()
+
+
 @pytest.fixture
 def fresh_equivariance_memo():
-    complexes._check_equivariance.cache_clear()
+    # the stencil tables too: one derived under a monkeypatched crossing or
+    # orbit must not outlive its test
+    clear_assembly_memos()
     yield
-    complexes._check_equivariance.cache_clear()
+    clear_assembly_memos()
 
 
 @pytest.mark.parametrize(
@@ -267,6 +278,112 @@ def test_equivariance_check_passes_on_every_flavor(fresh_equivariance_memo):
         for side in ("left", "right"):
             complexes._check_equivariance(flavor, side)
     assert complexes._check_equivariance.cache_info().currsize == 8
+
+
+def random_admissible_triples(flavor, count, rng):
+    """count sorted admissible triples of degree < 1000, small gaps favoured."""
+    triples = []
+    while len(triples) < count:
+        k3 = rng.randrange(167)
+        b, a = (rng.choice((0, 1, 2, 3, rng.randrange(167))) for _ in range(2))
+        triple = (k3 + b + a, k3 + b, k3)
+        if is_admissible(flavor, triple):
+            triples.append(triple)
+    return triples
+
+
+def test_stencil_table_equals_the_orbit_path_far_out():
+    # the key decides the column: the table, derived at triples with entries
+    # below 14, equals the orbit path and the Element product up to degree 1000
+    rng = random.Random(16)
+    for flavor in FLAVORS:
+        triples = random_admissible_triples(flavor, 500, rng)
+        for side in ("left", "right"):
+            table = complexes._stencil_table(flavor, side)
+            for triple in triples:
+                column = table[complexes._stencil_key(triple)]
+                assert column == complexes._orbit_column(flavor, side, triple)
+                image = mul_e1(symmetrize(flavor, triple), side)
+                rows = {
+                    tuple(k + (j == i) for j, k in enumerate(triple)): c
+                    for i, c in column
+                }
+                assert rows == basis_coordinates(image), (flavor, side, triple)
+
+
+def test_stencil_table_rejects_disagreeing_representatives(
+    monkeypatch, fresh_equivariance_memo
+):
+    # (6, 4, 2) is the shifted representative of key (0, 0, 0, 2, 2) only
+    orbit = complexes.orbit
+
+    def flipped(flavor, triple):
+        signs = orbit(flavor, triple)
+        if triple == (6, 4, 2):
+            return {mu: -c for mu, c in signs.items()}
+        return signs
+
+    monkeypatch.setattr(complexes, "orbit", flipped)
+    message = (
+        "left multiplication by e1 in Sym[x] differs between two triples of "
+        "stencil key (0, 0, 0, 2, 2)"
+    )
+    with pytest.raises(ComplexConsistencyError, match=re.escape(message)):
+        complexes._stencil_table(SYM, "left")
+
+
+def test_orbit_is_read_only_to_derive_the_tables(monkeypatch, fresh_equivariance_memo):
+    calls = []
+    orbit = complexes.orbit
+
+    def counted(flavor, triple):
+        calls.append((flavor, triple))
+        return orbit(flavor, triple)
+
+    monkeypatch.setattr(complexes, "orbit", counted)
+    build_slice(CASE_EO, 30)  # derives the right (d2) and the left (d1) table
+    assert len(calls) == 2 * 2 * 32
+    build_slice(CASE_EO, 31)
+    build_slice(CASE_EO, 64)
+    assert len(calls) == 2 * 2 * 32
+
+
+def test_fresh_memo_fixture_clears_the_stencil_tables(request):
+    complexes._stencil_table(SYM, "left")
+    assert complexes._stencil_table.cache_info().currsize > 0
+    request.getfixturevalue("fresh_equivariance_memo")
+    assert complexes._stencil_table.cache_info().currsize == 0
+    assert complexes._check_equivariance.cache_info().currsize == 0
+
+
+def test_graded_mirror_law_makes_d1_d2_vanish_at_every_t():
+    """mirror(ab) = (-1)^(|a||b|) mirror(b) mirror(a) on normal-form monomials
+    of the odd flavors, and mirror(ab) = mirror(a) mirror(b) in the commuting
+    ones, with ab = crossing(a, b) (a + b) and mirror diagonal (mirror_sign).
+
+    Both sides read the exponents mod 4 only: mirror_sign reads k(k+1)/2 mod 2
+    of each exponent, which k mod 4 fixes, and crossing and |a||b| read
+    parities.  So the 4096 pairs of triples in {0..3}^3 cover every pair of
+    monomials, and by bilinearity every pair of elements.
+
+    Then d1 d2 f = +-[e1 f e1]_mirror-even is 0 for every f in C2, at every t.
+    With mirror(e1) = -e1 and mirror(f) = f (C2's eigenvalue in the odd
+    flavors), the law gives mirror(e1 (f e1)) = (-1)^(|f|+1) mirror(f e1)(-e1)
+    = (-1)^(|f|+1) (-1)^|f| (-e1) f (-e1) = -e1 f e1.  In the commuting
+    flavors mirror(f) = -f and mirror(e1 f e1) = e1 mirror(f) e1 = -e1 f e1.
+    Either way e1 f e1 is mirror-odd.  build_slice's is_zero_composition
+    stays as the sampled check.
+    """
+    residues = list(itertools.product(range(4), repeat=3))
+    for flavor in FLAVORS:
+        for a, b in itertools.product(residues, repeat=2):
+            ab = tuple(x + y for x, y in zip(a, b))
+            left = mirror_sign(flavor, ab)
+            right = mirror_sign(flavor, a) * mirror_sign(flavor, b)
+            if flavor.odd:
+                left *= crossing(a, b)
+                right *= crossing(b, a) * (-1) ** (sum(a) * sum(b))
+            assert left == right, (flavor, a, b)
 
 
 def test_assembly_errors_say_where():
