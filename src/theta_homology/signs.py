@@ -14,12 +14,18 @@ parameters (m, N) through their parities only:
 A symmetry of the graph permutes the tokens and may reverse edge pieces;
 its sign is the Koszul sign of that permutation (odd-degree tokens
 anticommute) times (-1)^N per reversed edge piece.  vertical_reflection_sign
-and edge_swap_sign, the engine, compute it from that definition alone, by
-explicitly building token lists, mapping the odd-degree tokens (even ones
-never change the sign) and taking the cycle parity of the permutation they
-undergo.  The *_formula functions read the sign rules the complexes are
-built from, algebra.mirror_sign and algebra._act, so the test-suite and the
-`signs` CLI mode check those rules against the engine.
+and edge_swap_sign, the engine, compute it from that definition alone.  Each
+walks the odd-degree tokens of the source in canonical order (even ones never
+change the sign) and writes each token's image explicitly, token by token.
+slot() places an image among the odd tokens of the target's canonical list by
+arithmetic on the canonical layout: the head tokens (junction hairs,
+junctions, first segments) keep one slot each from a small per-(defect, odd
+kinds) table, and token (kind, e, i) of hair block i on edge e sits at the
+start of edge e's blocks plus (i - 1) blocks plus the kind's rank in a
+block.  The sign is the cycle parity of the resulting permutation of slots.
+The engine reads no formula.  The *_formula functions read the sign rules
+the complexes are built from, algebra.mirror_sign and algebra._act, so the
+test-suite and the `signs` CLI mode check those rules against the engine.
 
 Two symmetries matter downstream: the vertical reflection, exchanging the
 two junctions (it fixes the hair counts, and a graph whose reflection sign is
@@ -46,6 +52,8 @@ def _validate(defect, hairs):
     defect = _integral(defect, "defect")
     if defect not in (0, 1, 2):
         raise ValueError(f"defect must be 0, 1, or 2, got {defect!r}")
+    if not isinstance(hairs, (tuple, list)) or len(hairs) != 3:
+        raise ValueError(f"hairs must be a tuple or list of three counts, got {hairs!r}")
     k1, k2, k3 = (_integral(k, "hair count", 0) for k in hairs)
     return defect, (k1, k2, k3)
 
@@ -117,19 +125,41 @@ def _permutation_sign(perm):
     return -1 if transpositions % 2 else 1
 
 
-def _mapped_sign(defect, hairs, case, image, target_hairs, reversed_edges):
-    """Koszul sign of `image` onto (defect, target_hairs), (-1)^N per reversed piece.
+@lru_cache(maxsize=12)  # one entry per (defect, parity case)
+def _layout(defect, odd):
+    """(head, rank): the canonical layout of the odd tokens.
 
-    Only the odd tokens are mapped: `image` keeps each token's kind, so it
-    sends them to the odd tokens of the target, and their permutation of
-    slots carries the whole Koszul sign.
+    head maps each odd head token, keyed by its first two entries (so
+    ("seg", e, 0) is ("seg", e)), to its slot, in canonical order; rank maps
+    each odd block kind to its place within a hair block.
     """
-    odd = _odd_kinds(case)
-    source = _tokens(defect, hairs, odd)
-    target = source if target_hairs == hairs else _tokens(defect, target_hairs, odd)
-    index = {token: i for i, token in enumerate(target)}
-    positions = [index[image(token)] for token in source]
-    return _permutation_sign(positions) * (-1) ** (case.n_odd * reversed_edges)
+    head = {token[:2]: n for n, token in enumerate(_tokens(defect, (0, 0, 0), odd))}
+    rank = {kind: r for r, kind in enumerate(kind for kind in _BLOCK if kind in odd)}
+    return head, rank
+
+
+def _slots(defect, hairs, odd):
+    """slot(kind, e, i): the position of token (kind, e, i) among the odd
+    tokens of canonical_tokens(defect, hairs); i = 0 (or no i) names a head
+    token.  Hair block i of edge e holds len(rank) odd tokens and starts
+    (i - 1) blocks after the first block of edge e."""
+    head, rank = _layout(defect, odd)
+    b = len(rank)
+    k1, k2 = hairs[0], hairs[1]
+    first = len(head) - b  # block 1 of edge 1 starts at first + b
+    starts = (None, first, first + k1 * b, first + (k1 + k2) * b)
+
+    def slot(kind, e, i=0):
+        if i:
+            return starts[e] + i * b + rank[kind]
+        return head[kind, e]
+
+    return slot
+
+
+def _reversal_sign(case, pieces):
+    """(-1)^N per reversed edge piece."""
+    return -1 if case.n_odd and pieces % 2 else 1
 
 
 def vertical_reflection_sign(defect, hairs, case):
@@ -147,18 +177,23 @@ def vertical_reflection_sign(defect, hairs, case):
         raise UnsupportedSymmetryError(
             "the vertical reflection is not a self-map at defect 1"
         )
-
-    def image(token):
-        kind = token[0]
-        if kind in ("tip", "tipedge", "junction"):
-            return (kind, 3 - token[1])
-        e = token[1]
-        if kind == "seg":
-            return (kind, e, hairs[e - 1] - token[2])
-        return (kind, e, hairs[e - 1] + 1 - token[2])
-
-    reversed_edges = sum(hairs) + 3
-    return _mapped_sign(defect, hairs, case, image, hairs, reversed_edges)
+    odd = _odd_kinds(case)
+    head, rank = _layout(defect, odd)
+    slot = _slots(defect, hairs, odd)
+    # walk the source's odd tokens in canonical order: (kind, s) -> (kind,
+    # 3 - s) at the junctions; (seg, e, j) -> (seg, e, k_e - j) and every
+    # other (kind, e, i) -> (kind, e, k_e + 1 - i)
+    positions = [
+        slot(kind, x, hairs[x - 1]) if kind == "seg" else slot(kind, 3 - x)
+        for kind, x in head
+    ]
+    for e, k in zip((1, 2, 3), hairs):
+        positions += [
+            slot(kind, e, k - i if kind == "seg" else k + 1 - i)
+            for i in range(1, k + 1)
+            for kind in rank
+        ]
+    return _permutation_sign(positions) * _reversal_sign(case, sum(hairs) + 3)
 
 
 def edge_swap_sign(defect, hairs, case, p, q):
@@ -174,16 +209,16 @@ def edge_swap_sign(defect, hairs, case, p, q):
     """
     defect, hairs = _validate(defect, hairs)
     perm = _transposition(p, q)
-    edge = {1: perm[0] + 1, 2: perm[1] + 1, 3: perm[2] + 1}
-
-    def image(token):
-        kind = token[0]
-        if kind in ("tip", "tipedge", "junction"):
-            return token
-        return (kind, edge[token[1]], token[2])
-
-    target = (hairs[perm[0]], hairs[perm[1]], hairs[perm[2]])
-    return _mapped_sign(defect, hairs, case, image, target, 0)
+    edge = (None, perm[0] + 1, perm[1] + 1, perm[2] + 1)
+    odd = _odd_kinds(case)
+    head, rank = _layout(defect, odd)
+    slot = _slots(defect, (hairs[perm[0]], hairs[perm[1]], hairs[perm[2]]), odd)
+    # (kind, e, i) -> (kind, edge[e], i); (kind, side) stays; source and
+    # target share the head layout, so `head` lists the source head in order
+    positions = [slot(kind, edge[x] if kind == "seg" else x) for kind, x in head]
+    for e, k in zip((1, 2, 3), hairs):
+        positions += [slot(kind, edge[e], i) for i in range(1, k + 1) for kind in rank]
+    return _permutation_sign(positions)
 
 
 def vertical_reflection_sign_formula(defect, hairs, case):

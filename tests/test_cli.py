@@ -114,6 +114,21 @@ def test_signs_small_grid(capsys):
     assert out == "1188/1188 cells PASS (k_i <= 2)\n"
 
 
+def assert_mutants_fail_the_grid(capsys, monkeypatch, mutants):
+    """Each (name in signs, mutant, cells passed, first FAIL line) makes
+    `signs --max-exponent 3` exit 1 with one FAIL line per failed cell."""
+    for name, mutant, passed, first_failure in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(signs, name, mutant)
+            rc, out, _ = run(capsys, ["signs", "--max-exponent", "3"])
+        lines = out.splitlines()
+        assert rc == 1
+        assert lines[0] == first_failure
+        assert lines[-1] == f"{passed}/2816 cells PASS (k_i <= 3)"
+        assert len(lines) == 2816 - passed + 1
+        assert all(line.startswith("FAIL ") for line in lines[:-1])
+
+
 def test_signs_grid_checks_the_algebra_rules(capsys, monkeypatch):
     # the formula side of the grid is algebra._act and algebra.mirror_sign
     # themselves, so dropping their odd-flavor term must fail cells
@@ -134,16 +149,36 @@ def test_signs_grid_checks_the_algebra_rules(capsys, monkeypatch):
             "FAIL eo reflect defect=0 hairs=(0, 0, 2): engine -1, formula +1",
         ),
     )
-    for name, mutant, passed, first_failure in mutants:
-        with monkeypatch.context() as patch:
-            patch.setattr(signs, name, mutant)
-            rc, out, _ = run(capsys, ["signs", "--max-exponent", "3"])
-        lines = out.splitlines()
-        assert rc == 1
-        assert lines[0] == first_failure
-        assert lines[-1] == f"{passed}/2816 cells PASS (k_i <= 3)"
-        assert len(lines) == 2816 - passed + 1
-        assert all(line.startswith("FAIL ") for line in lines[:-1])
+    assert_mutants_fail_the_grid(capsys, monkeypatch, mutants)
+
+
+def test_signs_grid_catches_engine_faults(capsys, monkeypatch):
+    # the engine side of the grid: a kind wrongly taken as even, or the two
+    # junctions' slots exchanged in the head table, must fail cells
+    odd_kinds, layout = signs._odd_kinds, signs._layout
+
+    def junctions_exchanged(defect, odd):
+        head, rank = layout(defect, odd)
+        if ("junction", 1) in head:
+            head = dict(head)
+            head["junction", 1], head["junction", 2] = head["junction", 2], head["junction", 1]
+        return head, rank
+
+    mutants = (
+        (
+            "_odd_kinds",
+            lambda case: odd_kinds(case) - {"seg"},
+            1920,
+            "FAIL ee reflect defect=0 hairs=(0, 0, 1): engine +1, formula -1",
+        ),
+        (
+            "_layout",
+            junctions_exchanged,
+            1408,
+            "FAIL oo reflect defect=0 hairs=(0, 0, 0): engine -1, formula +1",
+        ),
+    )
+    assert_mutants_fail_the_grid(capsys, monkeypatch, mutants)
 
 
 def test_usage_errors_exit_2(capsys):

@@ -7,7 +7,9 @@ import pytest
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.signs import (
     UnsupportedSymmetryError,
+    _odd_kinds,
     _permutation_sign,
+    _slots,
     canonical_tokens,
     edge_swap_sign,
     edge_swap_sign_formula,
@@ -66,12 +68,12 @@ def reference_swap(defect, hairs, case, p, q):
 
 
 def test_engine_matches_full_token_reference_and_formulas_past_the_grid():
-    # random cells with k_i up to 25, past the CLI grid's 8: dropping the
+    # random cells with k_i up to 40, past the CLI grid's 8: dropping the
     # even tokens does not change the sign, and the formulas still hold
     rng = random.Random(83)
     for _ in range(200):
         case = rng.choice(ALL_CASES)
-        hairs = tuple(rng.randrange(26) for _ in range(3))
+        hairs = tuple(rng.randrange(41) for _ in range(3))
         if rng.randrange(2):
             defect = rng.choice((0, 2))
             engine = vertical_reflection_sign(defect, hairs, case)
@@ -83,6 +85,19 @@ def test_engine_matches_full_token_reference_and_formulas_past_the_grid():
             engine = edge_swap_sign(defect, hairs, case, p, q)
             assert engine == reference_swap(defect, hairs, case, p, q)
             assert engine == edge_swap_sign_formula(hairs, case, p, q)
+
+
+def test_slots_are_the_canonical_order():
+    # the slot arithmetic numbers the odd tokens of the explicit canonical
+    # list 0, 1, 2, ... in order, for every layout the engine can meet
+    for case in ALL_CASES:
+        odd = _odd_kinds(case)
+        for defect in (0, 1, 2):
+            for hairs in product(range(7), repeat=3):
+                slot = _slots(defect, hairs, odd)
+                tokens = canonical_tokens(defect, hairs)
+                slots = [slot(*token) for token in tokens if token_parity(token, case)]
+                assert slots == list(range(len(slots))), (case.key, defect, hairs)
 
 
 def test_canonical_tokens_structure():
@@ -155,13 +170,10 @@ def test_reflection_formula_matches_engine():
     for case in ALL_CASES:
         for defect in (0, 2):
             for hairs in product(range(5), repeat=3):
-                assert vertical_reflection_sign(
-                    defect, hairs, case
-                ) == vertical_reflection_sign_formula(defect, hairs, case), (
-                    case.key,
-                    defect,
-                    hairs,
-                )
+                engine = vertical_reflection_sign(defect, hairs, case)
+                cell = (case.key, defect, hairs)
+                assert engine == reference_reflection(defect, hairs, case), cell
+                assert engine == vertical_reflection_sign_formula(defect, hairs, case), cell
 
 
 def test_edge_swap_examples():
@@ -181,14 +193,10 @@ def test_edge_swap_formula_matches_engine():
         for defect in (0, 1, 2):
             for p, q in ((1, 2), (2, 3), (1, 3)):
                 for hairs in product(range(5), repeat=3):
-                    assert edge_swap_sign(
-                        defect, hairs, case, p, q
-                    ) == edge_swap_sign_formula(hairs, case, p, q), (
-                        case.key,
-                        defect,
-                        hairs,
-                        (p, q),
-                    )
+                    engine = edge_swap_sign(defect, hairs, case, p, q)
+                    cell = (case.key, defect, hairs, (p, q))
+                    assert engine == reference_swap(defect, hairs, case, p, q), cell
+                    assert engine == edge_swap_sign_formula(hairs, case, p, q), cell
 
 
 def test_edge_swap_formula_defect_independent():
@@ -272,6 +280,17 @@ def test_integral_rule_for_defect_hairs_and_edges():
         for call in calls:
             with pytest.raises(ValueError):
                 call()
+    # hairs is a tuple or list of exactly three counts: a set has no order,
+    # and a scalar, None or a wrong length names no three edges
+    for hairs in ({1, 2, 3}, 5, None, (1, 2), (1, 2, 3, 4), [1, 2]):
+        calls = [lambda f=f: f(0, hairs, CASE_OO) for f in with_defect]
+        calls.append(lambda: edge_swap_sign_formula(hairs, CASE_OO, 1, 2))
+        for call in calls:
+            with pytest.raises(ValueError, match="hairs"):
+                call()
+    assert edge_swap_sign(0, [1, 2, 3], CASE_OO, 1, 2) == edge_swap_sign(
+        0, (1, 2, 3), CASE_OO, 1, 2
+    )
     for two in (2.0, Fraction(4, 2)):
         for f in with_defect:
             assert f(two, (two, 1, 0), CASE_EO) == f(2, (2, 1, 0), CASE_EO)
