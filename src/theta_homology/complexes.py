@@ -23,11 +23,15 @@ where |f| is the degree mod 2 in the odd flavors and always even in the
 commuting ones.  Bases are the admissible symmetrized monomials in
 descending lexicographic order, so matrices are deterministic.
 
-build_slice takes C2 from defect2_basis, which alone selects the eigenspace,
-and assembles both matrices in integers on sorted triples.  The column of e1
-times a symmetrized monomial k is a stencil: at most three entries, in rows
-k + e_0, k + e_1 and k + e_2, whose coefficients depend only on the stencil
-key of k, its parities and its gaps clipped at 2 (_stencil_table says why).
+Each (flavor, degree) is enumerated once, with the mirror eigenvalue of
+every admissible triple (_degree, which keeps the last few): C1 is the whole
+degree, C0 and C2 are its mirror classes, and d1's projection drops exactly
+the degree's mirror-odd triples.  build_slice takes C2 from defect2_basis,
+which alone selects the eigenspace, and assembles both matrices in integers
+on sorted triples.  The column of e1 times a symmetrized monomial k is a
+stencil: at most three entries, in rows k + e_0, k + e_1 and k + e_2, whose
+coefficients depend only on the stencil key of k, its parities and its gaps
+clipped at 2 (_stencil_table says why).
 One table per (flavor, side) maps each of the 32 keys to its stencil.  It is
 derived on first use from the orbit path (algebra.orbit, each monomial mu
 moved to mu + e_i with the odd sign algebra.crossing, only the sorted images
@@ -45,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     S3,
@@ -88,33 +93,43 @@ def _hodge_degree(t, least=None):
     return _integral(t, "Hodge degree t (the number of hairs)", least)
 
 
+class _Degree(NamedTuple):
+    """The admissible triples of one (flavor, degree) and their mirror classes."""
+
+    basis: tuple[Triple, ...]  # descending lex
+    by_sign: dict[int, tuple[Triple, ...]]  # mirror eigenvalue -> its triples
+    odd: frozenset[Triple]  # the mirror-odd triples: d1's projection drops them
+
+
 @functools.lru_cache(maxsize=8)
-def _admissible(flavor, degree):
-    """admissible_basis as a tuple, kept for the last few (flavor, degree): a
-    table run reads each degree as C0, C1 and C2 of consecutive slices."""
-    return tuple(admissible_basis(flavor, degree))
-
-
-def _mirror_class(flavor, degree, sign):
-    """Admissible triples of the given degree with mirror eigenvalue sign."""
-    basis = _admissible(flavor, degree)
-    return tuple(triple for triple in basis if mirror_sign(flavor, triple) == sign)
+def _degree(flavor, degree):
+    """_Degree of (flavor, degree), kept for the last few: a table run reads
+    each degree as C2, C1, C0 and d1's drop set of consecutive slices, and
+    mirror_sign runs once per triple of a kept degree."""
+    basis = tuple(admissible_basis(flavor, degree))
+    by_sign = {1: [], -1: []}
+    for triple in basis:
+        by_sign[mirror_sign(flavor, triple)].append(triple)
+    return _Degree(
+        basis, {sign: tuple(c) for sign, c in by_sign.items()}, frozenset(by_sign[-1])
+    )
 
 
 def defect2_basis(case, t):
     """Admissible triples of degree t-2 in the defect-2 mirror eigenspace."""
-    return _mirror_class(case.flavor, _hodge_degree(t) - 2, case.defect2_mirror_sign)
+    degree = _degree(case.flavor, _hodge_degree(t) - 2)
+    return degree.by_sign[case.defect2_mirror_sign]
 
 
 def defect1_basis(case, t):
     """All admissible triples of degree t-1."""
-    return _admissible(case.flavor, _hodge_degree(t) - 1)
+    return _degree(case.flavor, _hodge_degree(t) - 1).basis
 
 
 def defect0_basis(case, t):
     """Admissible mirror-even triples of degree t (positive, since t >= 1)."""
     t = _hodge_degree(t)
-    return _mirror_class(case.flavor, t, 1) if t >= 1 else ()
+    return _degree(case.flavor, t).by_sign[1] if t >= 1 else ()
 
 
 def _differential(case, defect, degree):
@@ -274,14 +289,15 @@ def _matrix_of(case, t, source, target, defect):
     A d2 source is taken to lie in C2 (defect2_basis selects it).  Each column
     is the source triple's stencil (_stencil_table) times the differential's
     scalar.  An image component outside the target basis is dropped if it is
-    a mirror-odd d1 component (the projection); any other one raises
-    ComplexConsistencyError.
+    a mirror-odd admissible triple of degree t and the matrix is d1 (the
+    projection); any other one raises ComplexConsistencyError.
     """
     flavor = case.flavor
     side, scale = _differential(case, defect, t - defect)
     _check_equivariance(flavor, side)
     stencil = _stencil_table(flavor, side)
     index = {triple: i for i, triple in enumerate(target)}
+    dropped = _degree(flavor, t).odd if defect == 1 else frozenset()
     columns = []
     for triple in source:
         k1, k2, k3 = triple
@@ -292,7 +308,7 @@ def _matrix_of(case, t, source, target, defect):
             row = index.get(rep)
             if row is not None:
                 column[row] = scale * c
-            elif not (defect == 1 and mirror_sign(flavor, rep) < 0):
+            elif rep not in dropped:
                 raise ComplexConsistencyError(
                     f"image component {rep} of {triple} misses the target basis",
                     case=case,

@@ -3,73 +3,102 @@
 The differential matrices assembled elsewhere in this package have a handful
 of small integer entries per column, and the homology ranks they decide rest
 on exact cancellation, so everything here works in int, never floating point.
-Rank is fraction-free column reduction on leading rows, with no pivot
-heuristic.  Sizes grow roughly quadratically in the Hodge degree t: in the
-hundreds for t <= 40, and about 1400 x 1400 near t = 128 (d1 of case oo at
-t = 128 is 1430 x 1408).
+A matrix is stored column by column, the form in which the differentials are
+assembled and reduced: rank is fraction-free column reduction on leading
+rows, with no pivot heuristic, and a product is built column by column from
+the left factor's columns.  Sizes grow roughly quadratically in the Hodge
+degree t: in the hundreds for t <= 40, and about 1400 x 1400 near t = 128
+(d1 of case oo at t = 128 is 1430 x 1408).
 """
 
 from __future__ import annotations
 
 from math import gcd
+from types import MappingProxyType
 
 from .algebra import _integral
 
 
 class RationalMatrix:
-    """A rows x cols integer matrix; entries maps (i, j) to int, zeros dropped.
+    """A rows x cols integer matrix, stored as one {row: int} map per column.
 
-    Dimensions, indices and entries follow algebra._integral (the rational
-    6/3 is stored as 2; 0.5, True or None raise ValueError).
-    rank() is the rank over Q.  All operations return new matrices;
-    instances are treated as immutable.
+    columns is a tuple of cols maps, zeros dropped.  Every constructor,
+    augment and @ fill it through one validating pass (_fill): dimensions,
+    indices and entries follow algebra._integral (the rational 6/3 is
+    stored as 2; 0.5, True or None raise ValueError), and an index outside
+    the matrix raises ValueError.  entries is a read-only {(i, j): int} view
+    built on each read.  rank() is the rank over Q.  All operations return
+    new matrices; instances are treated as immutable.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows, cols, entries=None):
-        rows = self.rows = _integral(rows, "row count", 0)
-        cols = self.cols = _integral(cols, "column count", 0)
-        data = {}
+        rows = _integral(rows, "row count", 0)
+        cols = _integral(cols, "column count", 0)
+        columns = [{} for _ in range(cols)]
         for (i, j), value in (entries or {}).items():
-            if type(i) is not int or type(j) is not int:
-                i, j = _integral(i, "row index"), _integral(j, "column index")
-            if not (0 <= i < rows and 0 <= j < cols):
+            if type(j) is not int:
+                j = _integral(j, "column index")
+            if not 0 <= j < cols:
                 raise ValueError(f"({i}, {j}) is no index of a {rows}x{cols} matrix")
-            if type(value) is not int:
-                value = _integral(value, f"entry at ({i}, {j})")
-            if value:
-                data[i, j] = value
-        self.entries = data
+            columns[j][i] = value
+        self._fill(rows, columns)
 
     @classmethod
     def from_columns(cls, rows, columns):
         """Build from per-column sparse maps {row index: value}."""
-        columns = list(columns)
-        entries = {
-            (i, j): value for j, col in enumerate(columns) for i, value in col.items()
-        }
-        return cls(rows, len(columns), entries)
+        matrix = cls.__new__(cls)
+        matrix._fill(_integral(rows, "row count", 0), list(columns))
+        return matrix
+
+    def _fill(self, rows, columns):
+        """Set rows, cols and columns from a list of {row: value} maps: the one
+        validating pass, which makes each index and entry an int, checks the
+        row range and drops zeros."""
+        cols = len(columns)
+        filled = []
+        for j, column in enumerate(columns):
+            kept = {}
+            for i, value in column.items():
+                if type(i) is not int:
+                    i = _integral(i, "row index")
+                if not 0 <= i < rows:
+                    raise ValueError(
+                        f"({i}, {j}) is no index of a {rows}x{cols} matrix"
+                    )
+                if type(value) is not int:
+                    value = _integral(value, f"entry at ({i}, {j})")
+                if value:
+                    kept[i] = value
+            filled.append(kept)
+        self.rows, self.cols, self.columns = rows, cols, tuple(filled)
+
+    @property
+    def entries(self):
+        """Read-only {(i, j): value} view of the nonzero entries."""
+        columns = enumerate(self.columns)
+        return MappingProxyType(
+            {(i, j): v for j, column in columns for i, v in column.items()}
+        )
 
     def entry(self, i, j):
         if type(i) is not int or type(j) is not int:
             i, j = _integral(i, "row index"), _integral(j, "column index")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return self.entries.get((i, j), 0)
+        return self.columns[j].get(i, 0)
 
     def to_triplets(self):
         """Sorted list of (row, col, value) for the nonzero entries."""
-        return [(i, j, v) for (i, j), v in sorted(self.entries.items())]
+        columns = enumerate(self.columns)
+        return sorted((i, j, v) for j, column in columns for i, v in column.items())
 
     def augment(self, other):
         """Horizontal concatenation [self | other]."""
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[i, self.cols + j] = v
-        return RationalMatrix(self.rows, self.cols + other.cols, entries)
+        return RationalMatrix.from_columns(self.rows, self.columns + other.columns)
 
     def __matmul__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -78,17 +107,18 @@ class RationalMatrix:
             raise ValueError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        by_row = {}
-        for (j, k), v in other.entries.items():
-            by_row.setdefault(j, []).append((k, v))
-        product = {}
-        for (i, j), a in self.entries.items():
-            for k, b in by_row.get(j, ()):
-                product[i, k] = product.get((i, k), 0) + a * b
-        return RationalMatrix(self.rows, other.cols, product)
+        left = self.columns
+        product = []
+        for column in other.columns:
+            out = {}
+            for j, b in column.items():
+                for i, a in left[j].items():
+                    out[i] = out.get(i, 0) + a * b
+            product.append(out)
+        return RationalMatrix.from_columns(self.rows, product)
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.columns)
 
     def rank(self):
         """Rank over Q, by fraction-free column reduction in column order.
@@ -98,12 +128,8 @@ class RationalMatrix:
         entries in that row, divided by the gcd of its entries.  The rank is
         the number of distinct leading rows left.
         """
-        columns = {}
-        for (i, j), v in self.entries.items():
-            columns.setdefault(j, {})[i] = v
         pivots = {}
-        for j in sorted(columns):
-            col = columns[j]
+        for col in self.columns:
             while col and (lead := min(col)) in pivots:
                 pivot = pivots[lead]
                 p, q = pivot[lead], col[lead]
@@ -112,7 +138,7 @@ class RationalMatrix:
                 g = gcd(*col.values())
                 col = {i: v // g for i, v in col.items() if v}
             if col:
-                pivots[min(col)] = col
+                pivots[lead] = col  # lead is min(col), from the loop test
         return len(pivots)
 
     def __eq__(self, other):
@@ -121,14 +147,15 @@ class RationalMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
+        return hash((self.rows, self.cols, tuple(self.to_triplets())))
 
     def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        nonzero = sum(map(len, self.columns))
+        return f"RationalMatrix({self.rows}x{self.cols}, {nonzero} nonzero)"
 
 
 def is_zero_composition(a, b):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -236,12 +237,13 @@ def test_assembly_matches_element_oracle():
 def clear_assembly_memos():
     complexes._check_equivariance.cache_clear()
     complexes._stencil_table.cache_clear()
+    complexes._degree.cache_clear()
 
 
 @pytest.fixture
 def fresh_equivariance_memo():
-    # the stencil tables too: one derived under a monkeypatched crossing or
-    # orbit must not outlive its test
+    # the stencil tables and the kept degrees too: one derived under a
+    # monkeypatched crossing, orbit or mirror_sign must not outlive its test
     clear_assembly_memos()
     yield
     clear_assembly_memos()
@@ -354,6 +356,63 @@ def test_fresh_memo_fixture_clears_the_stencil_tables(request):
     request.getfixturevalue("fresh_equivariance_memo")
     assert complexes._stencil_table.cache_info().currsize == 0
     assert complexes._check_equivariance.cache_info().currsize == 0
+
+
+def test_fresh_memo_fixture_clears_the_kept_degrees(request):
+    build_slice(CASE_EO, 6)
+    assert complexes._degree.cache_info().currsize > 0
+    request.getfixturevalue("fresh_equivariance_memo")
+    assert complexes._degree.cache_info().currsize == 0
+
+
+def test_mirror_sign_runs_once_per_admissible_triple(
+    monkeypatch, fresh_equivariance_memo
+):
+    # each kept degree reads every triple's mirror eigenvalue once, for C0,
+    # C2 and d1's drop set alike; the assembly reads none
+    calls = collections.Counter()
+    sign = complexes.mirror_sign
+
+    def counted(flavor, triple):
+        calls[flavor, triple] += 1
+        return sign(flavor, triple)
+
+    monkeypatch.setattr(complexes, "mirror_sign", counted)
+    for t in range(1, 21):
+        build_slice(CASE_EO, t)
+    assert max(calls.values()) == 1
+    assert set(calls) == {
+        (SYM_ODD, triple) for d in range(21) for triple in admissible_basis(SYM_ODD, d)
+    }
+
+
+def test_d1_drops_only_mirror_odd_basis_triples(monkeypatch):
+    # a stencil fault that emits a non-admissible component is caught, even
+    # where that component is mirror-odd and so was once dropped as the
+    # projection's
+    key, fault = (0, 1, 0, 1, 1), (2, 1)  # adds (2, 1, 1) to the image of (2, 1, 0)
+    assert complexes._stencil_key((2, 1, 0)) == key
+    assert not is_admissible(SYM_ODD, (2, 1, 1))
+    assert mirror_sign(SYM_ODD, (2, 1, 1)) == -1
+    table = complexes._stencil_table
+
+    def faulty(flavor, side):
+        stencil = dict(table(flavor, side))
+        if (flavor, side) == (SYM_ODD, "left"):
+            stencil[key] += (fault,)
+        return stencil
+
+    monkeypatch.setattr(complexes, "_stencil_table", faulty)
+    with pytest.raises(ComplexConsistencyError) as caught:
+        build_slice(CASE_EO, 4)
+    error = caught.value
+    assert (error.case, error.t, error.triple, error.component) == (
+        CASE_EO,
+        4,
+        (2, 1, 0),
+        (2, 1, 1),
+    )
+    assert str(error) == "image component (2, 1, 1) of (2, 1, 0) misses the target basis"
 
 
 def test_graded_mirror_law_makes_d1_d2_vanish_at_every_t():

@@ -92,6 +92,53 @@ def test_out_of_range_entry_rejected():
         RationalMatrix(2, 2, {(2, 0): 1})
 
 
+def test_one_validating_pass_for_both_constructors():
+    # the same check, and so the same text, whether an entry comes in as
+    # {(i, j): value} or inside a column map
+    cases = [
+        ({(0, 0): True}, [{0: True}]),
+        ({(0, 0): 0.5}, [{0: 0.5}]),
+        ({(0, 0): None}, [{0: None}]),
+        ({(0.5, 0): 1}, [{0.5: 1}]),
+        ({(1, 1): Fraction(3, 2)}, [{}, {1: Fraction(3, 2)}]),
+        ({(2, 0): 1}, [{2: 1}]),
+        ({(-1, 1): 1}, [{}, {-1: 1}]),
+    ]
+    for entries, columns in cases:
+        with pytest.raises(ValueError) as by_entries:
+            RationalMatrix(2, len(columns), entries)
+        with pytest.raises(ValueError) as by_columns:
+            RationalMatrix.from_columns(2, columns)
+        assert str(by_entries.value) == str(by_columns.value), entries
+    # a column index outside the matrix is named as a row outside it is
+    for entries, text in (
+        ({(0, 2): 1}, "(0, 2) is no index of a 2x2 matrix"),
+        ({(0, -1): 1}, "(0, -1) is no index of a 2x2 matrix"),
+        ({(2, 1): 1}, "(2, 1) is no index of a 2x2 matrix"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            RationalMatrix(2, 2, entries)
+        assert str(caught.value) == text
+    with pytest.raises(ValueError) as caught:
+        RationalMatrix.from_columns(2, [{}, {2: 1}])
+    assert str(caught.value) == "(2, 1) is no index of a 2x2 matrix"
+
+
+def test_entries_view_matches_the_columns():
+    for case in ALL_CASES:
+        for t in range(1, 21):
+            s = build_slice(case, t)
+            for mat in (s.d1, s.d2):
+                rebuilt = {(i, j): v for i, j, v in mat.to_triplets()}
+                assert mat.entries == rebuilt, (case.key, t)
+                assert len(mat.columns) == mat.cols
+                assert all(0 not in col.values() for col in mat.columns)
+    mat = RationalMatrix(2, 2, {(0, 1): 3})
+    with pytest.raises(TypeError):
+        mat.entries[0, 0] = 1
+    assert mat.columns == ({}, {0: 3})
+
+
 def test_from_columns():
     mat = RationalMatrix.from_columns(3, [{0: 1, 2: 4}, {1: -6}])
     assert mat.rows == 3 and mat.cols == 2
@@ -165,6 +212,54 @@ def test_augment():
     assert stacked.entry(0, 3) == 7
     with pytest.raises(ValueError):
         a.augment(RationalMatrix(3, 1))
+
+
+def dense_product(a, b, cols):
+    """a (n x m) times b (m x cols), dense lists; cols is given since b may
+    have no rows."""
+    return [
+        [sum(x * row[k] for x, row in zip(a_row, b)) for k in range(cols)] for a_row in a
+    ]
+
+
+def random_dense(rng, rows, cols):
+    """Integer rows x cols list; about one column in four is all zero."""
+    empty = {k for k in range(cols) if rng.random() < 0.25}
+    return [
+        [
+            rng.randrange(-5, 6) if k not in empty and rng.random() < 0.5 else 0
+            for k in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def test_column_products_against_dense_oracle():
+    # @, augment and is_zero_composition on column storage, empty columns and
+    # 0 x n and n x 0 shapes included
+    rng = random.Random(1818)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randrange(0, 6) for _ in range(3)) for _ in range(80)]
+    for n, m, p in shapes:
+        a_rows, b_rows = random_dense(rng, n, m), random_dense(rng, m, p)
+        a = from_rows(a_rows) if n else RationalMatrix(0, m)
+        b = from_rows(b_rows) if m else RationalMatrix(0, p)
+        product = a @ b
+        assert (product.rows, product.cols) == (n, p)
+        expected = dense_product(a_rows, b_rows, p)
+        assert to_dense(product) == expected
+        assert is_zero_composition(a, b) == all(v == 0 for row in expected for v in row)
+        assert all(0 not in col.values() for col in product.columns)
+        c_rows = random_dense(rng, n, rng.randrange(0, 4))
+        c = from_rows(c_rows) if n else RationalMatrix(0, rng.randrange(0, 4))
+        stacked = a.augment(c)
+        assert (stacked.rows, stacked.cols) == (n, m + c.cols)
+        assert to_dense(stacked) == [x + y for x, y in zip(a_rows, c_rows)]
+        assert stacked.columns == a.columns + c.columns
+    # a product whose entries cancel stores empty columns, and is zero
+    kernel = from_rows([[2, 0], [-1, 0]])
+    product = from_rows([[1, 2]]) @ kernel
+    assert product.columns == ({}, {}) and product.is_zero()
 
 
 def test_rank_invariant_under_transpose_and_scaling():
