@@ -38,10 +38,11 @@ moved to mu + e_i with the odd sign algebra.crossing, only the sorted images
 kept), at two representatives of every key, which must agree.  _matrix_of
 reads at most three table entries per column.  Equivariance is checked once
 per (flavor, side) on the exponent parity classes (_check_equivariance), not
-per column.  _differential is the one statement of each differential's side
-and scalar; _matrix_of reads it once per matrix, and apply_defect2 and
-apply_defect1 read it on Element values, the reference path that homology
-applies to closed-form generators and tests compare with.
+per column, and the group-action law it rests on once per flavor
+(_check_group_action).  _differential is the one statement of each
+differential's side and scalar; _matrix_of reads it once per matrix, and
+apply_defect2 and apply_defect1 read it on Element values, the reference
+path that homology applies to closed-form generators and tests compare with.
 """
 
 from __future__ import annotations
@@ -183,15 +184,11 @@ def _e_sign(flavor, side, e, mu):
 
 
 @functools.cache
-def _check_equivariance(flavor, side):
-    """Check, once per (flavor, side), that e1 multiplication keeps equivariance.
-
-    On every parity class mu in {0,1}^3, for all sigma, tau in S3 and i:
-    (a) _act is a group action, sigma(tau mu) = (sigma tau) mu with signs;
-    (b) sigma(e_i mu) = e_sigma(i) sigma(mu) with the signs of _act and
-    crossing (mu e_i on the right side).  Both signs depend only on the
-    exponents' parities, so this covers every monomial.
-    """
+def _check_group_action(flavor):
+    """Check, once per flavor, that _act is a group action on every parity
+    class mu in {0,1}^3: sigma(tau mu) = (sigma tau) mu with signs, for all
+    sigma, tau in S3.  The sign depends only on the exponents' parities, so
+    this covers every monomial; no side enters."""
     for mu in itertools.product((0, 1), repeat=3):
         for tau in S3:
             tau_mu, tau_sign = _act(flavor, tau, mu)
@@ -202,6 +199,21 @@ def _check_equivariance(flavor, side):
                     raise ComplexConsistencyError(
                         f"the S3 action of {flavor} is not a group action on {mu}"
                     )
+
+
+@functools.cache
+def _check_equivariance(flavor, side):
+    """Check, once per (flavor, side), that e1 multiplication keeps equivariance.
+
+    On every parity class mu in {0,1}^3, for all sigma, tau in S3 and i:
+    (a) _act is a group action, sigma(tau mu) = (sigma tau) mu with signs
+    (_check_group_action, once per flavor for both sides);
+    (b) sigma(e_i mu) = e_sigma(i) sigma(mu) with the signs of _act and
+    crossing (mu e_i on the right side).  Both signs depend only on the
+    exponents' parities, so this covers every monomial.
+    """
+    _check_group_action(flavor)
+    for mu in itertools.product((0, 1), repeat=3):
         for i, e in enumerate(_UNIT):
             nu = tuple(k + x for k, x in zip(mu, e))
             c = _e_sign(flavor, side, e, mu)

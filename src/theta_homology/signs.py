@@ -15,14 +15,20 @@ A symmetry of the graph permutes the tokens and may reverse edge pieces;
 its sign is the Koszul sign of that permutation (odd-degree tokens
 anticommute) times (-1)^N per reversed edge piece.  vertical_reflection_sign
 and edge_swap_sign, the engine, compute it from that definition alone.  Each
-walks the odd-degree tokens of the source in canonical order (even ones never
-change the sign) and writes each token's image explicitly, token by token.
-slot() places an image among the odd tokens of the target's canonical list by
-arithmetic on the canonical layout: the head tokens (junction hairs,
-junctions, first segments) keep one slot each from a small per-(defect, odd
-kinds) table, and token (kind, e, i) of hair block i on edge e sits at the
-start of edge e's blocks plus (i - 1) blocks plus the kind's rank in a
-block.  The sign is the cycle parity of the resulting permutation of slots.
+writes, for every odd-degree token of the source in canonical order (even
+ones never change the sign), the slot of its image among the odd tokens of
+the target's canonical list.  The slots come from the canonical layout, read
+by both: the head tokens (junction hairs, junctions, first segments) keep one
+slot each from a small per-(defect, odd kinds) table (_layout), and token
+(kind, e, i) of hair block i on edge e sits at starts[e] + i*b + the kind's
+rank in a block, b odd kinds per block, where edge e's first block begins at
+starts[e] + b (_block_starts).  A symmetry moves whole hair blocks, so a
+block's images are written as ranges, not token by token: the edge swap sends
+block i of edge e to block i of the target edge, so edge e's images are one
+contiguous range; the reflection sends block i to block k_e + 1 - i, one
+range of step -b per kind, except that segment j goes to segment k_e - j,
+one block lower, and segment 0 is a head slot.  The sign is the cycle parity
+of the resulting permutation of slots.
 The engine reads no formula.  The *_formula functions read the sign rules
 the complexes are built from, algebra.mirror_sign and algebra._act, so the
 test-suite and the `signs` CLI mode check those rules against the engine.
@@ -54,8 +60,12 @@ def _validate(defect, hairs):
         raise ValueError(f"defect must be 0, 1, or 2, got {defect!r}")
     if not isinstance(hairs, (tuple, list)) or len(hairs) != 3:
         raise ValueError(f"hairs must be a tuple or list of three counts, got {hairs!r}")
-    k1, k2, k3 = (_integral(k, "hair count", 0) for k in hairs)
-    return defect, (k1, k2, k3)
+    k1, k2, k3 = hairs
+    return defect, (
+        _integral(k1, "hair count", 0),
+        _integral(k2, "hair count", 0),
+        _integral(k3, "hair count", 0),
+    )
 
 
 def _transposition(p, q):
@@ -138,23 +148,13 @@ def _layout(defect, odd):
     return head, rank
 
 
-def _slots(defect, hairs, odd):
-    """slot(kind, e, i): the position of token (kind, e, i) among the odd
-    tokens of canonical_tokens(defect, hairs); i = 0 (or no i) names a head
-    token.  Hair block i of edge e holds len(rank) odd tokens and starts
-    (i - 1) blocks after the first block of edge e."""
-    head, rank = _layout(defect, odd)
-    b = len(rank)
+def _block_starts(head, b, hairs):
+    """starts, indexed by edge e = 1, 2, 3: odd token (kind, e, i) of hair
+    block i >= 1 sits at slot starts[e] + i * b + rank[kind], b odd kinds per
+    block, so edge e's first block begins at starts[e] + b."""
     k1, k2 = hairs[0], hairs[1]
-    first = len(head) - b  # block 1 of edge 1 starts at first + b
-    starts = (None, first, first + k1 * b, first + (k1 + k2) * b)
-
-    def slot(kind, e, i=0):
-        if i:
-            return starts[e] + i * b + rank[kind]
-        return head[kind, e]
-
-    return slot
+    first = len(head) - b
+    return (None, first, first + k1 * b, first + (k1 + k2) * b)
 
 
 def _reversal_sign(case, pieces):
@@ -179,20 +179,30 @@ def vertical_reflection_sign(defect, hairs, case):
         )
     odd = _odd_kinds(case)
     head, rank = _layout(defect, odd)
-    slot = _slots(defect, hairs, odd)
-    # walk the source's odd tokens in canonical order: (kind, s) -> (kind,
-    # 3 - s) at the junctions; (seg, e, j) -> (seg, e, k_e - j) and every
-    # other (kind, e, i) -> (kind, e, k_e + 1 - i)
+    b = len(rank)
+    starts = _block_starts(head, b, hairs)
+    # (kind, s) -> (kind, 3 - s) at the junctions; segment j of edge e goes
+    # to segment k_e - j, and segment 0 is the head slot ("seg", e)
+    seg = rank.get("seg")
     positions = [
-        slot(kind, x, hairs[x - 1]) if kind == "seg" else slot(kind, 3 - x)
+        head[kind, 3 - x]
+        if kind != "seg"
+        else (starts[x] + hairs[x - 1] * b + seg if hairs[x - 1] else head[kind, x])
         for kind, x in head
     ]
-    for e, k in zip((1, 2, 3), hairs):
-        positions += [
-            slot(kind, e, k - i if kind == "seg" else k + 1 - i)
-            for i in range(1, k + 1)
-            for kind in rank
-        ]
+    positions += [0] * (b * sum(hairs))
+    # hair block i of edge e lands in block k_e + 1 - i, its segment in block
+    # k_e - i: per kind, the source slots of step b take a range of step -b
+    for e, start, k in zip((1, 2, 3), starts[1:], hairs):
+        if not k:
+            continue
+        for kind, r in rank.items():
+            source = slice(start + b + r, start + (k + 1) * b, b)
+            if kind == "seg":
+                last = start + (k - 1) * b + r
+                positions[source] = [*range(last, start + r, -b), head[kind, e]]
+            else:
+                positions[source] = range(start + k * b + r, start + r, -b)
     return _permutation_sign(positions) * _reversal_sign(case, sum(hairs) + 3)
 
 
@@ -212,12 +222,15 @@ def edge_swap_sign(defect, hairs, case, p, q):
     edge = (None, perm[0] + 1, perm[1] + 1, perm[2] + 1)
     odd = _odd_kinds(case)
     head, rank = _layout(defect, odd)
-    slot = _slots(defect, (hairs[perm[0]], hairs[perm[1]], hairs[perm[2]]), odd)
-    # (kind, e, i) -> (kind, edge[e], i); (kind, side) stays; source and
+    b = len(rank)
+    starts = _block_starts(head, b, (hairs[perm[0]], hairs[perm[1]], hairs[perm[2]]))
+    # (kind, side) stays, (seg, e, 0) goes to (seg, edge[e], 0); source and
     # target share the head layout, so `head` lists the source head in order
-    positions = [slot(kind, edge[x] if kind == "seg" else x) for kind, x in head]
+    positions = [head[kind, edge[x] if kind == "seg" else x] for kind, x in head]
+    # hair block i of edge e lands in block i of edge edge[e]
     for e, k in zip((1, 2, 3), hairs):
-        positions += [slot(kind, edge[e], i) for i in range(1, k + 1) for kind in rank]
+        start = starts[edge[e]]
+        positions += range(start + b, start + (k + 1) * b)
     return _permutation_sign(positions)
 
 

@@ -107,11 +107,33 @@ def test_basis_json(capsys):
     }
 
 
-def test_signs_small_grid(capsys):
+def test_signs_small_grid(capsys, monkeypatch):
+    # the grid calls the four public sign functions through cli's names once
+    # per cell, the names the benchmark's sign spans and cell counter wrap
+    calls = {}
+    for name in (
+        "vertical_reflection_sign",
+        "vertical_reflection_sign_formula",
+        "edge_swap_sign",
+        "edge_swap_sign_formula",
+    ):
+
+        def counted(*args, _name=name, _f=getattr(cli, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+
+        monkeypatch.setattr(cli, name, counted)
     rc, out, _ = run(capsys, ["signs", "--max-exponent", "2"])
     assert rc == 0
-    # 4 cases x (2 reflection defects + 3 swaps x 3 defects) x 27 triples
+    # 4 cases x (2 reflection defects + 3 swaps x 3 defects) x 27 triples:
+    # 216 reflection cells and 972 swap cells
     assert out == "1188/1188 cells PASS (k_i <= 2)\n"
+    assert calls == {
+        "vertical_reflection_sign": 216,
+        "vertical_reflection_sign_formula": 216,
+        "edge_swap_sign": 972,
+        "edge_swap_sign_formula": 972,
+    }
 
 
 def assert_mutants_fail_the_grid(capsys, monkeypatch, mutants):

@@ -235,6 +235,7 @@ def test_assembly_matches_element_oracle():
 
 
 def clear_assembly_memos():
+    complexes._check_group_action.cache_clear()
     complexes._check_equivariance.cache_clear()
     complexes._stencil_table.cache_clear()
     complexes._degree.cache_clear()
@@ -280,6 +281,24 @@ def test_equivariance_check_passes_on_every_flavor(fresh_equivariance_memo):
         for side in ("left", "right"):
             complexes._check_equivariance(flavor, side)
     assert complexes._check_equivariance.cache_info().currsize == 8
+    # the group-action law has no side: it runs once per flavor
+    assert complexes._check_group_action.cache_info().misses == 4
+    assert complexes._check_group_action.cache_info().currsize == 4
+
+
+def test_equivariance_check_catches_a_non_action(monkeypatch, fresh_equivariance_memo):
+    # one 3-cycle acting with the wrong sign on one parity class breaks
+    # sigma(tau mu) = (sigma tau) mu, whichever side the check is asked for
+    act = complexes._act
+
+    def broken(flavor, perm, mono):
+        image, sign = act(flavor, perm, mono)
+        return image, -sign if perm == (1, 2, 0) and mono == (1, 0, 0) else sign
+
+    monkeypatch.setattr(complexes, "_act", broken)
+    for side in ("left", "right"):
+        with pytest.raises(ComplexConsistencyError, match="is not a group action"):
+            complexes._check_equivariance(SYM, side)
 
 
 def random_admissible_triples(flavor, count, rng):
@@ -356,6 +375,7 @@ def test_fresh_memo_fixture_clears_the_stencil_tables(request):
     request.getfixturevalue("fresh_equivariance_memo")
     assert complexes._stencil_table.cache_info().currsize == 0
     assert complexes._check_equivariance.cache_info().currsize == 0
+    assert complexes._check_group_action.cache_info().currsize == 0
 
 
 def test_fresh_memo_fixture_clears_the_kept_degrees(request):

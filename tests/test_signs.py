@@ -4,12 +4,12 @@ from itertools import product
 
 import pytest
 
+from theta_homology import signs
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.signs import (
     UnsupportedSymmetryError,
     _odd_kinds,
     _permutation_sign,
-    _slots,
     canonical_tokens,
     edge_swap_sign,
     edge_swap_sign_formula,
@@ -44,7 +44,9 @@ def reference_sign(defect, hairs, case, image, target_hairs, reversed_edges):
     return (-1) ** (inversions + (reversed_edges if case.n_odd else 0))
 
 
-def reference_reflection(defect, hairs, case):
+def reflection_image(hairs):
+    """The reflection's map on tokens of the graph with the given hair counts."""
+
     def image(token):
         if token[0] in ("tip", "tipedge", "junction"):
             return (token[0], 3 - token[1])
@@ -52,19 +54,50 @@ def reference_reflection(defect, hairs, case):
         last = hairs[e - 1]
         return (kind, e, last - i if kind == "seg" else last + 1 - i)
 
-    return reference_sign(defect, hairs, case, image, hairs, sum(hairs) + 3)
+    return image
 
 
-def reference_swap(defect, hairs, case, p, q):
+def swap_image(p, q):
+    """The transposition of edges p and q on tokens."""
+
     def image(token):
         if token[0] in ("tip", "tipedge", "junction"):
             return token
         kind, e, i = token
         return (kind, {p: q, q: p}.get(e, e), i)
 
+    return image
+
+
+def swapped(hairs, p, q):
     target = list(hairs)
     target[p - 1], target[q - 1] = target[q - 1], target[p - 1]
-    return reference_sign(defect, hairs, case, image, tuple(target), 0)
+    return tuple(target)
+
+
+def reference_reflection(defect, hairs, case):
+    image = reflection_image(hairs)
+    return reference_sign(defect, hairs, case, image, hairs, sum(hairs) + 3)
+
+
+def reference_swap(defect, hairs, case, p, q):
+    image = swap_image(p, q)
+    return reference_sign(defect, hairs, case, image, swapped(hairs, p, q), 0)
+
+
+def reference_slots(defect, hairs, odd):
+    """slot(kind, e, i): the position of token (kind, e, i) among the odd
+    tokens of canonical_tokens(defect, hairs), one token at a time from the
+    engine's layout; i = 0 (or no i) names a head token."""
+    head, rank = signs._layout(defect, odd)
+    starts = signs._block_starts(head, len(rank), hairs)
+
+    def slot(kind, e, i=0):
+        if i:
+            return starts[e] + i * len(rank) + rank[kind]
+        return head[kind, e]
+
+    return slot
 
 
 def test_engine_matches_full_token_reference_and_formulas_past_the_grid():
@@ -88,16 +121,46 @@ def test_engine_matches_full_token_reference_and_formulas_past_the_grid():
 
 
 def test_slots_are_the_canonical_order():
-    # the slot arithmetic numbers the odd tokens of the explicit canonical
+    # the reference slot arithmetic on the engine's layout (head table, kind
+    # ranks, block starts) numbers the odd tokens of the explicit canonical
     # list 0, 1, 2, ... in order, for every layout the engine can meet
     for case in ALL_CASES:
         odd = _odd_kinds(case)
         for defect in (0, 1, 2):
             for hairs in product(range(7), repeat=3):
-                slot = _slots(defect, hairs, odd)
+                slot = reference_slots(defect, hairs, odd)
                 tokens = canonical_tokens(defect, hairs)
                 slots = [slot(*token) for token in tokens if token_parity(token, case)]
                 assert slots == list(range(len(slots))), (case.key, defect, hairs)
+
+
+def test_engine_writes_the_reference_slot_of_every_odd_token(monkeypatch):
+    # the engine's image list, before its parity is taken, is the reference
+    # slot of each odd source token's image, in the source's canonical order:
+    # two compensating slot errors could leave the sign unchanged
+    recorded = []
+    monkeypatch.setattr(signs, "_permutation_sign", lambda perm: recorded.append(perm) or 1)
+    for case in ALL_CASES:
+        odd = _odd_kinds(case)
+        for hairs in product(range(6), repeat=3):
+            for defect, pair in [(d, None) for d in (0, 2)] + [
+                (d, pair) for pair in ((1, 2), (2, 3), (1, 3)) for d in (0, 1, 2)
+            ]:
+                recorded.clear()
+                if pair is None:
+                    vertical_reflection_sign(defect, hairs, case)
+                    image, target = reflection_image(hairs), hairs
+                else:
+                    edge_swap_sign(defect, hairs, case, *pair)
+                    image, target = swap_image(*pair), swapped(hairs, *pair)
+                slot = reference_slots(defect, target, odd)
+                want = [
+                    slot(*image(token))
+                    for token in canonical_tokens(defect, hairs)
+                    if token_parity(token, case)
+                ]
+                assert recorded == [want], (case.key, defect, hairs, pair)
+                assert sorted(want) == list(range(len(want)))
 
 
 def test_canonical_tokens_structure():
