@@ -41,8 +41,8 @@ per (flavor, side) on the exponent parity classes (_check_equivariance), not
 per column, and the group-action law it rests on once per flavor
 (_check_group_action).  _differential is the one statement of each
 differential's side and scalar; _matrix_of reads it once per matrix, and
-apply_defect2 and apply_defect1 read it on Element values, the reference
-path that homology applies to closed-form generators and tests compare with.
+apply_defect2 and apply_defect1 read it on Element values: the reference
+path, which no module calls and tests compare the matrices with.
 """
 
 from __future__ import annotations

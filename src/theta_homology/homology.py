@@ -13,9 +13,9 @@ the total degree of the defect-0 graphs, chi = +-(dim C0 - dim C1 + dim C2).
 Each case also has an explicit closed-form basis of H0 and H1, families of
 symmetrized monomials (or two-term combinations) indexed by congruence
 conditions on the exponents; homology_generators enumerates them at a given
-Hodge degree and verify_homology_basis checks, against the exact matrices,
-that they are cycles, that there are exactly a (resp. b) of them, and that
-they stay independent modulo the incoming boundaries.
+Hodge degree and homology_basis_report checks, on the slice's own matrices
+(not the Element differentials), that they are cycles, that there are exactly
+a (resp. b) of them, and that they stay independent modulo the boundaries.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ from .algebra import (
     vandermonde,
 )
 from .cases import ParityCase
-from .complexes import ComplexConsistencyError, _hodge_degree, apply_defect1, build_slice
+from .complexes import ComplexConsistencyError, _hodge_degree, build_slice
+# Not called here: perfbench/child.py's tracer wraps it on this module by name.
+from .complexes import apply_defect1  # noqa: F401
 from .genfun import euler_sign
 from .linalg import RationalMatrix, is_zero_composition
 
@@ -165,8 +167,9 @@ def homology_generators(case, t):
 
 
 def _coordinate_columns(generators, basis, expected_degree, what, problems):
+    """(generator, column in basis) pairs; a generator without one gets a problem."""
     index = {triple: i for i, triple in enumerate(basis)}
-    columns = []
+    pairs = []
     for g in generators:
         if g.degree != expected_degree:
             problems.append(
@@ -190,41 +193,37 @@ def _coordinate_columns(generators, basis, expected_degree, what, problems):
                 break
             column[index[rep]] = c
         if column is not None:
-            columns.append(column)
-    return columns
+            pairs.append((g, column))
+    return pairs
 
 
-def homology_basis_report(case, t):
-    """Check the closed-form basis at Hodge degree t; returns found problems."""
+def homology_basis_report(slice_):
+    """Problems of the closed-form basis, checked on the slice's own matrices; a
+    generator without a coordinate column gets no cycle verdict."""
     problems = []
-    slice_ = build_slice(case, t)
     t = slice_.t
     row = homology_ranks(slice_)
-    h0, h1 = homology_generators(case, t)
+    h0, h1 = homology_generators(slice_.case, t)
 
     if len(h0) != row.a:
         problems.append(f"H0 at t={t}: {len(h0)} generators listed, rank is {row.a}")
-    cols0 = _coordinate_columns(h0, slice_.basis0, t, "H0", problems)
-    stacked0 = slice_.d1.augment(
-        RationalMatrix.from_columns(len(slice_.basis0), cols0)
-    )
-    if stacked0.rank() != row.rank_d1 + len(cols0):
+    pairs0 = _coordinate_columns(h0, slice_.basis0, t, "H0", problems)
+    cols0 = RationalMatrix.from_columns(len(slice_.basis0), [c for _, c in pairs0])
+    if slice_.d1.augment(cols0).rank() != row.rank_d1 + cols0.cols:
         problems.append(f"H0 at t={t}: generators are dependent modulo boundaries")
 
     if len(h1) != row.b:
         problems.append(f"H1 at t={t}: {len(h1)} generators listed, rank is {row.b}")
-    for g in h1:
-        if not apply_defect1(case, g).is_zero():
+    pairs1 = _coordinate_columns(h1, slice_.basis1, t - 1, "H1", problems)
+    cols1 = RationalMatrix.from_columns(len(slice_.basis1), [c for _, c in pairs1])
+    for (g, _), image in zip(pairs1, (slice_.d1 @ cols1).columns):
+        if image:
             problems.append(f"H1 generator {render_element(g)} is not a cycle")
-    cols1 = _coordinate_columns(h1, slice_.basis1, t - 1, "H1", problems)
-    stacked1 = slice_.d2.augment(
-        RationalMatrix.from_columns(len(slice_.basis1), cols1)
-    )
-    if stacked1.rank() != row.rank_d2 + len(cols1):
+    if slice_.d2.augment(cols1).rank() != row.rank_d2 + cols1.cols:
         problems.append(f"H1 at t={t}: generators are dependent modulo boundaries")
     return problems
 
 
 def verify_homology_basis(case, t):
     """True iff the closed-form generator lists check out at Hodge degree t."""
-    return not homology_basis_report(case, t)
+    return not homology_basis_report(build_slice(case, t))

@@ -20,8 +20,8 @@ from theta_homology.complexes import (
 from theta_homology.genfun import euler_relation_check, rank_formula, series
 from theta_homology.homology import (
     defect_concentration_check,
+    homology_basis_report,
     homology_ranks,
-    verify_homology_basis,
 )
 from theta_homology.linalg import is_zero_composition
 from theta_homology.signs import (
@@ -216,12 +216,13 @@ def test_criterion_6_defect_concentration(computed):
     )
 
 
-def test_criterion_7_homology_bases():
+def test_criterion_7_homology_bases(computed):
+    slices, _ = computed
     bad = []
     for case in ALL_CASES:
-        for t in range(1, VERIFY_MAX_HODGE + 1):
-            if not verify_homology_basis(case, t):
-                bad.append(f"{case.key} t={t}")
+        for s in slices[case.key][:VERIFY_MAX_HODGE]:
+            if homology_basis_report(s):
+                bad.append(f"{case.key} t={s.t}")
     detail = ", ".join(bad)
     if bad == ["oe t=13", "oe t=17", "oe t=21", "oe t=25", "oe t=29"]:
         detail += (

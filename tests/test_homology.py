@@ -9,6 +9,7 @@ import pytest
 
 from theta_homology import homology
 from theta_homology.algebra import (
+    SYM_ODD,
     Element,
     is_admissible,
     mirror_sign,
@@ -144,7 +145,9 @@ def test_hodge_degree_follows_the_integral_rule():
     for six in (6.0, Fraction(12, 2)):
         assert homology_generators(CASE_OO, six) == homology_generators(CASE_OO, 6)
         assert verify_homology_basis(CASE_OO, six)
-        assert homology_basis_report(CASE_OE, six + 7) == homology_basis_report(CASE_OE, 13)
+        assert homology_basis_report(build_slice(CASE_OE, six + 7)) == (
+            homology_basis_report(build_slice(CASE_OE, 13))
+        )
     for bad in (True, 0, -1, 1.5, float("inf"), None, "6"):
         with pytest.raises(ValueError):
             homology_generators(CASE_OO, bad)
@@ -174,18 +177,56 @@ def test_verify_oe_divergent_degrees():
     for t in range(1, 21):
         ok = verify_homology_basis(CASE_OE, t)
         assert ok == (t not in (13, 17)), t
-    problems = homology_basis_report(CASE_OE, 13)
+    problems = homology_basis_report(build_slice(CASE_OE, 13))
     assert any("not a cycle" in p for p in problems)
 
 
+def test_report_lines_digest():
+    # pins the report's text, line by line, for every case and t <= 40; the
+    # digest was recorded while the H1 cycle test still ran the Element
+    # differential, so it also pins that d1's matrix gives the same verdicts
+    digest = hashlib.sha256()
+    for case in ALL_CASES:
+        for t in range(1, 41):
+            lines = homology_basis_report(build_slice(case, t))
+            digest.update(repr((case.key, t, lines)).encode())
+    assert digest.hexdigest() == (
+        "626633546939160632f233a75c50e5e632608a21bc107d3183959cbdca5dcc22"
+    )
+    assert homology_basis_report(build_slice(CASE_OE, 13)) == [
+        "H1 generator 2*xi1^5*xi2^5*xi3^2 - xi1^5*xi2^4*xi3^3 + xi1^5*xi2^3*xi3^4"
+        " - 2*xi1^5*xi2^2*xi3^5 + xi1^4*xi2^5*xi3^3 + xi1^4*xi2^3*xi3^5"
+        " + xi1^3*xi2^5*xi3^4 - xi1^3*xi2^4*xi3^5 + 2*xi1^2*xi2^5*xi3^5"
+        " is not a cycle"
+    ]
+
+
 def test_report_clean_on_good_slice():
-    assert homology_basis_report(CASE_EE, 8) == []
+    assert homology_basis_report(build_slice(CASE_EE, 8)) == []
+
+
+def test_one_slice_build_per_check(monkeypatch):
+    # verify_homology_basis builds its slice once; the report reads the one
+    # it is given and builds none
+    built = []
+
+    def counting(case, t):
+        built.append((case, t))
+        return build_slice(case, t)
+
+    monkeypatch.setattr(homology, "build_slice", counting)
+    assert not verify_homology_basis(CASE_OE, 13)
+    assert built == [(CASE_OE, 13)]
+    slice_ = build_slice(CASE_OE, 17)
+    assert homology_basis_report(slice_)
+    assert built == [(CASE_OE, 13)]
 
 
 def test_report_names_each_problem(monkeypatch):
-    # eo at t = 11 (Sym[xi], a = 2, b = 0); each substituted H0 list breaks
-    # one check of the report, which names it
+    # eo at t = 11 (Sym[xi], a = 2, b = 0); each substituted H0 or H1 list
+    # breaks one check of the report, which names it
     case, t = CASE_EO, 11
+    slice_ = build_slice(case, t)
     good, h1 = homology_generators(case, t)
     flavor = case.flavor
     assert is_admissible(flavor, (7, 3, 1)) and mirror_sign(flavor, (7, 3, 1)) == -1
@@ -200,6 +241,31 @@ def test_report_names_each_problem(monkeypatch):
         ([good[0], good[0]], "H0 at t=11: generators are dependent modulo boundaries"),
     ):
         monkeypatch.setattr(homology, "homology_generators", lambda case, t, h0=h0: (h0, h1))
-        problems = homology_basis_report(case, t)
+        problems = homology_basis_report(slice_)
         assert any(line in p for p in problems), (line, problems)
+        assert not verify_homology_basis(case, t)
+    # substituted H1 lists, with b = 0: a generator that d1 does not kill is
+    # named as no cycle; one of the wrong degree has no coordinate column, so
+    # it gets its degree line and no cycle verdict
+    not_a_cycle = symmetrize(SYM_ODD, (10, 0, 0))
+    wrong_degree = symmetrize(SYM_ODD, (9, 0, 0))
+    for h1, want in (
+        (
+            [not_a_cycle],
+            [
+                "H1 at t=11: 1 generators listed, rank is 0",
+                f"H1 generator {render_element(not_a_cycle)} is not a cycle",
+            ],
+        ),
+        (
+            [wrong_degree],
+            [
+                "H1 at t=11: 1 generators listed, rank is 0",
+                f"H1 generator {render_element(wrong_degree)} has degree 9, "
+                "expected 10",
+            ],
+        ),
+    ):
+        monkeypatch.setattr(homology, "homology_generators", lambda case, t, h1=h1: (good, h1))
+        assert homology_basis_report(slice_) == want
         assert not verify_homology_basis(case, t)
