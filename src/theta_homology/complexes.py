@@ -329,7 +329,7 @@ def _matrix_of(case, t, source, target, defect):
                     component=rep,
                 )
         columns.append(column)
-    return RationalMatrix.from_columns(len(target), columns)
+    return RationalMatrix(len(target), columns)
 
 
 def build_slice(case, t):

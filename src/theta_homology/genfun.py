@@ -3,10 +3,10 @@
 For each parity case the graded dimensions of the two surviving homology
 groups, a_k = dim H0 and b_k = dim H1 at Hodge degree k, have rational
 generating functions h0(t), h1(t), and the graded Euler characteristic has
-chi(t); the twelve functions are stored verbatim as numerator/denominator
-coefficient tuples.  Every denominator has constant term +-1, so series
-expansion stays in the integers, by the linear recurrence the denominator
-imposes on the coefficients; no symbolic algebra is needed.
+chi(t).  Their twelve numerators are stored in one table, and the
+denominators follow each case's period.  Every denominator has constant term
++-1, so series expansion stays in the integers, by the linear recurrence the
+denominator imposes on the coefficients; no symbolic algebra is needed.
 
 The same dimensions have direct piecewise formulas (floors and ceilings with
 mod-2 or mod-4 side conditions), transcribed without simplification in
@@ -33,13 +33,6 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return tuple(out)
-
-
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    )
 
 
 def _sum_powers(powers):
@@ -78,37 +71,30 @@ class GeneratingFunction:
         return out
 
 
+# The numerators of each case's (h0, h1, chi), as {power: coefficient}.
+_NUMERATORS = {
+    "oo": ({2: 1, 6: 1, 8: -1}, {1: 1}, {1: -1, 6: 1, 7: 1}),  # h0 = 1/den - 1
+    "ee": ({6: 1}, {7: 1}, {6: -1}),
+    "eo": ({3: 1, 11: 1, 14: 1, 15: -1}, {1: 1, 16: 1}, {1: 1, 11: -1, 13: -1, 14: 1}),
+    "oe": ({2: 1, 11: 1}, {4: 1, 13: 1}, {2: -1, 11: 1}),
+}
+
+
 def formulas(case):
     """The stored series of the case, {"h0": ..., "h1": ..., "chi": ...},
-    each a GeneratingFunction with its shape kept as displayed."""
-    if case.m_odd and case.n_odd:
-        den = poly_mul(_sum_powers({0: 1, 2: -1}), _sum_powers({0: 1, 6: -1}))
-        chi_den = poly_mul(_sum_powers({0: 1, 1: 1}), _sum_powers({0: 1, 6: -1}))
-        return {  # h0 = 1/den - 1
-            "h0": GeneratingFunction(poly_sub(_sum_powers({0: 1}), den), den),
-            "h1": GeneratingFunction(_sum_powers({1: 1}), den),
-            "chi": GeneratingFunction(poly_sub(_sum_powers({0: 1}), chi_den), chi_den),
-        }
-    if not case.m_odd and not case.n_odd:
-        den = poly_mul(_sum_powers({0: 1, 2: -1}), _sum_powers({0: 1, 6: -1}))
-        chi_den = poly_mul(_sum_powers({0: 1, 1: 1}), _sum_powers({0: 1, 6: -1}))
-        return {
-            "h0": GeneratingFunction(_sum_powers({6: 1}), den),
-            "h1": GeneratingFunction(_sum_powers({7: 1}), den),
-            "chi": GeneratingFunction(_sum_powers({6: -1}), chi_den),
-        }
-    den = poly_mul(_sum_powers({0: 1, 4: -1}), _sum_powers({0: 1, 12: -1}))
-    chi_den = poly_mul(_sum_powers({0: 1, 2: 1}), _sum_powers({0: 1, 12: -1}))
-    if case.n_odd:  # m even, N odd
-        return {
-            "h0": GeneratingFunction(_sum_powers({3: 1, 11: 1, 14: 1, 15: -1}), den),
-            "h1": GeneratingFunction(_sum_powers({1: 1, 16: 1}), den),
-            "chi": GeneratingFunction(_sum_powers({1: 1, 11: -1, 13: -1, 14: 1}), chi_den),
-        }
-    return {  # m odd, N even
-        "h0": GeneratingFunction(_sum_powers({2: 1, 11: 1}), den),
-        "h1": GeneratingFunction(_sum_powers({4: 1, 13: 1}), den),
-        "chi": GeneratingFunction(_sum_powers({2: -1, 11: 1}), chi_den),
+    each a GeneratingFunction: its numerator from _NUMERATORS, and the
+    denominators (1 - t^2p)(1 - t^6p) for h0 and h1 and (1 + t^p)(1 - t^6p)
+    for chi, with period p = 2 in the odd flavors and 1 in the commuting
+    ones; every shape is kept as displayed."""
+    p = 1 + case.flavor.odd
+    six = _sum_powers({0: 1, 6 * p: -1})
+    den = poly_mul(_sum_powers({0: 1, 2 * p: -1}), six)
+    chi_den = poly_mul(_sum_powers({0: 1, p: 1}), six)
+    h0, h1, chi = (_sum_powers(powers) for powers in _NUMERATORS[case.key])
+    return {
+        "h0": GeneratingFunction(h0, den),
+        "h1": GeneratingFunction(h1, den),
+        "chi": GeneratingFunction(chi, chi_den),
     }
 
 

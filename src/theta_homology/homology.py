@@ -208,14 +208,14 @@ def homology_basis_report(slice_):
     if len(h0) != row.a:
         problems.append(f"H0 at t={t}: {len(h0)} generators listed, rank is {row.a}")
     pairs0 = _coordinate_columns(h0, slice_.basis0, t, "H0", problems)
-    cols0 = RationalMatrix.from_columns(len(slice_.basis0), [c for _, c in pairs0])
+    cols0 = RationalMatrix(len(slice_.basis0), [c for _, c in pairs0])
     if slice_.d1.augment(cols0).rank() != row.rank_d1 + cols0.cols:
         problems.append(f"H0 at t={t}: generators are dependent modulo boundaries")
 
     if len(h1) != row.b:
         problems.append(f"H1 at t={t}: {len(h1)} generators listed, rank is {row.b}")
     pairs1 = _coordinate_columns(h1, slice_.basis1, t - 1, "H1", problems)
-    cols1 = RationalMatrix.from_columns(len(slice_.basis1), [c for _, c in pairs1])
+    cols1 = RationalMatrix(len(slice_.basis1), [c for _, c in pairs1])
     for (g, _), image in zip(pairs1, (slice_.d1 @ cols1).columns):
         if image:
             problems.append(f"H1 generator {render_element(g)} is not a cycle")

@@ -4,11 +4,12 @@ The differential matrices assembled elsewhere in this package have a handful
 of small integer entries per column, and the homology ranks they decide rest
 on exact cancellation, so everything here works in int, never floating point.
 A matrix is stored column by column, the form in which the differentials are
-assembled and reduced: rank is fraction-free column reduction on leading
-rows, with no pivot heuristic, and a product is built column by column from
-the left factor's columns.  Sizes grow roughly quadratically in the Hodge
-degree t: in the hundreds for t <= 40, and about 1400 x 1400 near t = 128
-(d1 of case oo at t = 128 is 1430 x 1408).
+assembled and reduced; one constructor builds it from its row count and
+column maps, through one validating pass.  Rank is fraction-free column
+reduction on leading rows, with no pivot heuristic, and a product is built
+column by column from the left factor's columns.  Sizes grow roughly
+quadratically in the Hodge degree t: in the hundreds for t <= 40, and about
+1400 x 1400 near t = 128 (d1 of case oo at t = 128 is 1430 x 1408).
 """
 
 from __future__ import annotations
@@ -22,40 +23,23 @@ from .algebra import _integral
 class RationalMatrix:
     """A rows x cols integer matrix, stored as one {row: int} map per column.
 
-    columns is a tuple of cols maps, zeros dropped.  Every constructor,
-    augment and @ fill it through one validating pass (_fill): dimensions,
-    indices and entries follow algebra._integral (the rational 6/3 is
-    stored as 2; 0.5, True or None raise ValueError), and an index outside
-    the matrix raises ValueError.  entries is a read-only {(i, j): int} view
-    built on each read.  rank() is the rank over Q.  All operations return
-    new matrices; instances are treated as immutable.
+    RationalMatrix(rows, columns), which augment and @ call too, is the one
+    constructor: the row count and one {row index: value} map per column.
+    Its one validating pass makes the row count, indices and entries follow
+    algebra._integral (the rational 6/3 is stored as 2; 0.5, True or None
+    raise ValueError), raises ValueError on a row index outside the matrix
+    and drops zeros, leaving columns a tuple of cols maps.  entries is a
+    read-only {(i, j): int} view built on each read.  rank() is the rank over
+    Q.  All operations return new matrices; instances are treated as
+    immutable.
     """
 
     __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows, cols, entries=None):
+    def __init__(self, rows, columns):
+        """The one validating pass (see the class docstring); columns is a
+        sequence of {row index: value} maps."""
         rows = _integral(rows, "row count", 0)
-        cols = _integral(cols, "column count", 0)
-        columns = [{} for _ in range(cols)]
-        for (i, j), value in (entries or {}).items():
-            if type(j) is not int:
-                j = _integral(j, "column index")
-            if not 0 <= j < cols:
-                raise ValueError(f"({i}, {j}) is no index of a {rows}x{cols} matrix")
-            columns[j][i] = value
-        self._fill(rows, columns)
-
-    @classmethod
-    def from_columns(cls, rows, columns):
-        """Build from per-column sparse maps {row index: value}."""
-        matrix = cls.__new__(cls)
-        matrix._fill(_integral(rows, "row count", 0), list(columns))
-        return matrix
-
-    def _fill(self, rows, columns):
-        """Set rows, cols and columns from a list of {row: value} maps: the one
-        validating pass, which makes each index and entry an int, checks the
-        row range and drops zeros."""
         cols = len(columns)
         filled = []
         for j, column in enumerate(columns):
@@ -98,7 +82,7 @@ class RationalMatrix:
         """Horizontal concatenation [self | other]."""
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        return RationalMatrix.from_columns(self.rows, self.columns + other.columns)
+        return RationalMatrix(self.rows, self.columns + other.columns)
 
     def __matmul__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -115,7 +99,7 @@ class RationalMatrix:
                 for i, a in left[j].items():
                     out[i] = out.get(i, 0) + a * b
             product.append(out)
-        return RationalMatrix.from_columns(self.rows, product)
+        return RationalMatrix(self.rows, product)
 
     def is_zero(self):
         return not any(self.columns)

@@ -221,7 +221,7 @@ def element_matrix_of(case, source, target, differential):
     for triple in source:
         image = differential(case, symmetrize(case.flavor, triple))
         columns.append({index[rep]: c for rep, c in basis_coordinates(image).items()})
-    return RationalMatrix.from_columns(len(target), columns)
+    return RationalMatrix(len(target), columns)
 
 
 def test_assembly_matches_element_oracle():

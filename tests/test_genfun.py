@@ -4,9 +4,12 @@ formulas, and the Euler relation tying the three series of a case together.
 The twelve stored rational functions are frozen bit-for-bit, expanded through
 t^200 against the piecewise formulas, and checked against a polynomial
 multiplication oracle (series times denominator gives back the numerator).
+The comparison with the piecewise formulas and the Euler relation are each
+argued to hold at every k (see their docstrings).
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -17,7 +20,6 @@ from theta_homology.genfun import (
     euler_sign,
     formulas,
     poly_mul,
-    poly_sub,
     rank_formula,
     series,
 )
@@ -27,8 +29,6 @@ def test_poly_helpers():
     assert poly_mul((1, 1), (1, -1)) == (1, 0, -1)
     assert poly_mul((2,), (3, 4)) == (6, 8)
     assert poly_mul((), (1, 2)) == ()
-    assert poly_sub((1, 2, 3), (1,)) == (0, 2, 3)
-    assert poly_sub((1,), (0, 0, 5)) == (1, 0, -5)
 
 
 def test_generating_function_expansion():
@@ -183,8 +183,28 @@ def test_rank_formula_validation():
 
 
 def test_series_equals_rank_formula():
+    """The stored h0 and h1 equal rank_formula's a_k and b_k at every k >= 1.
+
+    On each residue class k = j + 12q (1 <= j <= 12, q >= 0) every branch of
+    rank_formula is a floor or ceiling of (k + c)/6 or (k + c)/12, or 0, so
+    it is linear in q: r(k) = r(j) + q*(r(j + 12) - r(j)), with integer
+    coefficients.  Summing t^j * (beta + alpha*q) * t^(12q) over q gives
+    t^j * (beta*(1 - t^12) + alpha*t^12) / (1 - t^12)^2, so rank_formula's
+    series R = sum_{k >= 1} r(k) t^k is P/(1 - t^12)^2 with deg P <= 24.
+    Let E = A/D - R, for a stored series A/D.  Then
+    E * D * (1 - t^12)^2 = A*(1 - t^12)^2 - P*D =: Q, a polynomial of degree
+    <= max(deg A, deg D) + 24 (<= 40 for the stored tuples).  Coefficient n of
+    a product reads only E's coefficients through n, so if E vanishes through
+    t^kmax with kmax >= deg Q, then Q = 0; and D*(1 - t^12)^2 has constant
+    term +-1, so it is a unit of Z[[t]] and E = 0.  The comparison below runs
+    from t^0 (where R has no term) through kmax = 200, and the assertion on
+    the bound ties it to the stored tuples.
+    """
     kmax = 200
     for case in ALL_CASES:
+        for which in ("h0", "h1"):
+            g = formulas(case)[which]
+            assert max(len(g.numerator), len(g.denominator)) - 1 + 24 <= kmax
         h0 = series(case, "h0", kmax)
         h1 = series(case, "h1", kmax)
         assert h0[0] == 0 and h1[0] == 0
@@ -208,8 +228,41 @@ def test_support_parity_patterns():
 
 
 def test_euler_relation():
+    """chi_k = euler_sign(case, k) * (a_k - b_k) at every k, as one polynomial
+    identity per case.
+
+    euler_sign(case, k) = eps * s^k, with eps = euler_sign(case, 0) and
+    s = eps * euler_sign(case, 1), so the relation says chi(t) =
+    eps * [h0(s t) - h1(s t)] as power series.  With h0 = A/D, h1 = B/D and
+    chi = C/Dchi, that is C(t)/Dchi(t) = eps * (A - B)(s t)/D(s t).  Each
+    denominator has constant term +-1, so it is a unit of Z[[t]], and the two
+    series agree at every k exactly when the cross-multiplied polynomials
+    C(t) * D(s t) and eps * (A - B)(s t) * Dchi(t) agree.  Criterion 5 keeps
+    the coefficientwise check through k = 200.
+    """
+
+    def at(poly, s):  # the coefficients of poly(s t)
+        return tuple(c * s**k for k, c in enumerate(poly))
+
+    def trimmed(poly):
+        poly = list(poly)
+        while poly and poly[-1] == 0:
+            poly.pop()
+        return poly
+
     for case in ALL_CASES:
-        assert euler_relation_check(case, 200), case.key
+        f = formulas(case)
+        eps = euler_sign(case, 0)
+        s = eps * euler_sign(case, 1)
+        den = f["h0"].denominator
+        assert f["h1"].denominator == den, case.key
+        a_minus_b = tuple(
+            eps * (a - b)
+            for a, b in zip_longest(f["h0"].numerator, f["h1"].numerator, fillvalue=0)
+        )
+        left = poly_mul(f["chi"].numerator, at(den, s))
+        right = poly_mul(at(a_minus_b, s), f["chi"].denominator)
+        assert trimmed(left) == trimmed(right), case.key
 
 
 def test_euler_relation_spot_values():

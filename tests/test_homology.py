@@ -73,7 +73,7 @@ def test_ranks_invariant_under_d2_rescaling():
     assert not s.d2.is_zero()
     for factor in (7, -3):
         d2 = RationalMatrix(
-            s.d2.rows, s.d2.cols, {k: factor * v for k, v in s.d2.entries.items()}
+            s.d2.rows, [{i: factor * v for i, v in col.items()} for col in s.d2.columns]
         )
         rescaled = dataclasses.replace(s, d2=d2)
         assert homology_ranks(rescaled) == homology_ranks(s)
@@ -83,7 +83,9 @@ def test_homology_ranks_rejects_non_complex():
     s = build_slice(CASE_EO, 6)
     i, j, value = s.d2.to_triplets()[0]
     assert value != 0
-    fake_d1 = RationalMatrix(len(s.basis0), len(s.basis1), {(0, i): 1})
+    fake_d1 = RationalMatrix(
+        len(s.basis0), [{0: 1} if j == i else {} for j in range(len(s.basis1))]
+    )
     broken = dataclasses.replace(s, d1=fake_d1)
     with pytest.raises(ComplexConsistencyError) as caught:
         homology_ranks(broken)
