@@ -26,12 +26,16 @@ descending lexicographic order, so matrices are deterministic.
 Each (flavor, degree) is enumerated once, with the mirror eigenvalue of
 every admissible triple (_degree, which keeps the last few): C1 is the whole
 degree, C0 and C2 are its mirror classes, and d1's projection drops exactly
-the degree's mirror-odd triples.  build_slice takes C2 from defect2_basis,
-which alone selects the eigenspace, and assembles both matrices in integers
-on sorted triples.  The column of e1 times a symmetrized monomial k is a
-stencil: at most three entries, in rows k + e_0, k + e_1 and k + e_2, whose
-coefficients depend only on the stencil key of k, its parities and its gaps
-clipped at 2 (_stencil_table says why).
+the degree's mirror-odd triples.  The walk visits only sorted triples and
+reads each one's admissibility and mirror eigenvalue from one per-flavor
+table keyed by the exponents mod 4 and which gaps are 0 (_residue_table),
+derived on first use from is_admissible and mirror_sign at two
+representatives of each of its 100 keys, which must agree.  build_slice
+takes C2 from defect2_basis, which alone selects the eigenspace, and
+assembles both matrices in integers on sorted triples.  The column of e1
+times a symmetrized monomial k is a stencil: at most three entries, in rows
+k + e_0, k + e_1 and k + e_2, whose coefficients depend only on the stencil
+key of k, its parities and its gaps clipped at 2 (_stencil_table says why).
 One table per (flavor, side) maps each of the 32 keys to its stencil.  It is
 derived on first use from the orbit path (algebra.orbit, each monomial mu
 moved to mu + e_i with the odd sign algebra.crossing, only the sorted images
@@ -57,8 +61,8 @@ from .algebra import (
     Triple,
     _act,
     _integral,
-    admissible_basis,
     crossing,
+    is_admissible,
     mirror,
     mirror_even_part,
     mirror_sign,
@@ -102,17 +106,70 @@ class _Degree(NamedTuple):
     odd: frozenset[Triple]  # the mirror-odd triples: d1's projection drops them
 
 
+# One base triple (k3 + b + a, k3 + b, k3) per residue key: k3 mod 4 and each
+# gap's residue mod 4, with a gap of 4 standing for the positive gaps of
+# residue 0, so these 100 triples cover the keys.
+_RESIDUE_BASES = tuple(
+    (k3 + b + a, k3 + b, k3) for k3 in range(4) for b in range(5) for a in range(5)
+)
+
+
+@functools.cache
+def _residue_table(flavor):
+    """{residue key: mirror eigenvalue if admissible, else 0} of sorted triples.
+
+    The residue key of (k1, k2, k3) is (k1 & 3, k2 & 3, k3 & 3, k1 == k2,
+    k2 == k3), and it decides both values.  is_admissible reads only the _act
+    sign of an equal pair, which reads parities.  mirror_sign reads
+    k(k+1)/2 mod 2 of each exponent, fixed by k mod 4, in the odd flavors,
+    and the degree's parity in the commuting ones.  The table is derived from
+    both rules at every base triple and at the same triple shifted by 4 in
+    each coordinate; if the two disagree, ComplexConsistencyError names the
+    key.
+    """
+    table = {}
+    for base in _RESIDUE_BASES:
+        k1, k2, k3 = base
+        key = (k1 & 3, k2 & 3, k3 & 3, k1 == k2, k2 == k3)
+        values = [
+            mirror_sign(flavor, triple) if is_admissible(flavor, triple) else 0
+            for triple in (base, (k1 + 4, k2 + 4, k3 + 4))
+        ]
+        if values[0] != values[1]:
+            raise ComplexConsistencyError(
+                f"admissibility or the mirror sign in {flavor} differs between "
+                f"two triples of residue key {key}"
+            )
+        table[key] = values[0]
+    return table
+
+
 @functools.lru_cache(maxsize=8)
 def _degree(flavor, degree):
     """_Degree of (flavor, degree), kept for the last few: a table run reads
-    each degree as C2, C1, C0 and d1's drop set of consecutive slices, and
-    mirror_sign runs once per triple of a kept degree."""
-    basis = tuple(admissible_basis(flavor, degree))
+    each degree as C2, C1, C0 and d1's drop set of consecutive slices.
+
+    The sorted triples are walked in descending lex order, k1 down from the
+    degree and k2 down from min(k1, degree - k1) to the least k2 >= k3, so
+    every triple visited is sorted; one _residue_table lookup per triple
+    gives its mirror eigenvalue, or 0 if it is not admissible.
+    """
+    table = _residue_table(flavor)
+    basis = []
     by_sign = {1: [], -1: []}
-    for triple in basis:
-        by_sign[mirror_sign(flavor, triple)].append(triple)
+    for k1 in range(degree, (degree + 2) // 3 - 1, -1):
+        rest = degree - k1
+        for k2 in range(min(k1, rest), (rest + 1) // 2 - 1, -1):
+            k3 = rest - k2
+            sign = table[k1 & 3, k2 & 3, k3 & 3, k1 == k2, k2 == k3]
+            if sign:
+                triple = (k1, k2, k3)
+                basis.append(triple)
+                by_sign[sign].append(triple)
     return _Degree(
-        basis, {sign: tuple(c) for sign, c in by_sign.items()}, frozenset(by_sign[-1])
+        tuple(basis),
+        {sign: tuple(c) for sign, c in by_sign.items()},
+        frozenset(by_sign[-1]),
     )
 
 
@@ -233,7 +290,8 @@ def _check_equivariance(flavor, side):
 def _stencil_key(triple):
     """(k1, k2, k3 mod 2, min(k1 - k2, 2), min(k2 - k3, 2)) of a sorted triple."""
     k1, k2, k3 = triple
-    return k1 & 1, k2 & 1, k3 & 1, min(k1 - k2, 2), min(k2 - k3, 2)
+    a, b = k1 - k2, k2 - k3
+    return k1 & 1, k2 & 1, k3 & 1, a if a < 2 else 2, b if b < 2 else 2
 
 
 # One base triple (k3 + b + a, k3 + b, k3) per valid stencil key: a gap of 0

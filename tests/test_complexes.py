@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_homology.algebra import (
     ASYM_ODD,
@@ -238,13 +240,15 @@ def clear_assembly_memos():
     complexes._check_group_action.cache_clear()
     complexes._check_equivariance.cache_clear()
     complexes._stencil_table.cache_clear()
+    complexes._residue_table.cache_clear()
     complexes._degree.cache_clear()
 
 
 @pytest.fixture
 def fresh_equivariance_memo():
-    # the stencil tables and the kept degrees too: one derived under a
-    # monkeypatched crossing, orbit or mirror_sign must not outlive its test
+    # the stencil and residue tables and the kept degrees too: one derived
+    # under a monkeypatched crossing, orbit or mirror_sign must not outlive
+    # its test
     clear_assembly_memos()
     yield
     clear_assembly_memos()
@@ -381,29 +385,98 @@ def test_fresh_memo_fixture_clears_the_stencil_tables(request):
 def test_fresh_memo_fixture_clears_the_kept_degrees(request):
     build_slice(CASE_EO, 6)
     assert complexes._degree.cache_info().currsize > 0
+    assert complexes._residue_table.cache_info().currsize > 0
     request.getfixturevalue("fresh_equivariance_memo")
     assert complexes._degree.cache_info().currsize == 0
+    assert complexes._residue_table.cache_info().currsize == 0
 
 
-def test_mirror_sign_runs_once_per_admissible_triple(
+def residue_key(triple):
+    k1, k2, k3 = triple
+    return k1 & 3, k2 & 3, k3 & 3, k1 == k2, k2 == k3
+
+
+def test_basis_rules_are_read_only_to_derive_the_residue_table(
     monkeypatch, fresh_equivariance_memo
 ):
-    # each kept degree reads every triple's mirror eigenvalue once, for C0,
-    # C2 and d1's drop set alike; the assembly reads none
-    calls = collections.Counter()
-    sign = complexes.mirror_sign
+    # mirror_sign and is_admissible run only on the residue table's base
+    # triples and their shifts, at most twice per key; the kept degrees,
+    # C0, C2 and d1's drop set read the table, and new degrees call neither
+    calls = {"mirror_sign": [], "is_admissible": []}
 
-    def counted(flavor, triple):
-        calls[flavor, triple] += 1
-        return sign(flavor, triple)
+    def counting(name):
+        rule = getattr(complexes, name)
 
-    monkeypatch.setattr(complexes, "mirror_sign", counted)
+        def counted(flavor, triple):
+            calls[name].append((flavor, triple))
+            return rule(flavor, triple)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(complexes, name, counting(name))
     for t in range(1, 21):
         build_slice(CASE_EO, t)
-    assert max(calls.values()) == 1
-    assert set(calls) == {
-        (SYM_ODD, triple) for d in range(21) for triple in admissible_basis(SYM_ODD, d)
-    }
+    bases = set(complexes._RESIDUE_BASES)
+    bases |= {tuple(k + 4 for k in base) for base in bases}
+    for counted in calls.values():
+        assert counted and {flavor for flavor, _ in counted} == {SYM_ODD}
+        assert {triple for _, triple in counted} <= bases
+        per_key = collections.Counter(residue_key(triple) for _, triple in counted)
+        assert max(per_key.values()) <= 2
+    assert len(calls["is_admissible"]) == 2 * 100
+    for counted in calls.values():
+        counted.clear()
+    for t in range(21, 41):
+        build_slice(CASE_EO, t)
+    assert calls == {"mirror_sign": [], "is_admissible": []}
+
+
+def assert_degree_matches_the_rules(flavor, d):
+    degree = complexes._degree(flavor, d)
+    basis = tuple(admissible_basis(flavor, d))
+    assert degree.basis == basis, (flavor, d)
+    for sign in (1, -1):
+        assert degree.by_sign[sign] == tuple(
+            triple for triple in basis if mirror_sign(flavor, triple) == sign
+        ), (flavor, d, sign)
+    assert degree.odd == frozenset(degree.by_sign[-1])
+
+
+def test_degree_equals_admissible_basis_and_mirror_sign():
+    # the residue-table walk against the per-triple rules, every degree <= 120
+    for flavor in FLAVORS:
+        for d in range(121):
+            assert_degree_matches_the_rules(flavor, d)
+
+
+@settings(max_examples=5, derandomize=True, database=None, deadline=None)
+@given(flavor=st.sampled_from(FLAVORS), d=st.integers(121, 600))
+def test_degree_equals_the_rules_past_the_exhaustive_range(flavor, d):
+    # a walk that goes wrong only at large degrees, such as one dropping
+    # (d, 0, 0) for d >= 210, passes every sampled range above
+    assert_degree_matches_the_rules(flavor, d)
+
+
+def test_residue_table_rejects_disagreeing_representatives(
+    monkeypatch, fresh_equivariance_memo
+):
+    # a mirror sign that flips only for k1 >= 4 splits the base (0, 0, 0)
+    # from its shift (4, 4, 4)
+    sign = complexes.mirror_sign
+
+    def flipped(flavor, triple):
+        return -sign(flavor, triple) if triple[0] >= 4 else sign(flavor, triple)
+
+    monkeypatch.setattr(complexes, "mirror_sign", flipped)
+    message = (
+        "admissibility or the mirror sign in Sym[x] differs between two "
+        "triples of residue key (0, 0, 0, True, True)"
+    )
+    with pytest.raises(ComplexConsistencyError, match=re.escape(message)):
+        complexes._residue_table(SYM)
+    with pytest.raises(ComplexConsistencyError, match="residue key"):
+        build_slice(CASE_OO, 3)
 
 
 def test_d1_drops_only_mirror_odd_basis_triples(monkeypatch):
