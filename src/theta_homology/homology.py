@@ -36,7 +36,7 @@ from .complexes import ComplexConsistencyError, _hodge_degree, build_slice
 # Not called here: perfbench/child.py's tracer wraps it on this module by name.
 from .complexes import apply_defect1  # noqa: F401
 from .genfun import euler_sign
-from .linalg import RationalMatrix, is_zero_composition
+from .linalg import RationalMatrix, is_zero_composition, nonzero_product_columns
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def homology_generators(case, t):
     """
     t = _hodge_degree(t, 1)
     if case.m_odd and case.n_odd:
-        h0 = [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t) if beta + gamma]
+        h0 = [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t)]
         return h0, [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t - 1)]
 
     if not case.m_odd and not case.n_odd:
@@ -155,7 +155,7 @@ def homology_generators(case, t):
     h0_rule, h0_residue, square_rule, pair_rule = _ODD_FAMILIES[case.key]
     h0 = [sym((k2 + 1, k2, k3)) for k2, k3 in _k2_k3(t - 1, h0_rule, 1)]
     k, rest = divmod(t - 2, 3)
-    if rest == 0 and k >= 0 and k % 4 == h0_residue:
+    if rest == 0 and k % 4 == h0_residue:
         h0.append(sym((k + 1, k + 1, k)))
     # one H1 family lives at t = 0 mod 4 and the other at t = 1, never both
     h1 = [sym((k2, k2, k3)) for k2, k3 in _k2_k3(t - 1, square_rule, 0)]
@@ -208,18 +208,19 @@ def homology_basis_report(slice_):
     if len(h0) != row.a:
         problems.append(f"H0 at t={t}: {len(h0)} generators listed, rank is {row.a}")
     pairs0 = _coordinate_columns(h0, slice_.basis0, t, "H0", problems)
-    cols0 = RationalMatrix(len(slice_.basis0), [c for _, c in pairs0])
-    if slice_.d1.augment(cols0).rank() != row.rank_d1 + cols0.cols:
+    cols0 = tuple(c for _, c in pairs0)
+    with_d1 = RationalMatrix(len(slice_.basis0), slice_.d1.columns + cols0)
+    if with_d1.rank() != row.rank_d1 + len(cols0):
         problems.append(f"H0 at t={t}: generators are dependent modulo boundaries")
 
     if len(h1) != row.b:
         problems.append(f"H1 at t={t}: {len(h1)} generators listed, rank is {row.b}")
     pairs1 = _coordinate_columns(h1, slice_.basis1, t - 1, "H1", problems)
     cols1 = RationalMatrix(len(slice_.basis1), [c for _, c in pairs1])
-    for (g, _), image in zip(pairs1, (slice_.d1 @ cols1).columns):
-        if image:
-            problems.append(f"H1 generator {render_element(g)} is not a cycle")
-    if slice_.d2.augment(cols1).rank() != row.rank_d2 + cols1.cols:
+    for j in nonzero_product_columns(slice_.d1, cols1):
+        problems.append(f"H1 generator {render_element(pairs1[j][0])} is not a cycle")
+    with_d2 = RationalMatrix(len(slice_.basis1), slice_.d2.columns + cols1.columns)
+    if with_d2.rank() != row.rank_d2 + cols1.cols:
         problems.append(f"H1 at t={t}: generators are dependent modulo boundaries")
     return problems
 

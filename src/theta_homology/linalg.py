@@ -6,8 +6,9 @@ on exact cancellation, so everything here works in int, never floating point.
 A matrix is stored column by column, the form in which the differentials are
 assembled and reduced; one constructor builds it from its row count and
 column maps, through one validating pass.  Rank is fraction-free column
-reduction on leading rows, with no pivot heuristic, and a product is built
-column by column from the left factor's columns.  Sizes grow roughly
+reduction on leading rows, with no pivot heuristic.  No product is built:
+nonzero_product_columns sums each product column from the left factor's
+columns and keeps only whether it vanishes.  Sizes grow roughly
 quadratically in the Hodge degree t: in the hundreds for t <= 40, and about
 1400 x 1400 near t = 128 (d1 of case oo at t = 128 is 1430 x 1408).
 """
@@ -23,15 +24,13 @@ from .algebra import _integral
 class RationalMatrix:
     """A rows x cols integer matrix, stored as one {row: int} map per column.
 
-    RationalMatrix(rows, columns), which augment and @ call too, is the one
-    constructor: the row count and one {row index: value} map per column.
-    Its one validating pass makes the row count, indices and entries follow
-    algebra._integral (the rational 6/3 is stored as 2; 0.5, True or None
-    raise ValueError), raises ValueError on a row index outside the matrix
-    and drops zeros, leaving columns a tuple of cols maps.  entries is a
-    read-only {(i, j): int} view built on each read.  rank() is the rank over
-    Q.  All operations return new matrices; instances are treated as
-    immutable.
+    RationalMatrix(rows, columns) is the one constructor: the row count and
+    one {row index: value} map per column.  Its one validating pass makes the
+    row count, indices and entries follow algebra._integral (the rational 6/3
+    is stored as 2; 0.5, True or None raise ValueError), raises ValueError on
+    a row index outside the matrix and drops zeros, leaving columns a tuple
+    of cols maps.  entries is a read-only {(i, j): int} view built on each
+    read.  rank() is the rank over Q.  Instances are treated as immutable.
     """
 
     __slots__ = ("rows", "cols", "columns")
@@ -78,32 +77,6 @@ class RationalMatrix:
         columns = enumerate(self.columns)
         return sorted((i, j, v) for j, column in columns for i, v in column.items())
 
-    def augment(self, other):
-        """Horizontal concatenation [self | other]."""
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        return RationalMatrix(self.rows, self.columns + other.columns)
-
-    def __matmul__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
-            )
-        left = self.columns
-        product = []
-        for column in other.columns:
-            out = {}
-            for j, b in column.items():
-                for i, a in left[j].items():
-                    out[i] = out.get(i, 0) + a * b
-            product.append(out)
-        return RationalMatrix(self.rows, product)
-
-    def is_zero(self):
-        return not any(self.columns)
-
     def rank(self):
         """Rank over Q, by fraction-free column reduction in column order.
 
@@ -142,6 +115,26 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {nonzero} nonzero)"
 
 
+def nonzero_product_columns(a, b):
+    """Ascending indices j such that a times column j of b is nonzero.
+
+    Each product column is summed from a's columns as in a matrix product,
+    exactly, so entries that cancel count as zero; no matrix is built.
+    """
+    if a.cols != b.rows:
+        raise ValueError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    left = a.columns
+    nonzero = []
+    for j, column in enumerate(b.columns):
+        out = {}
+        for k, factor in column.items():
+            for i, entry in left[k].items():
+                out[i] = out.get(i, 0) + entry * factor
+        if any(out.values()):
+            nonzero.append(j)
+    return nonzero
+
+
 def is_zero_composition(a, b):
     """True iff the product a.b is the zero matrix (computed exactly)."""
-    return (a @ b).is_zero()
+    return not nonzero_product_columns(a, b)

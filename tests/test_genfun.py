@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.genfun import (
@@ -287,3 +289,13 @@ def test_euler_sign():
                 for k in range(8):
                     degree = k * (n - m - 2) + n - 3
                     assert (-1) ** degree == euler_sign(case, k), (case.key, m, n, k)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(ALL_CASES), k=st.integers(0, 10**9))
+def test_euler_sign_is_geometric_in_k(case, k):
+    # the form test_euler_relation's proof assumes, eps * s^k, far past the
+    # k < 8 of test_euler_sign
+    eps = euler_sign(case, 0)
+    s = eps * euler_sign(case, 1)
+    assert euler_sign(case, k) == eps * s**k, (case.key, k)

@@ -70,7 +70,7 @@ def test_ranks_match_closed_forms():
 
 def test_ranks_invariant_under_d2_rescaling():
     s = build_slice(CASE_OO, 7)
-    assert not s.d2.is_zero()
+    assert any(s.d2.columns)
     for factor in (7, -3):
         d2 = RationalMatrix(
             s.d2.rows, [{i: factor * v for i, v in col.items()} for col in s.d2.columns]

@@ -6,7 +6,11 @@ import pytest
 
 from theta_homology.cases import ALL_CASES
 from theta_homology.complexes import build_slice
-from theta_homology.linalg import RationalMatrix, is_zero_composition
+from theta_homology.linalg import (
+    RationalMatrix,
+    is_zero_composition,
+    nonzero_product_columns,
+)
 
 
 def dense_rank(rows):
@@ -148,8 +152,11 @@ def test_entries_are_integers():
     assert type(mat.entry(0, 0)) is int
     assert type(mat.entry(0, 1)) is int
     assert all(type(v) is int for _, _, v in mat.to_triplets())
-    assert all(type(v) is int for _, _, v in (mat @ mat).to_triplets())
-    assert (mat @ mat).to_triplets() == [(0, 0, 4), (1, 0, 5), (1, 1, 9)]
+    # mat times mat is [[4, 0], [5, 9]]; [1, -2] times mat is [0, -6], its
+    # first column cancelling exactly
+    assert nonzero_product_columns(mat, mat) == [0, 1]
+    left = RationalMatrix(1, [{0: Fraction(2, 2)}, {0: -2}])
+    assert nonzero_product_columns(left, mat) == [1]
     # the same rule for row indices and the row count: 0.5 is not truncated to 0
     with pytest.raises(ValueError):
         RationalMatrix(2, [{0.5: 1}, {}])
@@ -176,26 +183,32 @@ def test_entries_are_integers():
                 mat.entry(i, j)
 
 
-def test_matmul_and_zero_composition():
+def test_nonzero_product_columns_and_zero_composition():
     a = from_rows([[1, 2], [3, 4]])
     b = from_rows([[0, 1], [1, 0]])
-    assert to_dense(a @ b) == [[2, 1], [4, 3]]
-    # columns of c span the kernel of a plus cancellation
+    assert nonzero_product_columns(a, b) == [0, 1]
+    # the column of c spans the kernel of d but not of a
     c = from_rows([[2], [-1]])
     d = from_rows([[1, 2]])
+    assert nonzero_product_columns(d, c) == []
     assert is_zero_composition(d, c)
+    assert nonzero_product_columns(a, c) == [0]
     assert not is_zero_composition(a, c)
-    with pytest.raises(ValueError):
-        a @ RationalMatrix(3, [{}])
-
-
-def test_augment():
-    a = from_rows([[1, 2, 0], [0, 1, 5]])
-    stacked = a.augment(from_rows([[7], [8]]))
-    assert stacked.cols == 4
-    assert stacked.entry(0, 3) == 7
-    with pytest.raises(ValueError):
-        a.augment(RationalMatrix(3, [{}]))
+    # only the columns whose entries do not all cancel, in ascending order
+    mixed = from_rows([[0, 2, 1, 0, 4], [0, -1, 0, 0, -2]])
+    assert nonzero_product_columns(d, mixed) == [2]
+    assert nonzero_product_columns(a, mixed) == [1, 2, 4]
+    # the shapes must chain, with the message the product check always gave
+    for left, right, text in (
+        (a, RationalMatrix(3, [{}]), "cannot compose 2x2 with 3x1"),
+        (d, RationalMatrix(0, [{}] * 2), "cannot compose 1x2 with 0x2"),
+        (RationalMatrix(0, []), c, "cannot compose 0x0 with 2x1"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            nonzero_product_columns(left, right)
+        assert str(caught.value) == text
+        with pytest.raises(ValueError):
+            is_zero_composition(left, right)
 
 
 def dense_product(a, b, cols):
@@ -219,31 +232,31 @@ def random_dense(rng, rows, cols):
 
 
 def test_column_products_against_dense_oracle():
-    # @, augment and is_zero_composition on column storage, empty columns and
-    # 0 x n and n x 0 shapes included
+    # nonzero_product_columns, is_zero_composition and the augmented matrix
+    # [a | c] that the basis checks build with the one constructor from the
+    # concatenated columns, on column storage, empty columns and 0 x n,
+    # n x 0 and 0 x 0 shapes included
     rng = random.Random(1818)
-    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (0, 0, 3), (1, 1, 1)]
     shapes += [tuple(rng.randrange(0, 6) for _ in range(3)) for _ in range(80)]
     for n, m, p in shapes:
         a_rows, b_rows = random_dense(rng, n, m), random_dense(rng, m, p)
         a = from_rows(a_rows) if n else RationalMatrix(0, [{}] * m)
         b = from_rows(b_rows) if m else RationalMatrix(0, [{}] * p)
-        product = a @ b
-        assert (product.rows, product.cols) == (n, p)
         expected = dense_product(a_rows, b_rows, p)
-        assert to_dense(product) == expected
-        assert is_zero_composition(a, b) == all(v == 0 for row in expected for v in row)
-        assert all(0 not in col.values() for col in product.columns)
+        nonzero = [k for k in range(p) if any(row[k] for row in expected)]
+        assert nonzero_product_columns(a, b) == nonzero, (n, m, p)
+        assert is_zero_composition(a, b) == (not nonzero)
         c_rows = random_dense(rng, n, rng.randrange(0, 4))
         c = from_rows(c_rows) if n else RationalMatrix(0, [{}] * rng.randrange(0, 4))
-        stacked = a.augment(c)
+        stacked = RationalMatrix(n, a.columns + c.columns)
         assert (stacked.rows, stacked.cols) == (n, m + c.cols)
         assert to_dense(stacked) == [x + y for x, y in zip(a_rows, c_rows)]
         assert stacked.columns == a.columns + c.columns
-    # a product whose entries cancel stores empty columns, and is zero
-    kernel = from_rows([[2, 0], [-1, 0]])
-    product = from_rows([[1, 2]]) @ kernel
-    assert product.columns == ({}, {}) and product.is_zero()
+    # a product whose entries cancel has no nonzero column, and is zero
+    kernel = from_rows([[2, 0, 4], [-1, 0, -2]])
+    assert nonzero_product_columns(from_rows([[1, 2]]), kernel) == []
+    assert is_zero_composition(from_rows([[1, 2]]), kernel)
 
 
 def test_rank_invariant_under_transpose_and_scaling():

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_homology import signs
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
@@ -118,6 +120,25 @@ def test_engine_matches_full_token_reference_and_formulas_past_the_grid():
             engine = edge_swap_sign(defect, hairs, case, p, q)
             assert engine == reference_swap(defect, hairs, case, p, q)
             assert engine == edge_swap_sign_formula(hairs, case, p, q)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(
+    case=st.sampled_from(ALL_CASES),
+    hairs=st.tuples(*[st.integers(41, 120)] * 3),
+    defect=st.sampled_from((0, 1, 2)),
+    pair=st.sampled_from(((1, 2), (2, 3), (1, 3))),
+)
+def test_engine_matches_full_token_reference_past_k_40(case, hairs, defect, pair):
+    # reference_slots reads the engine's own layout, so only the full-token
+    # reference sees a block layout that goes wrong for large k_i alone
+    if defect != 1:
+        engine = vertical_reflection_sign(defect, hairs, case)
+        assert engine == reference_reflection(defect, hairs, case)
+        assert engine == vertical_reflection_sign_formula(defect, hairs, case)
+    engine = edge_swap_sign(defect, hairs, case, *pair)
+    assert engine == reference_swap(defect, hairs, case, *pair)
+    assert engine == edge_swap_sign_formula(hairs, case, *pair)
 
 
 def test_slots_are_the_canonical_order():
