@@ -27,13 +27,17 @@ rule's only statement, read by permute_variables, orbit, is_admissible,
 basis_coordinates, the equivariance check in complexes and the edge-swap
 sign in signs, as mirror_sign is read for the reflection sign there.
 crossing is the one statement of the odd product's sign, read by Element
-multiplication and by the integer assembly of the differentials in
-complexes.  Symmetrized monomials, written (k1,k2,k3) in the plain flavors
+multiplication and by the integer product on coordinates in complexes
+(_orbit_product), which assembles the differentials and the closed-form
+generators.  Symmetrized monomials, written (k1,k2,k3) in the plain flavors
 and [k1,k2,k3] in the sign-twisted ones, are the signed S3-orbit sums
 normalized to coefficient +1 on the descending-sorted monomial.
 is_admissible is the one statement of which of them cancel; orbit and the
-admissible bases enumerated here read it, and e2, e3 and the Vandermonde
-element are three of the survivors.
+admissible bases enumerated here read it.  homology builds the closed-form
+generators from the orbits of three kinds of survivors: e2 = (1,1,0),
+e3^g = (g,g,g) and Delta e3^(g+1) = [g+3,g+2,g+1], Delta the Vandermonde
+element.  Element is kept for the tests' oracles and the text of homology's
+problem lines.
 """
 
 from __future__ import annotations
@@ -350,29 +354,6 @@ def mul_e1(f, side):
     if side == "right":
         return f * e
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def e2():
-    """Second elementary symmetric polynomial in the commuting generators."""
-    return symmetrize(SYM, (1, 1, 0))
-
-
-def e3():
-    """Third elementary symmetric polynomial in the commuting generators."""
-    return symmetrize(SYM, (1, 1, 1))
-
-
-def vandermonde():
-    """(x1-x2)(x1-x3)(x2-x3), the fundamental ASym[x] element [2,1,0]."""
-    return symmetrize(ASYM, (2, 1, 0))
-
-
-def element_power(f, n):
-    n = _integral(n, "power", 0)
-    result = Element(Flavor(f.flavor.odd, False), 0, {(0, 0, 0): 1})
-    for _ in range(n):
-        result = result * f
-    return result
 
 
 def render_element(f):

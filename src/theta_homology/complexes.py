@@ -37,16 +37,18 @@ times a symmetrized monomial k is a stencil: at most three entries, in rows
 k + e_0, k + e_1 and k + e_2, whose coefficients depend only on the stencil
 key of k, its parities and its gaps clipped at 2 (_stencil_table says why).
 One table per (flavor, side) maps each of the 32 keys to its stencil.  It is
-derived on first use from the orbit path (algebra.orbit, each monomial mu
-moved to mu + e_i with the odd sign algebra.crossing, only the sorted images
-kept), at two representatives of every key, which must agree.  _matrix_of
-reads at most three table entries per column.  Equivariance is checked once
-per (flavor, side) on the exponent parity classes (_check_equivariance), not
-per column, and the group-action law it rests on once per flavor
-(_check_group_action).  _differential is the one statement of each
-differential's side and scalar; _matrix_of reads it once per matrix, and
-apply_defect2 and apply_defect1 read it on Element values: the reference
-path, which no module calls and tests compare the matrices with.
+derived on first use from the orbit path (_orbit_product with e1: each
+monomial mu of algebra.orbit moved to mu + e_i with the odd sign
+algebra.crossing, only the sorted images kept), at two representatives of
+every key, which must agree; homology builds the closed-form generators with
+the same product.  _matrix_of reads at most three table entries per column.
+Equivariance is checked once per (flavor, side) on the exponent parity
+classes (_check_equivariance), not per column, and the group-action law it
+rests on once per flavor (_check_group_action).  _differential is the one
+statement of each differential's side and scalar; _matrix_of reads it once
+per matrix, and apply_defect2 and apply_defect1 read it on Element values:
+the reference path, which no module calls and tests compare the matrices
+with.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ class HodgeSlice:
 
 
 def _e_sign(flavor, side, e, mu):
-    """Sign of e mu (side "left") or mu e ("right"), e a generator: crossing."""
+    """Sign of e mu (side "left") or mu e ("right"), e a monomial: crossing."""
     if not flavor.odd:
         return 1
     return crossing(e, mu) if side == "left" else crossing(mu, e)
@@ -302,26 +304,38 @@ _STENCIL_BASES = tuple(
 )
 
 
-def _orbit_column(flavor, side, triple):
-    """e1 times the symmetrized monomial of a sorted triple, on the orbit path:
-    ((i, coefficient on triple + e_i), ...) with zero coefficients omitted.
+def _orbit_product(flavor, coords, multiplier, side):
+    """coords times an equivariant multiplier on the orbit path, as coordinates.
 
-    Each orbit monomial mu moves to mu + e with the sign _e_sign, and only
-    the descending-sorted images, the coordinates of the equivariant image,
-    are kept.  Such an image is a permutation of the triple with one entry
-    raised, so it is triple + e_i, i the first index of its block of equal
-    entries.
+    coords maps sorted triples to coefficients over the symmetrized monomials
+    of flavor, multiplier maps monomials to coefficients.  Each orbit monomial
+    mu meets each multiplier monomial e with the sign _e_sign on that side;
+    only the sorted images, the product's coordinates, are kept, zeros dropped.
     """
     image = {}
-    for mu, c in orbit(flavor, triple).items():
-        for e in _UNIT:
-            nu = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
-            if nu[0] >= nu[1] >= nu[2]:
-                image[nu] = image.get(nu, 0) + _e_sign(flavor, side, e, mu) * c
+    for triple, a in coords.items():
+        for mu, c in orbit(flavor, triple).items():
+            for e, b in multiplier.items():
+                nu = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
+                if nu[0] >= nu[1] >= nu[2]:
+                    term = _e_sign(flavor, side, e, mu) * a * b * c
+                    image[nu] = image.get(nu, 0) + term
+    return {nu: c for nu, c in image.items() if c}
+
+
+def _orbit_column(flavor, side, triple):
+    """e1 times the symmetrized monomial of a sorted triple, on the orbit path
+    (_orbit_product): ((i, coefficient on triple + e_i), ...) with zero
+    coefficients omitted.
+
+    A sorted image is a permutation of the triple with one entry raised, so
+    it is triple + e_i, i the first index of its block of equal entries.
+    """
+    image = _orbit_product(flavor, {triple: 1}, dict.fromkeys(_UNIT, 1), side)
     k1, k2, k3 = triple
     column = []
     for i, e in enumerate(_UNIT):
-        c = image.get((k1 + e[0], k2 + e[1], k3 + e[2]), 0)
+        c = image.get((k1 + e[0], k2 + e[1], k3 + e[2]))
         if c:
             column.append((i, c))
     return tuple(column)

@@ -13,27 +13,26 @@ the total degree of the defect-0 graphs, chi = +-(dim C0 - dim C1 + dim C2).
 Each case also has an explicit closed-form basis of H0 and H1, families of
 symmetrized monomials (or two-term combinations) indexed by congruence
 conditions on the exponents; homology_generators enumerates them at a given
-Hodge degree and homology_basis_report checks, on the slice's own matrices
-(not the Element differentials), that they are cycles, that there are exactly
-a (resp. b) of them, and that they stay independent modulo the boundaries.
+Hodge degree as coordinate maps over the symmetrized basis, building the
+products e2^beta e3^gamma and Delta e2^beta e3^(gamma+1) with the integer
+product that derives the differentials' stencils (complexes._orbit_product).
+homology_basis_report checks, on the slice's own matrices, that every
+generator lies in its space, that the H1 ones are cycles, that there are
+exactly a (resp. b) of them, and that they stay independent modulo the
+boundaries.  No Element is built unless a problem line needs a generator's
+text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    basis_coordinates,
-    e2,
-    e3,
-    element_power,
-    render_element,
-    symmetrize,
-    vandermonde,
-)
+from .algebra import SYM, orbit, render_element, symmetrize
 from .cases import ParityCase
 from .complexes import ComplexConsistencyError, _hodge_degree, build_slice
-# Not called here: perfbench/child.py's tracer wraps it on this module by name.
+from .complexes import _orbit_product
+# Not called here: perfbench/child.py's tracer wraps both on this module by name.
+from .algebra import basis_coordinates  # noqa: F401
 from .complexes import apply_defect1  # noqa: F401
 from .genfun import euler_sign
 from .linalg import RationalMatrix, is_zero_composition, nonzero_product_columns
@@ -106,10 +105,6 @@ def _oo_monomials(degree):
     return out
 
 
-def _e2_e3(beta, gamma):
-    return element_power(e2(), beta) * element_power(e3(), gamma)
-
-
 # The closed-form families of the two odd-signature cases.  Per case, the
 # (k2 parity, k3 residues mod 4) rule of the H0 family (k2+1,k2,k3), the k3
 # residue of the single H0 element (k+1,k+1,k), and the rules of the H1
@@ -134,66 +129,66 @@ def _k2_k3(n, rule, gap):
 def homology_generators(case, t):
     """The closed-form H0 and H1 generators at Hodge degree t.
 
-    Returns (h0 generators, h1 generators), elements of degree t and t-1.
+    Returns (h0 generators, h1 generators), coordinate maps {sorted triple:
+    coefficient} over the symmetrized monomials of the case's flavor, of
+    degree t and t-1:
+
+    >>> from theta_homology.cases import CASE_OE
+    >>> homology_generators(CASE_OE, 13)
+    ([], [{(5, 5, 2): 2, (5, 4, 3): -1}])
     """
     t = _hodge_degree(t, 1)
-    if case.m_odd and case.n_odd:
-        h0 = [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t)]
-        return h0, [_e2_e3(beta, gamma) for beta, gamma in _oo_monomials(t - 1)]
+    if case.m_odd == case.n_odd:
+        # oo: e2^beta e3^gamma, that is e2^beta (gamma, gamma, gamma); ee:
+        # Delta e3 e2^beta e3^gamma, that is e2^beta [gamma+3, gamma+2,
+        # gamma+1]; gamma even, and each e2^beta built once, in ascending beta
+        lift = (0, 0, 0) if case.m_odd else (3, 2, 1)
+        lists = _oo_monomials(t - sum(lift)), _oo_monomials(t - 1 - sum(lift))
+        most = max((beta for pairs in lists for beta, _ in pairs), default=0)
+        e2, powers = orbit(SYM, (1, 1, 0)), [{(0, 0, 0): 1}]
+        while len(powers) <= most:
+            powers.append(_orbit_product(SYM, powers[-1], e2, "left"))
 
-    if not case.m_odd and not case.n_odd:
-        # Delta e3 e2^beta e3^gamma, gamma even, of total degree `degree`
-        def classes(degree):
-            return [
-                vandermonde() * _e2_e3(beta, gamma + 1)
-                for beta, gamma in _oo_monomials(degree - 6)
-            ]
+        def times(beta, g):
+            top = (g + lift[0], g + lift[1], g + lift[2])
+            return _orbit_product(SYM, powers[beta], orbit(case.flavor, top), "left")
 
-        return classes(t), classes(t - 1)
+        return tuple([times(beta, g) for beta, g in pairs] for pairs in lists)
 
-    sym = lambda triple: symmetrize(case.flavor, triple)
     h0_rule, h0_residue, square_rule, pair_rule = _ODD_FAMILIES[case.key]
-    h0 = [sym((k2 + 1, k2, k3)) for k2, k3 in _k2_k3(t - 1, h0_rule, 1)]
+    h0 = [{(k2 + 1, k2, k3): 1} for k2, k3 in _k2_k3(t - 1, h0_rule, 1)]
     k, rest = divmod(t - 2, 3)
     if rest == 0 and k % 4 == h0_residue:
-        h0.append(sym((k + 1, k + 1, k)))
+        h0.append({(k + 1, k + 1, k): 1})
     # one H1 family lives at t = 0 mod 4 and the other at t = 1, never both
-    h1 = [sym((k2, k2, k3)) for k2, k3 in _k2_k3(t - 1, square_rule, 0)]
+    h1 = [{(k2, k2, k3): 1} for k2, k3 in _k2_k3(t - 1, square_rule, 0)]
     h1 += [
-        sym((k2 + 1, k2 + 1, k3)) * 2 - sym((k2 + 1, k2, k3 + 1))
+        {(k2 + 1, k2 + 1, k3): 2, (k2 + 1, k2, k3 + 1): -1}
         for k2, k3 in _k2_k3(t - 3, pair_rule, 1)
     ]
     return h0, h1
 
 
-def _coordinate_columns(generators, basis, expected_degree, what, problems):
-    """(generator, column in basis) pairs; a generator without one gets a problem."""
+def _render(flavor, generator):
+    """A coordinate map as text: render_element of sum c symmetrize(flavor, k)."""
+    terms = [symmetrize(flavor, k) * c for k, c in generator.items()]
+    return render_element(sum(terms[1:], terms[0]))
+
+
+def _coordinate_columns(generators, flavor, basis, what, problems):
+    """(generator, column in basis) pairs; a generator with a triple outside the
+    basis gets a problem naming the largest such triple, and no column."""
     index = {triple: i for i, triple in enumerate(basis)}
     pairs = []
     for g in generators:
-        if g.degree != expected_degree:
+        outside = [k for k in g if k not in index]
+        if outside:
             problems.append(
-                f"{what} generator {render_element(g)} has degree {g.degree}, "
-                f"expected {expected_degree}"
+                f"{what} generator {_render(flavor, g)} sticks out of the space "
+                f"(component {max(outside)})"
             )
-            continue
-        try:
-            coords = basis_coordinates(g)
-        except ValueError:
-            problems.append(f"{what} generator {render_element(g)} is not equivariant")
-            continue
-        column = {}
-        for rep, c in coords.items():
-            if rep not in index:
-                problems.append(
-                    f"{what} generator {render_element(g)} sticks out of the space "
-                    f"(component {rep})"
-                )
-                column = None
-                break
-            column[index[rep]] = c
-        if column is not None:
-            pairs.append((g, column))
+        else:
+            pairs.append((g, {index[k]: c for k, c in g.items()}))
     return pairs
 
 
@@ -207,7 +202,8 @@ def homology_basis_report(slice_):
 
     if len(h0) != row.a:
         problems.append(f"H0 at t={t}: {len(h0)} generators listed, rank is {row.a}")
-    pairs0 = _coordinate_columns(h0, slice_.basis0, t, "H0", problems)
+    flavor = slice_.case.flavor
+    pairs0 = _coordinate_columns(h0, flavor, slice_.basis0, "H0", problems)
     cols0 = tuple(c for _, c in pairs0)
     with_d1 = RationalMatrix(len(slice_.basis0), slice_.d1.columns + cols0)
     if with_d1.rank() != row.rank_d1 + len(cols0):
@@ -215,10 +211,10 @@ def homology_basis_report(slice_):
 
     if len(h1) != row.b:
         problems.append(f"H1 at t={t}: {len(h1)} generators listed, rank is {row.b}")
-    pairs1 = _coordinate_columns(h1, slice_.basis1, t - 1, "H1", problems)
+    pairs1 = _coordinate_columns(h1, flavor, slice_.basis1, "H1", problems)
     cols1 = RationalMatrix(len(slice_.basis1), [c for _, c in pairs1])
     for j in nonzero_product_columns(slice_.d1, cols1):
-        problems.append(f"H1 generator {render_element(pairs1[j][0])} is not a cycle")
+        problems.append(f"H1 generator {_render(flavor, pairs1[j][0])} is not a cycle")
     with_d2 = RationalMatrix(len(slice_.basis1), slice_.d2.columns + cols1.columns)
     if with_d2.rank() != row.rank_d2 + cols1.cols:
         problems.append(f"H1 at t={t}: generators are dependent modulo boundaries")

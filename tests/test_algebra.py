@@ -13,9 +13,6 @@ from theta_homology.algebra import (
     Element,
     admissible_basis,
     basis_coordinates,
-    e2,
-    e3,
-    element_power,
     generator_sum,
     is_admissible,
     mirror,
@@ -26,8 +23,8 @@ from theta_homology.algebra import (
     permute_variables,
     render_element,
     symmetrize,
-    vandermonde,
 )
+from element_oracle import e2, e3, element_power, vandermonde
 from word_oracle import word_mirror, word_mul
 
 

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from theta_homology.algebra import (
@@ -23,10 +23,9 @@ from theta_homology.algebra import (
     mirror_sign,
     mul_e1,
     symmetrize,
-    vandermonde,
 )
 from theta_homology import complexes
-from theta_homology.algebra import ASYM, FLAVORS
+from theta_homology.algebra import ASYM, FLAVORS, Flavor, orbit
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.complexes import (
     ComplexConsistencyError,
@@ -40,6 +39,7 @@ from theta_homology.complexes import (
     slice_as_dict,
 )
 from theta_homology.linalg import RationalMatrix, is_zero_composition
+from element_oracle import vandermonde
 from word_oracle import word_mirror, word_mul
 
 
@@ -334,6 +334,37 @@ def test_stencil_table_equals_the_orbit_path_far_out():
                     for i, c in column
                 }
                 assert rows == basis_coordinates(image), (flavor, side, triple)
+
+
+# the sorted triples of degree 1 to 3: e1, e2, e3 and the Vandermonde
+# element are the symmetrized ones admissible in their flavor
+SMALL_TRIPLES = ((1, 0, 0), (2, 0, 0), (1, 1, 0), (3, 0, 0), (2, 1, 0), (1, 1, 1))
+GAPS = st.one_of(st.integers(0, 3), st.integers(0, 50))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    flavor=st.sampled_from(FLAVORS),
+    k3=st.integers(0, 50),
+    b=GAPS,
+    a=GAPS,
+    antisymmetric=st.booleans(),
+    small=st.sampled_from(SMALL_TRIPLES),
+    side=st.sampled_from(("left", "right")),
+)
+def test_orbit_product_equals_the_element_product(
+    flavor, k3, b, a, antisymmetric, small, side
+):
+    # the one product, for any symmetrized multiplier of degree 1 to 3 and
+    # either character, against basis_coordinates of the Element product
+    triple = (k3 + b + a, k3 + b, k3)
+    multiplier_flavor = Flavor(flavor.odd, antisymmetric)
+    assume(is_admissible(flavor, triple) and is_admissible(multiplier_flavor, small))
+    f = symmetrize(flavor, triple)
+    g = symmetrize(multiplier_flavor, small)
+    product = g * f if side == "left" else f * g
+    got = complexes._orbit_product(flavor, {triple: 1}, orbit(multiplier_flavor, small), side)
+    assert got == basis_coordinates(product)
 
 
 def test_stencil_table_rejects_disagreeing_representatives(

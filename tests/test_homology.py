@@ -6,11 +6,14 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from theta_homology import homology
+from theta_homology import algebra, homology
 from theta_homology.algebra import (
     SYM_ODD,
     Element,
+    basis_coordinates,
     is_admissible,
     mirror_sign,
     render_element,
@@ -29,6 +32,7 @@ from theta_homology.homology import (
     verify_homology_basis,
 )
 from theta_homology.linalg import RationalMatrix
+from element_oracle import element_generators
 
 
 def test_rank_row_examples():
@@ -116,6 +120,14 @@ def test_generator_counts_match_formulas():
             assert len(h1) == rank_formula(case, "b", t), (case.key, t)
 
 
+def expand(flavor, degree, generator):
+    """sum c symmetrize(flavor, k) over a coordinate map, as an Element."""
+    f = Element(flavor, degree)
+    for k, c in generator.items():
+        f = f + symmetrize(flavor, k) * c
+    return f
+
+
 def test_generator_lists_digest():
     # pins every closed-form generator, term by term, for t <= 40
     digest = hashlib.sha256()
@@ -125,8 +137,8 @@ def test_generator_lists_digest():
             rendered = (
                 case.key,
                 t,
-                [render_element(g) for g in h0],
-                [render_element(g) for g in h1],
+                [render_element(expand(case.flavor, t, g)) for g in h0],
+                [render_element(expand(case.flavor, t - 1, g)) for g in h1],
             )
             digest.update(repr(rendered).encode())
     assert digest.hexdigest() == (
@@ -138,8 +150,56 @@ def test_generator_degrees():
     for case in ALL_CASES:
         for t in range(1, 15):
             h0, h1 = homology_generators(case, t)
-            assert all(g.degree == t for g in h0)
-            assert all(g.degree == t - 1 for g in h1)
+            assert all(sum(k) == t for g in h0 for k in g)
+            assert all(sum(k) == t - 1 for g in h1 for k in g)
+
+
+def assert_generators_match_the_element_oracle(case, t):
+    got = homology_generators(case, t)
+    want = tuple(
+        [basis_coordinates(g) for g in gens] for gens in element_generators(case, t)
+    )
+    assert got == want, (case.key, t)
+
+
+def test_generators_match_the_element_oracle():
+    # the coordinate maps against the Element products they replace
+    for case in ALL_CASES:
+        for t in range(1, 41):
+            assert_generators_match_the_element_oracle(case, t)
+
+
+@settings(max_examples=5, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(ALL_CASES), t=st.integers(41, 80))
+def test_generators_match_the_element_oracle_past_the_exhaustive_range(case, t):
+    assert_generators_match_the_element_oracle(case, t)
+
+
+@pytest.fixture
+def elements_built(monkeypatch):
+    """A list that grows by one for every Element constructed."""
+    built = []
+    init = algebra.Element.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.Element, "__init__", counted)
+    return built
+
+
+def test_no_element_on_the_verify_path(elements_built):
+    # the generators and a clean report run on coordinate maps and matrices
+    for case in ALL_CASES:
+        for t in range(1, 31):
+            homology_generators(case, t)
+    slice_ = build_slice(CASE_EE, 8)
+    assert homology_basis_report(slice_) == []
+    assert elements_built == []
+    # the counter sees an Element where one is built: a problem line's text
+    assert homology_basis_report(build_slice(CASE_OE, 13))
+    assert elements_built
 
 
 def test_hodge_degree_follows_the_integral_rule():
@@ -226,7 +286,8 @@ def test_one_slice_build_per_check(monkeypatch):
 
 def test_report_names_each_problem(monkeypatch):
     # eo at t = 11 (Sym[xi], a = 2, b = 0); each substituted H0 or H1 list
-    # breaks one check of the report, which names it
+    # breaks one check of the report, which names it.  A triple of the wrong
+    # degree, an unsorted one or a mirror-odd one is outside the basis.
     case, t = CASE_EO, 11
     slice_ = build_slice(case, t)
     good, h1 = homology_generators(case, t)
@@ -234,10 +295,16 @@ def test_report_names_each_problem(monkeypatch):
     assert is_admissible(flavor, (7, 3, 1)) and mirror_sign(flavor, (7, 3, 1)) == -1
     for h0, line in (
         ([], "H0 at t=11: 0 generators listed, rank is 2"),
-        ([good[0], symmetrize(flavor, (6, 4, 0))], "has degree 10, expected 11"),
-        ([good[0], Element(flavor, t, {(t, 0, 0): 1})], "xi1^11 is not equivariant"),
         (
-            [good[0], symmetrize(flavor, (7, 3, 1))],
+            [good[0], {(6, 4, 0): 1}],
+            "sticks out of the space (component (6, 4, 0))",
+        ),
+        (
+            [good[0], {(0, 0, 11): 1}],
+            "sticks out of the space (component (0, 0, 11))",
+        ),
+        (
+            [good[0], {(7, 3, 1): 1}],
             "sticks out of the space (component (7, 3, 1))",
         ),
         ([good[0], good[0]], "H0 at t=11: generators are dependent modulo boundaries"),
@@ -248,23 +315,23 @@ def test_report_names_each_problem(monkeypatch):
         assert not verify_homology_basis(case, t)
     # substituted H1 lists, with b = 0: a generator that d1 does not kill is
     # named as no cycle; one of the wrong degree has no coordinate column, so
-    # it gets its degree line and no cycle verdict
-    not_a_cycle = symmetrize(SYM_ODD, (10, 0, 0))
-    wrong_degree = symmetrize(SYM_ODD, (9, 0, 0))
+    # it gets its sticks-out line and no cycle verdict
+    not_a_cycle = render_element(symmetrize(SYM_ODD, (10, 0, 0)))
+    wrong_degree = render_element(symmetrize(SYM_ODD, (9, 0, 0)))
     for h1, want in (
         (
-            [not_a_cycle],
+            [{(10, 0, 0): 1}],
             [
                 "H1 at t=11: 1 generators listed, rank is 0",
-                f"H1 generator {render_element(not_a_cycle)} is not a cycle",
+                f"H1 generator {not_a_cycle} is not a cycle",
             ],
         ),
         (
-            [wrong_degree],
+            [{(9, 0, 0): 1}],
             [
                 "H1 at t=11: 1 generators listed, rank is 0",
-                f"H1 generator {render_element(wrong_degree)} has degree 9, "
-                "expected 10",
+                f"H1 generator {wrong_degree} sticks out of the space "
+                "(component (9, 0, 0))",
             ],
         ),
     ):
