@@ -24,8 +24,8 @@ normal-form monomials as an anti-automorphism and acts diagonally:
 
 S3 renames the generators, with one signed rule per monomial: _act is that
 rule's only statement, read by permute_variables, orbit, is_admissible,
-basis_coordinates, the equivariance check in complexes and the edge-swap
-sign in signs, as mirror_sign is read for the reflection sign there.
+basis_coordinates, the parity-class checks of complexes._rules and the
+edge-swap sign in signs, as mirror_sign is read for the reflection sign there.
 crossing is the one statement of the odd product's sign, read by Element
 multiplication and by the integer product on coordinates in complexes
 (_orbit_product), which assembles the differentials and the closed-form

@@ -26,35 +26,35 @@ descending lexicographic order, so matrices are deterministic.
 Each (flavor, degree) is enumerated once, with the mirror eigenvalue of
 every admissible triple (_degree, which keeps the last few): C1 is the whole
 degree, C0 and C2 are its mirror classes, and d1's projection drops exactly
-the degree's mirror-odd triples.  The walk visits only sorted triples and
-reads each one's admissibility and mirror eigenvalue from one per-flavor
-table keyed by the exponents mod 4 and which gaps are 0 (_residue_table),
-derived on first use from is_admissible and mirror_sign at two
-representatives of each of its 100 keys, which must agree.  build_slice
-takes C2 from defect2_basis, which alone selects the eigenspace, and
-assembles both matrices in integers on sorted triples.  The column of e1
-times a symmetrized monomial k is a stencil: at most three entries, in rows
-k + e_0, k + e_1 and k + e_2, whose coefficients depend only on the stencil
-key of k, its parities and its gaps clipped at 2 (_stencil_table says why).
-One table per (flavor, side) maps each of the 32 keys to its stencil.  It is
-derived on first use from the orbit path (_orbit_product with e1: each
-monomial mu of algebra.orbit moved to mu + e_i with the odd sign
-algebra.crossing, only the sorted images kept), at two representatives of
-every key, which must agree; homology builds the closed-form generators with
-the same product.  _matrix_of reads at most three table entries per column.
-Equivariance is checked once per (flavor, side) on the exponent parity
-classes (_check_equivariance), not per column, and the group-action law it
-rests on once per flavor (_check_group_action).  _differential is the one
-statement of each differential's side and scalar; _matrix_of reads it once
-per matrix, and apply_defect2 and apply_defect1 read it on Element values:
-the reference path, which no module calls and tests compare the matrices
-with.
+the degree's mirror-odd triples.  build_slice takes C2 from defect2_basis,
+which alone selects the eigenspace, and assembles both matrices in integers
+on sorted triples.  The column of e1 times a symmetrized monomial k is a
+stencil: at most three entries, in rows k + e_0, k + e_1 and k + e_2.
+
+All that a flavor's rules say about a sorted triple is read from _rules,
+checked and derived once per flavor, on first use.  It first checks on the
+exponent parity classes, not per column, that the S3 action is a group
+action and commutes with multiplication by e1 on either side.  Then it
+walks 100 base triples, each against the same triple shifted by 4, which
+must agree.  sign maps the residue key (the exponents mod 4 and which gaps
+are 0) to the mirror eigenvalue, or 0 if the triple is not admissible: the
+walk of a degree reads one entry per sorted triple.  stencil maps each side
+and stencil key (the parities and the gaps clipped at 2) to the stencil,
+derived from the orbit path (_orbit_product with e1: each monomial mu of
+algebra.orbit moved to mu + e_i with the odd sign algebra.crossing, only the
+sorted images kept); homology builds the closed-form generators with the
+same product.  _matrix_of reads at most three stencil entries per column.
+_differential is the one statement of each differential's side and scalar;
+_matrix_of reads it once per matrix, and apply_defect2 and apply_defect1
+read it on Element values: the reference path, which no module calls and
+tests compare the matrices with.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,10 +89,7 @@ class ComplexConsistencyError(Exception):
 
     def __init__(self, message, case=None, t=None, triple=None, component=None):
         super().__init__(message)
-        self.case = case
-        self.t = t
-        self.triple = triple
-        self.component = component
+        self.case, self.t, self.triple, self.component = case, t, triple, component
 
 
 def _hodge_degree(t, least=None):
@@ -105,45 +102,6 @@ class _Degree(NamedTuple):
 
     basis: tuple[Triple, ...]  # descending lex
     by_sign: dict[int, tuple[Triple, ...]]  # mirror eigenvalue -> its triples
-    odd: frozenset[Triple]  # the mirror-odd triples: d1's projection drops them
-
-
-# One base triple (k3 + b + a, k3 + b, k3) per residue key: k3 mod 4 and each
-# gap's residue mod 4, with a gap of 4 standing for the positive gaps of
-# residue 0, so these 100 triples cover the keys.
-_RESIDUE_BASES = tuple(
-    (k3 + b + a, k3 + b, k3) for k3 in range(4) for b in range(5) for a in range(5)
-)
-
-
-@functools.cache
-def _residue_table(flavor):
-    """{residue key: mirror eigenvalue if admissible, else 0} of sorted triples.
-
-    The residue key of (k1, k2, k3) is (k1 & 3, k2 & 3, k3 & 3, k1 == k2,
-    k2 == k3), and it decides both values.  is_admissible reads only the _act
-    sign of an equal pair, which reads parities.  mirror_sign reads
-    k(k+1)/2 mod 2 of each exponent, fixed by k mod 4, in the odd flavors,
-    and the degree's parity in the commuting ones.  The table is derived from
-    both rules at every base triple and at the same triple shifted by 4 in
-    each coordinate; if the two disagree, ComplexConsistencyError names the
-    key.
-    """
-    table = {}
-    for base in _RESIDUE_BASES:
-        k1, k2, k3 = base
-        key = (k1 & 3, k2 & 3, k3 & 3, k1 == k2, k2 == k3)
-        values = [
-            mirror_sign(flavor, triple) if is_admissible(flavor, triple) else 0
-            for triple in (base, (k1 + 4, k2 + 4, k3 + 4))
-        ]
-        if values[0] != values[1]:
-            raise ComplexConsistencyError(
-                f"admissibility or the mirror sign in {flavor} differs between "
-                f"two triples of residue key {key}"
-            )
-        table[key] = values[0]
-    return table
 
 
 @functools.lru_cache(maxsize=8)
@@ -153,10 +111,10 @@ def _degree(flavor, degree):
 
     The sorted triples are walked in descending lex order, k1 down from the
     degree and k2 down from min(k1, degree - k1) to the least k2 >= k3, so
-    every triple visited is sorted; one _residue_table lookup per triple
-    gives its mirror eigenvalue, or 0 if it is not admissible.
+    every triple visited is sorted; one lookup in _rules(flavor).sign per
+    triple gives its mirror eigenvalue, or 0 if it is not admissible.
     """
-    table = _residue_table(flavor)
+    table = _rules(flavor).sign
     basis = []
     by_sign = {1: [], -1: []}
     for k1 in range(degree, (degree + 2) // 3 - 1, -1):
@@ -168,17 +126,12 @@ def _degree(flavor, degree):
                 triple = (k1, k2, k3)
                 basis.append(triple)
                 by_sign[sign].append(triple)
-    return _Degree(
-        tuple(basis),
-        {sign: tuple(c) for sign, c in by_sign.items()},
-        frozenset(by_sign[-1]),
-    )
+    return _Degree(tuple(basis), {sign: tuple(c) for sign, c in by_sign.items()})
 
 
 def defect2_basis(case, t):
     """Admissible triples of degree t-2 in the defect-2 mirror eigenspace."""
-    degree = _degree(case.flavor, _hodge_degree(t) - 2)
-    return degree.by_sign[case.defect2_mirror_sign]
+    return _degree(case.flavor, _hodge_degree(t) - 2).by_sign[case.defect2_mirror_sign]
 
 
 def defect1_basis(case, t):
@@ -242,66 +195,11 @@ def _e_sign(flavor, side, e, mu):
     return crossing(e, mu) if side == "left" else crossing(mu, e)
 
 
-@functools.cache
-def _check_group_action(flavor):
-    """Check, once per flavor, that _act is a group action on every parity
-    class mu in {0,1}^3: sigma(tau mu) = (sigma tau) mu with signs, for all
-    sigma, tau in S3.  The sign depends only on the exponents' parities, so
-    this covers every monomial; no side enters."""
-    for mu in itertools.product((0, 1), repeat=3):
-        for tau in S3:
-            tau_mu, tau_sign = _act(flavor, tau, mu)
-            for sigma in S3:
-                composed = tuple(sigma[tau[i]] for i in range(3))
-                image, sign = _act(flavor, sigma, tau_mu)
-                if (image, sign * tau_sign) != _act(flavor, composed, mu):
-                    raise ComplexConsistencyError(
-                        f"the S3 action of {flavor} is not a group action on {mu}"
-                    )
-
-
-@functools.cache
-def _check_equivariance(flavor, side):
-    """Check, once per (flavor, side), that e1 multiplication keeps equivariance.
-
-    On every parity class mu in {0,1}^3, for all sigma, tau in S3 and i:
-    (a) _act is a group action, sigma(tau mu) = (sigma tau) mu with signs
-    (_check_group_action, once per flavor for both sides);
-    (b) sigma(e_i mu) = e_sigma(i) sigma(mu) with the signs of _act and
-    crossing (mu e_i on the right side).  Both signs depend only on the
-    exponents' parities, so this covers every monomial.
-    """
-    _check_group_action(flavor)
-    for mu in itertools.product((0, 1), repeat=3):
-        for i, e in enumerate(_UNIT):
-            nu = tuple(k + x for k, x in zip(mu, e))
-            c = _e_sign(flavor, side, e, mu)
-            for sigma in S3:
-                moved, sign = _act(flavor, sigma, nu)
-                sigma_mu, mu_sign = _act(flavor, sigma, mu)
-                sigma_e = _UNIT[sigma[i]]
-                target = tuple(k + x for k, x in zip(sigma_mu, sigma_e))
-                d = _e_sign(flavor, side, sigma_e, sigma_mu)
-                if (moved, c * sign) != (target, d * mu_sign):
-                    raise ComplexConsistencyError(
-                        f"S3 does not commute with {side} multiplication by e1 "
-                        f"in {flavor} (parity class {mu}, generator {i + 1})"
-                    )
-
-
 def _stencil_key(triple):
     """(k1, k2, k3 mod 2, min(k1 - k2, 2), min(k2 - k3, 2)) of a sorted triple."""
     k1, k2, k3 = triple
     a, b = k1 - k2, k2 - k3
     return k1 & 1, k2 & 1, k3 & 1, a if a < 2 else 2, b if b < 2 else 2
-
-
-# One base triple (k3 + b + a, k3 + b, k3) per valid stencil key: a gap of 0
-# forces equal parities and a gap of 1 different ones, and the gaps 2 and 3
-# are the two parities of a clipped gap 2, so these 32 triples cover the keys.
-_STENCIL_BASES = tuple(
-    (k3 + b + a, k3 + b, k3) for k3 in (0, 1) for b in range(4) for a in range(4)
-)
 
 
 def _orbit_product(flavor, coords, multiplier, side):
@@ -325,7 +223,7 @@ def _orbit_product(flavor, coords, multiplier, side):
 
 def _orbit_column(flavor, side, triple):
     """e1 times the symmetrized monomial of a sorted triple, on the orbit path
-    (_orbit_product): ((i, coefficient on triple + e_i), ...) with zero
+    (_orbit_product): ((e_i, coefficient on triple + e_i), ...) with zero
     coefficients omitted.
 
     A sorted image is a permutation of the triple with one entry raised, so
@@ -333,66 +231,125 @@ def _orbit_column(flavor, side, triple):
     """
     image = _orbit_product(flavor, {triple: 1}, dict.fromkeys(_UNIT, 1), side)
     k1, k2, k3 = triple
-    column = []
-    for i, e in enumerate(_UNIT):
-        c = image.get((k1 + e[0], k2 + e[1], k3 + e[2]))
-        if c:
-            column.append((i, c))
-    return tuple(column)
+    rows = ((k1 + 1, k2, k3), (k1, k2 + 1, k3), (k1, k2, k3 + 1))
+    return tuple((e, image[row]) for e, row in zip(_UNIT, rows) if row in image)
+
+
+_PARITIES = tuple(itertools.product((0, 1), repeat=3))  # the exponent parity classes
+
+# One base triple (k3 + b + a, k3 + b, k3) per residue key: k3 mod 4 and each
+# gap's residue mod 4, with a gap of 4 standing for the positive gaps of
+# residue 0, so these 100 triples cover the keys.  They cover the 32 stencil
+# keys too, since a gap of 0 forces equal parities and a gap of 1 different
+# ones, and the gaps 2 and 3 are the two parities of a clipped gap 2.
+_BASES = tuple(
+    (k3 + b + a, k3 + b, k3) for k3 in range(4) for b in range(5) for a in range(5)
+)
+
+
+class _Rules(NamedTuple):
+    """What a flavor's rules say about sorted triples, read by key (_rules)."""
+
+    sign: dict  # residue key -> mirror eigenvalue if admissible, else 0
+    stencil: dict[str, dict]  # side -> {stencil key: _orbit_column's column}
 
 
 @functools.cache
-def _stencil_table(flavor, side):
-    """{stencil key: column} for e1 multiplication on the given side.
+def _rules(flavor):
+    """_Rules of a flavor, checked and derived once, on first use.
 
-    A column is _orbit_column's ((i, coefficient on k + e_i), ...).  The key
-    (_stencil_key) determines it: the signs of _act and crossing read only
-    the exponents' parities (the parity-class argument of
-    _check_equivariance), and is_admissible and the stabilizers of k and of
-    k + e_i read only whether a gap is 0 or 1, since a gap of 2 or more stays
-    positive when one entry is raised.  The table is derived from the orbit
-    path at every base triple and at the same triple shifted by 2 in each
-    coordinate; if the two disagree, ComplexConsistencyError names the key.
+    Checks, on every parity class mu in {0,1}^3 and for all sigma, tau in S3
+    and i: (a) _act is a group action, sigma(tau mu) = (sigma tau) mu with
+    signs; (b) on each side, sigma(e_i mu) = e_sigma(i) sigma(mu) with the
+    signs of _act and crossing (mu e_i on the right side), so e1
+    multiplication keeps equivariance.  Both signs depend only on the
+    exponents' parities, so this covers every monomial.
+
+    Then every base triple is read against the same triple shifted by 4 in
+    each coordinate, which keeps both of its keys; if the two disagree,
+    ComplexConsistencyError names the key.  sign is keyed by (k1 & 3, k2 & 3,
+    k3 & 3, k1 == k2, k2 == k3): is_admissible reads only the _act sign of an
+    equal pair, which reads parities, and mirror_sign reads k(k+1)/2 mod 2 of
+    each exponent, fixed by k mod 4, in the odd flavors, and the degree's
+    parity in the commuting ones.  stencil[side] is keyed by _stencil_key and
+    derived at the first base of each key: the signs read parities, and
+    is_admissible and the stabilizers of k and of k + e_i read only whether a
+    gap is 0 or 1, since a gap of 2 or more stays positive when one entry is
+    raised.  A check that fails caches nothing.
     """
-    table = {}
-    for base in _STENCIL_BASES:
-        key = _stencil_key(base)
-        column = _orbit_column(flavor, side, base)
-        if _orbit_column(flavor, side, tuple(k + 2 for k in base)) != column:
+    for mu, tau in itertools.product(_PARITIES, S3):
+        tau_mu, tau_sign = _act(flavor, tau, mu)
+        for sigma in S3:
+            image, sign = _act(flavor, sigma, tau_mu)
+            composed = _act(flavor, tuple(sigma[j] for j in tau), mu)
+            if (image, sign * tau_sign) != composed:
+                raise ComplexConsistencyError(
+                    f"the S3 action of {flavor} is not a group action on {mu}"
+                )
+    rules = _Rules({}, {"left": {}, "right": {}})
+    for side, mu, i, sigma in itertools.product(rules.stencil, _PARITIES, range(3), S3):
+        e, sigma_e = _UNIT[i], _UNIT[sigma[i]]
+        moved, sign = _act(flavor, sigma, tuple(map(operator.add, mu, e)))
+        sigma_mu, mu_sign = _act(flavor, sigma, mu)
+        target = tuple(map(operator.add, sigma_mu, sigma_e))
+        sign *= _e_sign(flavor, side, e, mu)
+        mu_sign *= _e_sign(flavor, side, sigma_e, sigma_mu)
+        if (moved, sign) != (target, mu_sign):
             raise ComplexConsistencyError(
-                f"{side} multiplication by e1 in {flavor} differs between two "
-                f"triples of stencil key {key}"
+                f"S3 does not commute with {side} multiplication by e1 "
+                f"in {flavor} (parity class {mu}, generator {i + 1})"
             )
-        table[key] = column
-    return table
+    for base in _BASES:
+        k1, k2, k3 = base
+        shifted = (k1 + 4, k2 + 4, k3 + 4)
+        key = (k1 & 3, k2 & 3, k3 & 3, k1 == k2, k2 == k3)
+        values = [
+            mirror_sign(flavor, triple) if is_admissible(flavor, triple) else 0
+            for triple in (base, shifted)
+        ]
+        if values[0] != values[1]:
+            raise ComplexConsistencyError(
+                f"admissibility or the mirror sign in {flavor} differs between "
+                f"two triples of residue key {key}"
+            )
+        rules.sign[key] = values[0]
+        key = _stencil_key(base)
+        for side, table in rules.stencil.items():
+            if key in table:
+                continue
+            column = _orbit_column(flavor, side, base)
+            if _orbit_column(flavor, side, shifted) != column:
+                raise ComplexConsistencyError(
+                    f"{side} multiplication by e1 in {flavor} differs between two "
+                    f"triples of stencil key {key}"
+                )
+            table[key] = column
+    return rules
 
 
-def _matrix_of(case, t, source, target, defect):
+def _matrix_of(case, t, source, target, defect, dropped=()):
     """Matrix of d2 (defect 2) or d1 (defect 1), assembled in integers.
 
     A d2 source is taken to lie in C2 (defect2_basis selects it).  Each column
-    is the source triple's stencil (_stencil_table) times the differential's
-    scalar.  An image component outside the target basis is dropped if it is
-    a mirror-odd admissible triple of degree t and the matrix is d1 (the
-    projection); any other one raises ComplexConsistencyError.
+    is the source triple's stencil (_rules) times the differential's scalar.
+    An image component outside the target basis is dropped if it is in
+    dropped (d1's projection: the mirror-odd triples of degree t); any other
+    one raises ComplexConsistencyError.
     """
-    flavor = case.flavor
     side, scale = _differential(case, defect, t - defect)
-    _check_equivariance(flavor, side)
-    stencil = _stencil_table(flavor, side)
-    index = {triple: i for i, triple in enumerate(target)}
-    dropped = _degree(flavor, t).odd if defect == 1 else frozenset()
+    stencil = _rules(case.flavor).stencil[side]
+    # None: the row of a component that d1's projection drops
+    index = dict.fromkeys(dropped) | {triple: i for i, triple in enumerate(target)}
     columns = []
     for triple in source:
         k1, k2, k3 = triple
         column = {}
-        for i, c in stencil[_stencil_key(triple)]:
-            e = _UNIT[i]
+        for e, c in stencil[_stencil_key(triple)]:
             rep = (k1 + e[0], k2 + e[1], k3 + e[2])
             row = index.get(rep)
             if row is not None:
                 column[row] = scale * c
-            elif rep not in dropped:
+            elif rep not in index:
                 raise ComplexConsistencyError(
                     f"image component {rep} of {triple} misses the target basis",
                     case=case,
@@ -411,7 +368,7 @@ def build_slice(case, t):
     basis1 = defect1_basis(case, t)
     basis0 = defect0_basis(case, t)
     d2 = _matrix_of(case, t, basis2, basis1, 2)
-    d1 = _matrix_of(case, t, basis1, basis0, 1)
+    d1 = _matrix_of(case, t, basis1, basis0, 1, _degree(case.flavor, t).by_sign[-1])
     return HodgeSlice(case, t, basis2, basis1, basis0, d2, d1)
 
 

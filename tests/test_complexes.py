@@ -236,22 +236,34 @@ def test_assembly_matches_element_oracle():
             assert s.d1 == d1, (case.key, t)
 
 
+def assembly_memos():
+    """{name: memo} of every attribute of complexes with cache_clear."""
+    return {
+        name: value
+        for name, value in vars(complexes).items()
+        if hasattr(value, "cache_clear")
+    }
+
+
 def clear_assembly_memos():
-    complexes._check_group_action.cache_clear()
-    complexes._check_equivariance.cache_clear()
-    complexes._stencil_table.cache_clear()
-    complexes._residue_table.cache_clear()
-    complexes._degree.cache_clear()
+    for memo in assembly_memos().values():
+        memo.cache_clear()
 
 
 @pytest.fixture
 def fresh_equivariance_memo():
-    # the stencil and residue tables and the kept degrees too: one derived
-    # under a monkeypatched crossing, orbit or mirror_sign must not outlive
-    # its test
+    # every memo of complexes: rules or kept degrees derived under a
+    # monkeypatched crossing, _act, orbit or mirror_sign must not outlive
+    # their test
     clear_assembly_memos()
     yield
     clear_assembly_memos()
+
+
+def test_assembly_memos_are_the_rules_and_the_kept_degrees():
+    # a new memo is cleared by the fixture without a change here; this pins
+    # the set, so adding one is a decision a reviewer sees
+    assert set(assembly_memos()) == {"_rules", "_degree"}
 
 
 @pytest.mark.parametrize(
@@ -266,28 +278,45 @@ def fresh_equivariance_memo():
 def test_equivariance_check_catches_a_wrong_crossing_rule(
     monkeypatch, fresh_equivariance_memo, wrong
 ):
-    monkeypatch.setattr(complexes, "crossing", wrong)
-    for flavor in (SYM_ODD, ASYM_ODD):
+    # the left side is checked first; a rule wrong only where the unit
+    # generator is the right factor passes it and is caught on the right
+    def right_only(a, b):
+        return wrong(a, b) if sum(b) == 1 and sum(a) != 1 else crossing(a, b)
+
+    for rule, side in ((wrong, "left"), (right_only, "right")):
+        monkeypatch.setattr(complexes, "crossing", rule)
+        for flavor in (SYM_ODD, ASYM_ODD):
+            message = f"does not commute with {side} multiplication by e1 in {flavor}"
+            with pytest.raises(ComplexConsistencyError, match=re.escape(message)):
+                complexes._rules(flavor)
         with pytest.raises(ComplexConsistencyError, match="does not commute"):
-            complexes._check_equivariance(flavor, "left")
+            build_slice(CASE_EO, 5)
+        # the commuting flavors never read the odd sign
+        for flavor in (SYM, ASYM):
+            complexes._rules(flavor)
+
+
+def test_a_failed_derivation_caches_nothing(monkeypatch, fresh_equivariance_memo):
+    monkeypatch.setattr(complexes, "crossing", lambda a, b: 1)
+    for _ in range(2):
         with pytest.raises(ComplexConsistencyError, match="does not commute"):
-            complexes._check_equivariance(flavor, "right")
-    with pytest.raises(ComplexConsistencyError):
-        build_slice(CASE_EO, 5)
-    # the commuting flavors never read the odd sign
-    for flavor in (SYM, ASYM):
-        complexes._check_equivariance(flavor, "left")
-        complexes._check_equivariance(flavor, "right")
+            complexes._rules(SYM_ODD)
+        with pytest.raises(ComplexConsistencyError, match="does not commute"):
+            build_slice(CASE_EO, 5)
+    monkeypatch.undo()
+    assert complexes._rules(SYM_ODD).stencil["left"]
 
 
 def test_equivariance_check_passes_on_every_flavor(fresh_equivariance_memo):
     for flavor in FLAVORS:
-        for side in ("left", "right"):
-            complexes._check_equivariance(flavor, side)
-    assert complexes._check_equivariance.cache_info().currsize == 8
-    # the group-action law has no side: it runs once per flavor
-    assert complexes._check_group_action.cache_info().misses == 4
-    assert complexes._check_group_action.cache_info().currsize == 4
+        for _ in range(2):
+            rules = complexes._rules(flavor)
+        assert len(rules.sign) == 100
+        assert set(rules.stencil) == {"left", "right"}
+        assert all(len(table) == 32 for table in rules.stencil.values())
+    # the checks and tables run once per flavor, for both sides
+    assert complexes._rules.cache_info().misses == 4
+    assert complexes._rules.cache_info().currsize == 4
 
 
 def test_equivariance_check_catches_a_non_action(monkeypatch, fresh_equivariance_memo):
@@ -300,9 +329,11 @@ def test_equivariance_check_catches_a_non_action(monkeypatch, fresh_equivariance
         return image, -sign if perm == (1, 2, 0) and mono == (1, 0, 0) else sign
 
     monkeypatch.setattr(complexes, "_act", broken)
-    for side in ("left", "right"):
-        with pytest.raises(ComplexConsistencyError, match="is not a group action"):
-            complexes._check_equivariance(SYM, side)
+    message = "the S3 action of Sym[x] is not a group action on (0, 0, 1)"
+    with pytest.raises(ComplexConsistencyError, match=re.escape(message)):
+        complexes._rules(SYM)
+    with pytest.raises(ComplexConsistencyError, match="is not a group action"):
+        build_slice(CASE_OO, 5)
 
 
 def random_admissible_triples(flavor, count, rng):
@@ -324,15 +355,12 @@ def test_stencil_table_equals_the_orbit_path_far_out():
     for flavor in FLAVORS:
         triples = random_admissible_triples(flavor, 500, rng)
         for side in ("left", "right"):
-            table = complexes._stencil_table(flavor, side)
+            table = complexes._rules(flavor).stencil[side]
             for triple in triples:
                 column = table[complexes._stencil_key(triple)]
                 assert column == complexes._orbit_column(flavor, side, triple)
                 image = mul_e1(symmetrize(flavor, triple), side)
-                rows = {
-                    tuple(k + (j == i) for j, k in enumerate(triple)): c
-                    for i, c in column
-                }
+                rows = {tuple(k + x for k, x in zip(triple, e)): c for e, c in column}
                 assert rows == basis_coordinates(image), (flavor, side, triple)
 
 
@@ -370,12 +398,12 @@ def test_orbit_product_equals_the_element_product(
 def test_stencil_table_rejects_disagreeing_representatives(
     monkeypatch, fresh_equivariance_memo
 ):
-    # (6, 4, 2) is the shifted representative of key (0, 0, 0, 2, 2) only
+    # (8, 6, 4) is the shifted representative of key (0, 0, 0, 2, 2) only
     orbit = complexes.orbit
 
     def flipped(flavor, triple):
         signs = orbit(flavor, triple)
-        if triple == (6, 4, 2):
+        if triple == (8, 6, 4):
             return {mu: -c for mu, c in signs.items()}
         return signs
 
@@ -385,7 +413,7 @@ def test_stencil_table_rejects_disagreeing_representatives(
         "stencil key (0, 0, 0, 2, 2)"
     )
     with pytest.raises(ComplexConsistencyError, match=re.escape(message)):
-        complexes._stencil_table(SYM, "left")
+        complexes._rules(SYM)
 
 
 def test_orbit_is_read_only_to_derive_the_tables(monkeypatch, fresh_equivariance_memo):
@@ -405,21 +433,19 @@ def test_orbit_is_read_only_to_derive_the_tables(monkeypatch, fresh_equivariance
 
 
 def test_fresh_memo_fixture_clears_the_stencil_tables(request):
-    complexes._stencil_table(SYM, "left")
-    assert complexes._stencil_table.cache_info().currsize > 0
+    complexes._rules(SYM)
+    assert complexes._rules.cache_info().currsize > 0
     request.getfixturevalue("fresh_equivariance_memo")
-    assert complexes._stencil_table.cache_info().currsize == 0
-    assert complexes._check_equivariance.cache_info().currsize == 0
-    assert complexes._check_group_action.cache_info().currsize == 0
+    assert complexes._rules.cache_info().currsize == 0
 
 
 def test_fresh_memo_fixture_clears_the_kept_degrees(request):
     build_slice(CASE_EO, 6)
     assert complexes._degree.cache_info().currsize > 0
-    assert complexes._residue_table.cache_info().currsize > 0
+    assert complexes._rules.cache_info().currsize > 0
     request.getfixturevalue("fresh_equivariance_memo")
     assert complexes._degree.cache_info().currsize == 0
-    assert complexes._residue_table.cache_info().currsize == 0
+    assert complexes._rules.cache_info().currsize == 0
 
 
 def residue_key(triple):
@@ -430,9 +456,9 @@ def residue_key(triple):
 def test_basis_rules_are_read_only_to_derive_the_residue_table(
     monkeypatch, fresh_equivariance_memo
 ):
-    # mirror_sign and is_admissible run only on the residue table's base
-    # triples and their shifts, at most twice per key; the kept degrees,
-    # C0, C2 and d1's drop set read the table, and new degrees call neither
+    # mirror_sign and is_admissible run only on the base triples of _rules
+    # and their shifts, at most twice per residue key; the kept degrees, C0,
+    # C2 and d1's drop set read its sign table, and new degrees call neither
     calls = {"mirror_sign": [], "is_admissible": []}
 
     def counting(name):
@@ -448,7 +474,7 @@ def test_basis_rules_are_read_only_to_derive_the_residue_table(
         monkeypatch.setattr(complexes, name, counting(name))
     for t in range(1, 21):
         build_slice(CASE_EO, t)
-    bases = set(complexes._RESIDUE_BASES)
+    bases = set(complexes._BASES)
     bases |= {tuple(k + 4 for k in base) for base in bases}
     for counted in calls.values():
         assert counted and {flavor for flavor, _ in counted} == {SYM_ODD}
@@ -471,7 +497,6 @@ def assert_degree_matches_the_rules(flavor, d):
         assert degree.by_sign[sign] == tuple(
             triple for triple in basis if mirror_sign(flavor, triple) == sign
         ), (flavor, d, sign)
-    assert degree.odd == frozenset(degree.by_sign[-1])
 
 
 def test_degree_equals_admissible_basis_and_mirror_sign():
@@ -505,7 +530,7 @@ def test_residue_table_rejects_disagreeing_representatives(
         "triples of residue key (0, 0, 0, True, True)"
     )
     with pytest.raises(ComplexConsistencyError, match=re.escape(message)):
-        complexes._residue_table(SYM)
+        complexes._rules(SYM)
     with pytest.raises(ComplexConsistencyError, match="residue key"):
         build_slice(CASE_OO, 3)
 
@@ -514,19 +539,22 @@ def test_d1_drops_only_mirror_odd_basis_triples(monkeypatch):
     # a stencil fault that emits a non-admissible component is caught, even
     # where that component is mirror-odd and so was once dropped as the
     # projection's
-    key, fault = (0, 1, 0, 1, 1), (2, 1)  # adds (2, 1, 1) to the image of (2, 1, 0)
+    # the fault adds (2, 1, 1) to the image of (2, 1, 0)
+    key, fault = (0, 1, 0, 1, 1), ((0, 0, 1), 1)
     assert complexes._stencil_key((2, 1, 0)) == key
     assert not is_admissible(SYM_ODD, (2, 1, 1))
     assert mirror_sign(SYM_ODD, (2, 1, 1)) == -1
-    table = complexes._stencil_table
+    rules = complexes._rules
 
-    def faulty(flavor, side):
-        stencil = dict(table(flavor, side))
-        if (flavor, side) == (SYM_ODD, "left"):
-            stencil[key] += (fault,)
-        return stencil
+    def faulty(flavor):
+        found = rules(flavor)
+        if flavor != SYM_ODD:
+            return found
+        left = dict(found.stencil["left"])
+        left[key] += (fault,)
+        return found._replace(stencil={**found.stencil, "left": left})
 
-    monkeypatch.setattr(complexes, "_stencil_table", faulty)
+    monkeypatch.setattr(complexes, "_rules", faulty)
     with pytest.raises(ComplexConsistencyError) as caught:
         build_slice(CASE_EO, 4)
     error = caught.value
@@ -583,11 +611,12 @@ def test_assembly_errors_say_where():
         (4, 0, 0),
     )
     assert str(error) == "image component (4, 0, 0) of (3, 0, 0) misses the target basis"
-    # the same for d1
+    # the same for d1, with the mirror-odd triples its projection drops
     basis1, basis0 = defect1_basis(CASE_OO, 4), defect0_basis(CASE_OO, 4)
     assert basis1[0] == (3, 0, 0) and basis0[0] == (4, 0, 0)
+    odd = complexes._degree(CASE_OO.flavor, 4).by_sign[-1]
     with pytest.raises(ComplexConsistencyError) as caught:
-        complexes._matrix_of(CASE_OO, 4, basis1, basis0[1:], 1)
+        complexes._matrix_of(CASE_OO, 4, basis1, basis0[1:], 1, odd)
     error = caught.value
     assert (error.case, error.t, error.triple, error.component) == (
         CASE_OO,
