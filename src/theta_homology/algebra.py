@@ -34,10 +34,11 @@ and [k1,k2,k3] in the sign-twisted ones, are the signed S3-orbit sums
 normalized to coefficient +1 on the descending-sorted monomial.
 is_admissible is the one statement of which of them cancel; orbit and the
 admissible bases enumerated here read it.  homology builds the closed-form
-generators from the orbits of three kinds of survivors: e2 = (1,1,0),
-e3^g = (g,g,g) and Delta e3^(g+1) = [g+3,g+2,g+1], Delta the Vandermonde
-element.  Element is kept for the tests' oracles and the text of homology's
-problem lines.
+generators of oo and ee from one survivor's orbit, e2 = (1,1,0), multiplied
+into 1 or Delta e3 = [3,2,1], Delta the Vandermonde element; e3^g = (g,g,g)
+is a single monomial, so it enters as a shift of every exponent by g.
+Element is kept for the tests' oracles and the text of homology's problem
+lines.
 """
 
 from __future__ import annotations
@@ -339,16 +340,9 @@ def basis_coordinates(f):
     }
 
 
-def generator_sum(flavor):
-    """e1 = x1 + x2 + x3 (or the xi version), in the parity of the flavor."""
-    return Element(
-        Flavor(flavor.odd, False), 1, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
-    )
-
-
 def mul_e1(f, side):
-    """Multiply by e1 on the requested side ("left" or "right")."""
-    e = generator_sum(f.flavor)
+    """Multiply by e1 = (1,0,0), in f's parity, on the side "left" or "right"."""
+    e = symmetrize(Flavor(f.flavor.odd, False), (1, 0, 0))
     if side == "left":
         return e * f
     if side == "right":

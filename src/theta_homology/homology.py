@@ -13,9 +13,10 @@ the total degree of the defect-0 graphs, chi = +-(dim C0 - dim C1 + dim C2).
 Each case also has an explicit closed-form basis of H0 and H1, families of
 symmetrized monomials (or two-term combinations) indexed by congruence
 conditions on the exponents; homology_generators enumerates them at a given
-Hodge degree as coordinate maps over the symmetrized basis, building the
-products e2^beta e3^gamma and Delta e2^beta e3^(gamma+1) with the integer
-product that derives the differentials' stencils (complexes._orbit_product).
+Hodge degree as coordinate maps over the symmetrized basis: e2^beta and
+Delta e3 e2^beta by the integer product that derives the differentials'
+stencils (complexes._orbit_product), one e2 per power, and times e3^gamma,
+one monomial fixed by every renaming, as a shift of every exponent by gamma.
 homology_basis_report checks, on the slice's own matrices, that every
 generator lies in its space, that the H1 ones are cycles, that there are
 exactly a (resp. b) of them, and that they stay independent modulo the
@@ -139,21 +140,19 @@ def homology_generators(case, t):
     """
     t = _hodge_degree(t, 1)
     if case.m_odd == case.n_odd:
-        # oo: e2^beta e3^gamma, that is e2^beta (gamma, gamma, gamma); ee:
-        # Delta e3 e2^beta e3^gamma, that is e2^beta [gamma+3, gamma+2,
-        # gamma+1]; gamma even, and each e2^beta built once, in ascending beta
-        lift = (0, 0, 0) if case.m_odd else (3, 2, 1)
-        lists = _oo_monomials(t - sum(lift)), _oo_monomials(t - 1 - sum(lift))
-        most = max((beta for pairs in lists for beta, _ in pairs), default=0)
-        e2, powers = orbit(SYM, (1, 1, 0)), [{(0, 0, 0): 1}]
-        while len(powers) <= most:
-            powers.append(_orbit_product(SYM, powers[-1], e2, "left"))
-
-        def times(beta, g):
-            top = (g + lift[0], g + lift[1], g + lift[2])
-            return _orbit_product(SYM, powers[beta], orbit(case.flavor, top), "left")
-
-        return tuple([times(beta, g) for beta, g in pairs] for pairs in lists)
+        # oo: e2^beta e3^gamma; ee: Delta e3 e2^beta e3^gamma; gamma even.  e3^g
+        # is the one monomial (g, g, g), fixed by every renaming, so it shifts
+        # every exponent by g; chain[beta] = seed e2^beta, one e2 product each
+        seed = (0, 0, 0) if case.m_odd else (3, 2, 1)
+        e2, chain = orbit(SYM, (1, 1, 0)), [{seed: 1}]
+        out = [], []
+        for degree, generators in zip((t, t - 1), out):
+            for beta, g in _oo_monomials(degree - sum(seed)):
+                while len(chain) <= beta:
+                    chain.append(_orbit_product(case.flavor, chain[-1], e2, "left"))
+                power = chain[beta].items()
+                generators.append({(a + g, b + g, c + g): v for (a, b, c), v in power})
+        return out
 
     h0_rule, h0_residue, square_rule, pair_rule = _ODD_FAMILIES[case.key]
     h0 = [{(k2 + 1, k2, k3): 1} for k2, k3 in _k2_k3(t - 1, h0_rule, 1)]

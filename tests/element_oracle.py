@@ -1,10 +1,12 @@
 """Element-algebra oracle for the closed-form generators.
 
-The package builds the generators as coordinate maps with one integer
-product (complexes._orbit_product).  Here they are built the generic way,
-as Element products of e2, e3 and the Vandermonde element, for the tests to
-compare through algebra.basis_coordinates.  Only the index rules of the
-families (which exponents each family lists) are shared with the package.
+The package builds the generators as coordinate maps: a chain of integer
+products by e2 (complexes._orbit_product), with the factor e3^gamma taken as
+a shift of every exponent by gamma.  Here they are built the generic way, as
+Element products of e2, e3 and the Vandermonde element, powers of e3
+included, for the tests to compare through algebra.basis_coordinates.  Only
+the index rules of the families (which exponents each family lists) are
+shared with the package.
 """
 
 from theta_homology.algebra import (

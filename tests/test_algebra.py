@@ -13,7 +13,6 @@ from theta_homology.algebra import (
     Element,
     admissible_basis,
     basis_coordinates,
-    generator_sum,
     is_admissible,
     mirror,
     mirror_even_part,
@@ -280,7 +279,8 @@ def test_permute_variables_is_a_group_action():
 
 def test_symmetrize_examples():
     pair_sum = {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
-    assert symmetrize(SYM_ODD, (1, 0, 0)) == generator_sum(SYM_ODD)
+    xi_sum = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
+    assert symmetrize(SYM_ODD, (1, 0, 0)) == Element(SYM_ODD, 1, xi_sum)
     assert symmetrize(SYM, (1, 1, 0)) == Element(SYM, 2, pair_sum)
     assert symmetrize(SYM, (1, 1, 1)) == Element(SYM, 3, {(1, 1, 1): 1})
     # (x1-x2)(x1-x3)(x2-x3), multiplied out
@@ -494,12 +494,11 @@ def test_basis_coordinates_ordering_and_rejection():
 
 
 def test_named_elements():
-    assert generator_sum(SYM).coeffs == {
+    assert symmetrize(SYM, (1, 0, 0)).coeffs == {
         (1, 0, 0): Fraction(1),
         (0, 1, 0): Fraction(1),
         (0, 0, 1): Fraction(1),
     }
-    assert generator_sum(ASYM_ODD).flavor == SYM_ODD
     assert e2().coeffs == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
     assert e3().coeffs == {(1, 1, 1): Fraction(1)}
     assert vandermonde().coeffs.get((2, 0, 1), 0) == -1
@@ -530,6 +529,10 @@ def test_mul_e1():
     }
     with pytest.raises(ValueError):
         mul_e1(xi1, "up")
+    # e1 is symmetric, so it keeps the twist of the element it multiplies
+    twisted = symmetrize(ASYM_ODD, (2, 1, 0))
+    for side in ("left", "right"):
+        assert mul_e1(twisted, side).flavor == ASYM_ODD
 
 
 def test_sandwich_parity_flip():
@@ -551,7 +554,7 @@ def test_element_power():
         element_power(e2(), -1)
     # p2 = e1^2 - 2 e2
     power_sum = Element(SYM, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    assert element_power(generator_sum(SYM), 2) - e2() * 2 == power_sum
+    assert element_power(symmetrize(SYM, (1, 0, 0)), 2) - e2() * 2 == power_sum
     # e2 e3 = (2,2,1)
     assert e2() * e3() == symmetrize(SYM, (2, 2, 1))
 

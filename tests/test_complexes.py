@@ -17,7 +17,6 @@ from theta_homology.algebra import (
     admissible_basis,
     basis_coordinates,
     crossing,
-    generator_sum,
     is_admissible,
     mirror,
     mirror_sign,
@@ -143,14 +142,14 @@ def test_reference_c1_partition_counts():
 
 
 def test_apply_defect2_examples():
-    e1 = generator_sum(SYM)
+    e1 = symmetrize(SYM, (1, 0, 0))
     image = apply_defect2(CASE_OO, e1)
     assert image == e1 * e1 * -2
     delta = vandermonde()
-    assert apply_defect2(CASE_EE, delta) == delta * generator_sum(SYM) * 2
+    assert apply_defect2(CASE_EE, delta) == delta * e1 * 2
     # odd flavor, odd degree: the supergrading flips the sign back to +2
     f = symmetrize(SYM_ODD, (3, 0, 0))
-    expected = (f * generator_sum(SYM_ODD)) * 2
+    expected = (f * symmetrize(SYM_ODD, (1, 0, 0))) * 2
     assert apply_defect2(CASE_EO, f).coeffs == expected.coeffs
 
 
@@ -165,7 +164,7 @@ def test_apply_defect2_rejects_wrong_eigenspace_or_flavor():
 
 
 def test_apply_defect1_examples():
-    e1 = generator_sum(SYM)
+    e1 = symmetrize(SYM, (1, 0, 0))
     assert apply_defect1(CASE_OO, e1) == (e1 * e1) * -1
     # in the odd flavors e1^2 = xi1^2+xi2^2+xi3^2 is mirror-odd, so d1(e1) = 0
     assert apply_defect1(CASE_EO, symmetrize(SYM_ODD, (1, 0, 0))).is_zero()

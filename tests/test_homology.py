@@ -11,16 +11,22 @@ from hypothesis import strategies as st
 
 from theta_homology import algebra, homology
 from theta_homology.algebra import (
+    SYM,
     SYM_ODD,
     Element,
     basis_coordinates,
     is_admissible,
     mirror_sign,
+    orbit,
     render_element,
     symmetrize,
 )
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
-from theta_homology.complexes import ComplexConsistencyError, build_slice
+from theta_homology.complexes import (
+    ComplexConsistencyError,
+    _orbit_product,
+    build_slice,
+)
 from theta_homology.genfun import rank_formula, series
 from theta_homology.homology import (
     RankRow,
@@ -173,6 +179,54 @@ def test_generators_match_the_element_oracle():
 @given(case=st.sampled_from(ALL_CASES), t=st.integers(41, 80))
 def test_generators_match_the_element_oracle_past_the_exhaustive_range(case, t):
     assert_generators_match_the_element_oracle(case, t)
+
+
+def test_generators_multiply_by_e2_once_per_power(monkeypatch):
+    # e3^gamma is a shift, so the only products are the chain's, one by e2 per
+    # power up to the largest beta: 20 (oo) and 17 (ee) at t = 40
+    multipliers = []
+
+    def counted(flavor, coords, multiplier, side):
+        multipliers.append(multiplier)
+        return _orbit_product(flavor, coords, multiplier, side)
+
+    monkeypatch.setattr(homology, "_orbit_product", counted)
+    e2 = orbit(SYM, (1, 1, 0))
+    for case, count in ((CASE_OO, 20), (CASE_EE, 17)):
+        multipliers.clear()
+        homology_generators(case, 40)
+        assert multipliers == [e2] * count, case.key
+
+
+@pytest.mark.parametrize("case", (CASE_OO, CASE_EE))
+def test_shifted_chain_equals_the_orbit_product_far_past_the_oracle(
+    case, monkeypatch
+):
+    # every generator with beta <= 8 near gamma = 0, 2, 132, 266 and 400 (t up
+    # to 1223) against the orbit product of e2^beta by the symmetrized monomial
+    # (gamma, gamma, gamma) or [gamma+3, gamma+2, gamma+1]
+    every = homology._oo_monomials
+
+    def few(degree):
+        return [(beta, gamma) for beta, gamma in every(degree) if beta <= 8]
+
+    monkeypatch.setattr(homology, "_oo_monomials", few)
+    e2, powers = orbit(SYM, (1, 1, 0)), [{(0, 0, 0): 1}]
+    while len(powers) <= 8:
+        powers.append(_orbit_product(SYM, powers[-1], e2, "left"))
+    lift = (0, 0, 0) if case.m_odd else (3, 2, 1)
+
+    def reference(beta, gamma):
+        top = tuple(gamma + k for k in lift)
+        return _orbit_product(SYM, powers[beta], orbit(case.flavor, top), "left")
+
+    for gamma in (0, 2, 132, 266, 400):
+        for t in range(3 * gamma + sum(lift) + 1, 3 * gamma + sum(lift) + 18):
+            want = tuple(
+                [reference(beta, g) for beta, g in few(d - sum(lift))]
+                for d in (t, t - 1)
+            )
+            assert homology_generators(case, t) == want, (case.key, t)
 
 
 @pytest.fixture
