@@ -23,9 +23,9 @@ normal-form monomials as an anti-automorphism and acts diagonally:
 {(1, 0, 0): -1}
 
 S3 renames the generators, with one signed rule per monomial: _act is that
-rule's only statement, read by permute_variables, orbit, is_admissible,
-basis_coordinates, the parity-class checks of complexes._rules and the
-edge-swap sign in signs, as mirror_sign is read for the reflection sign there.
+rule's only statement, read by orbit, is_admissible, basis_coordinates,
+the parity-class checks of complexes._rules and the edge-swap sign in
+signs, as mirror_sign is read for the reflection sign there.
 crossing is the one statement of the odd product's sign, read by Element
 multiplication and by the integer product on coordinates in complexes
 (_orbit_product), which assembles the differentials and the closed-form
@@ -33,7 +33,7 @@ generators.  Symmetrized monomials, written (k1,k2,k3) in the plain flavors
 and [k1,k2,k3] in the sign-twisted ones, are the signed S3-orbit sums
 normalized to coefficient +1 on the descending-sorted monomial.
 is_admissible is the one statement of which of them cancel; orbit and the
-admissible bases enumerated here read it.  homology builds the closed-form
+residue table of complexes._rules read it.  homology builds the closed-form
 generators of oo and ee from one survivor's orbit, e2 = (1,1,0), multiplied
 into 1 or Delta e3 = [3,2,1], Delta the Vandermonde element; e3^g = (g,g,g)
 is a single monomial, so it enters as a shift of every exponent by g.
@@ -98,7 +98,8 @@ class Element:
     exponents and coefficients follow _integral (the rational 6/3 is stored
     as 2; 1.5, True or None raise ValueError).  The zero
     element keeps its (flavor, degree) so that degree bookkeeping, and the
-    degree-dependent signs downstream, survive cancellation.
+    degree-dependent signs downstream, survive cancellation.  No slice is
+    assembled from it: it serves the reference path and tests/element_oracle.py.
     """
 
     __slots__ = ("flavor", "degree", "coeffs")
@@ -252,23 +253,6 @@ def _act(flavor, perm, mono):
     return tuple(renamed), -1 if s % 2 else 1
 
 
-def permute_variables(perm, f):
-    """Rename generator i to perm[i] (0-based), with the signs of _act.
-
-    Entries follow _integral ((0, 1, 2.0) acts as (0, 1, 2)); anything but
-    a permutation of 0..2 raises ValueError.
-    """
-    integral = tuple(_integral(p, "permutation entry") for p in perm)
-    if sorted(integral) != [0, 1, 2]:
-        raise ValueError(f"not a permutation of 0..2: {perm}")
-    perm = integral
-    out = {}
-    for mono, c in f.coeffs.items():
-        renamed, sign = _act(f.flavor, perm, mono)
-        out[renamed] = sign * c
-    return Element(f.flavor, f.degree, out)
-
-
 def orbit(flavor, triple):
     """Coefficients of the symmetrized monomial (k1,k2,k3) / [k1,k2,k3].
 
@@ -301,18 +285,6 @@ def is_admissible(flavor, triple):
         (k1 == k2 and _act(flavor, (1, 0, 2), rep)[1] < 0)
         or (k2 == k3 and _act(flavor, (0, 2, 1), rep)[1] < 0)
     )
-
-
-def admissible_basis(flavor, degree):
-    """Admissible triples of a degree (_integral), in descending lex order."""
-    degree = _integral(degree, "degree")
-    triples = []
-    for k1 in range(degree, -1, -1):
-        for k2 in range(min(k1, degree - k1), -1, -1):
-            k3 = degree - k1 - k2
-            if k3 <= k2 and is_admissible(flavor, (k1, k2, k3)):
-                triples.append((k1, k2, k3))
-    return triples
 
 
 def basis_coordinates(f):

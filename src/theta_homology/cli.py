@@ -194,10 +194,11 @@ def _sign_grid(max_exponent):
                 yield case, "reflect", defect, hairs, engine, formula
         for p, q in ((1, 2), (2, 3), (1, 3)):
             symmetry = f"swap({p},{q})"
+            # the formula does not read the defect
+            formulas = [edge_swap_sign_formula(hairs, case, p, q) for hairs in triples]
             for defect in (0, 1, 2):
-                for hairs in triples:
+                for hairs, formula in zip(triples, formulas):
                     engine = edge_swap_sign(defect, hairs, case, p, q)
-                    formula = edge_swap_sign_formula(hairs, case, p, q)
                     yield case, symmetry, defect, hairs, engine, formula
 
 

@@ -24,12 +24,13 @@ commuting ones.  Bases are the admissible symmetrized monomials in
 descending lexicographic order, so matrices are deterministic.
 
 Each (flavor, degree) is enumerated once, with the mirror eigenvalue of
-every admissible triple (_degree, which keeps the last few): C1 is the whole
-degree, C0 and C2 are its mirror classes, and d1's projection drops exactly
-the degree's mirror-odd triples.  build_slice takes C2 from defect2_basis,
-which alone selects the eigenspace, and assembles both matrices in integers
-on sorted triples.  The column of e1 times a symmetrized monomial k is a
-stencil: at most three entries, in rows k + e_0, k + e_1 and k + e_2.
+every admissible triple (_degree, which keeps the last three): C1 is the
+whole degree, C0 and C2 are its mirror classes, and d1's projection drops
+exactly the degree's mirror-odd triples.  build_slice takes C2 from
+defect2_basis, which alone selects the eigenspace, and assembles both
+matrices in integers on sorted triples.  The column of e1 times a
+symmetrized monomial k is a stencil: at most three entries, in rows
+k + e_0, k + e_1 and k + e_2.
 
 All that a flavor's rules say about a sorted triple is read from _rules,
 checked and derived once per flavor, on first use.  It first checks on the
@@ -39,11 +40,14 @@ walks 100 base triples, each against the same triple shifted by 4, which
 must agree.  sign maps the residue key (the exponents mod 4 and which gaps
 are 0) to the mirror eigenvalue, or 0 if the triple is not admissible: the
 walk of a degree reads one entry per sorted triple.  stencil maps each side
-and stencil key (the parities and the gaps clipped at 2) to the stencil,
-derived from the orbit path (_orbit_product with e1: each monomial mu of
-algebra.orbit moved to mu + e_i with the odd sign algebra.crossing, only the
-sorted images kept); homology builds the closed-form generators with the
-same product.  _matrix_of reads at most three stencil entries per column.
+and stencil key (the parities and the gaps clipped at 2) to the stencil
+{e_i: coefficient on k + e_i}, derived from the orbit path (_orbit_product
+with e1: each monomial mu of algebra.orbit moved to mu + e_i with the odd
+sign algebra.crossing, only the sorted images kept, re-based at k); homology
+builds the closed-form generators with the same product.  In the commuting
+flavors left and right multiplication are one map, so one table is checked,
+derived and filed under both sides.  _matrix_of reads at most three stencil
+entries per column.
 _differential is the one statement of each differential's side and scalar;
 _matrix_of reads it once per matrix, and apply_defect2 and apply_defect1
 read it on Element values: the reference path, which no module calls and
@@ -78,6 +82,7 @@ from .cases import ParityCase
 from .linalg import RationalMatrix
 
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_E1 = dict.fromkeys(_UNIT, 1)  # e1 = x1 + x2 + x3, in either parity
 
 
 class ComplexConsistencyError(Exception):
@@ -104,10 +109,10 @@ class _Degree(NamedTuple):
     by_sign: dict[int, tuple[Triple, ...]]  # mirror eigenvalue -> its triples
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=3)
 def _degree(flavor, degree):
-    """_Degree of (flavor, degree), kept for the last few: a table run reads
-    each degree as C2, C1, C0 and d1's drop set of consecutive slices.
+    """_Degree of (flavor, degree), kept for the last three: one slice reads
+    degrees t-2, t-1 and t, and the next slice reuses two of them.
 
     The sorted triples are walked in descending lex order, k1 down from the
     degree and k2 down from min(k1, degree - k1) to the least k2 >= k3, so
@@ -221,20 +226,6 @@ def _orbit_product(flavor, coords, multiplier, side):
     return {nu: c for nu, c in image.items() if c}
 
 
-def _orbit_column(flavor, side, triple):
-    """e1 times the symmetrized monomial of a sorted triple, on the orbit path
-    (_orbit_product): ((e_i, coefficient on triple + e_i), ...) with zero
-    coefficients omitted.
-
-    A sorted image is a permutation of the triple with one entry raised, so
-    it is triple + e_i, i the first index of its block of equal entries.
-    """
-    image = _orbit_product(flavor, {triple: 1}, dict.fromkeys(_UNIT, 1), side)
-    k1, k2, k3 = triple
-    rows = ((k1 + 1, k2, k3), (k1, k2 + 1, k3), (k1, k2, k3 + 1))
-    return tuple((e, image[row]) for e, row in zip(_UNIT, rows) if row in image)
-
-
 _PARITIES = tuple(itertools.product((0, 1), repeat=3))  # the exponent parity classes
 
 # One base triple (k3 + b + a, k3 + b, k3) per residue key: k3 mod 4 and each
@@ -251,7 +242,9 @@ class _Rules(NamedTuple):
     """What a flavor's rules say about sorted triples, read by key (_rules)."""
 
     sign: dict  # residue key -> mirror eigenvalue if admissible, else 0
-    stencil: dict[str, dict]  # side -> {stencil key: _orbit_column's column}
+    # side -> {stencil key: {e_i: coefficient on k + e_i}}; one dict for both
+    # sides in the commuting flavors
+    stencil: dict[str, dict]
 
 
 @functools.cache
@@ -263,7 +256,10 @@ def _rules(flavor):
     signs; (b) on each side, sigma(e_i mu) = e_sigma(i) sigma(mu) with the
     signs of _act and crossing (mu e_i on the right side), so e1
     multiplication keeps equivariance.  Both signs depend only on the
-    exponents' parities, so this covers every monomial.
+    exponents' parities, so this covers every monomial.  In the commuting
+    flavors _e_sign is 1 on both sides, so the two sides are one map: (b)
+    and the stencil derivation run for "left" only, and stencil["right"] is
+    that same dict.
 
     Then every base triple is read against the same triple shifted by 4 in
     each coordinate, which keeps both of its keys; if the two disagree,
@@ -272,10 +268,13 @@ def _rules(flavor):
     equal pair, which reads parities, and mirror_sign reads k(k+1)/2 mod 2 of
     each exponent, fixed by k mod 4, in the odd flavors, and the degree's
     parity in the commuting ones.  stencil[side] is keyed by _stencil_key and
-    derived at the first base of each key: the signs read parities, and
-    is_admissible and the stabilizers of k and of k + e_i read only whether a
-    gap is 0 or 1, since a gap of 2 or more stays positive when one entry is
-    raised.  A check that fails caches nothing.
+    derived at the first base of each key, as the orbit product of e1 and
+    that base with each image nu filed under nu - base (a sorted image is a
+    permutation of the base with one entry raised, so it is base + e_i, i
+    the first index of its block of equal entries).  The signs read
+    parities, and is_admissible and the stabilizers of k and of k + e_i read
+    only whether a gap is 0 or 1, since a gap of 2 or more stays positive
+    when one entry is raised.  A check that fails caches nothing.
     """
     for mu, tau in itertools.product(_PARITIES, S3):
         tau_mu, tau_sign = _act(flavor, tau, mu)
@@ -286,7 +285,8 @@ def _rules(flavor):
                 raise ComplexConsistencyError(
                     f"the S3 action of {flavor} is not a group action on {mu}"
                 )
-    rules = _Rules({}, {"left": {}, "right": {}})
+    sides = ("left", "right") if flavor.odd else ("left",)
+    rules = _Rules({}, {side: {} for side in sides})
     for side, mu, i, sigma in itertools.product(rules.stencil, _PARITIES, range(3), S3):
         e, sigma_e = _UNIT[i], _UNIT[sigma[i]]
         moved, sign = _act(flavor, sigma, tuple(map(operator.add, mu, e)))
@@ -317,13 +317,20 @@ def _rules(flavor):
         for side, table in rules.stencil.items():
             if key in table:
                 continue
-            column = _orbit_column(flavor, side, base)
-            if _orbit_column(flavor, side, shifted) != column:
+            column, other = (
+                {
+                    tuple(map(operator.sub, nu, k)): c
+                    for nu, c in _orbit_product(flavor, {k: 1}, _E1, side).items()
+                }
+                for k in (base, shifted)
+            )
+            if other != column:
                 raise ComplexConsistencyError(
                     f"{side} multiplication by e1 in {flavor} differs between two "
                     f"triples of stencil key {key}"
                 )
             table[key] = column
+    rules.stencil.setdefault("right", rules.stencil["left"])
     return rules
 
 
@@ -344,7 +351,7 @@ def _matrix_of(case, t, source, target, defect, dropped=()):
     for triple in source:
         k1, k2, k3 = triple
         column = {}
-        for e, c in stencil[_stencil_key(triple)]:
+        for e, c in stencil[_stencil_key(triple)].items():
             rep = (k1 + e[0], k2 + e[1], k3 + e[2])
             row = index.get(rep)
             if row is not None:

@@ -1,4 +1,6 @@
-"""Element-algebra oracle for the closed-form generators.
+"""Element-algebra oracles: the closed-form generators, the renaming of
+generators on an Element, and the admissible bases enumerated triple by
+triple.
 
 The package builds the generators as coordinate maps: a chain of integer
 products by e2 (complexes._orbit_product), with the factor e3^gamma taken as
@@ -7,6 +9,12 @@ Element products of e2, e3 and the Vandermonde element, powers of e3
 included, for the tests to compare through algebra.basis_coordinates.  Only
 the index rules of the families (which exponents each family lists) are
 shared with the package.
+
+permute_variables applies algebra._act to every monomial of an Element, the
+reference the tests hold the orbit sums and the S3 action to.
+admissible_basis tests every sorted triple of a degree with
+algebra.is_admissible, the reference for complexes._degree, which reads a
+residue table instead.
 """
 
 from theta_homology.algebra import (
@@ -14,11 +22,42 @@ from theta_homology.algebra import (
     SYM,
     Element,
     Flavor,
+    _act,
     _integral,
+    is_admissible,
     symmetrize,
 )
 from theta_homology.complexes import _hodge_degree
 from theta_homology.homology import _ODD_FAMILIES, _k2_k3, _oo_monomials
+
+
+def permute_variables(perm, f):
+    """Rename generator i to perm[i] (0-based), with the signs of _act.
+
+    Entries follow _integral ((0, 1, 2.0) acts as (0, 1, 2)); anything but
+    a permutation of 0..2 raises ValueError.
+    """
+    integral = tuple(_integral(p, "permutation entry") for p in perm)
+    if sorted(integral) != [0, 1, 2]:
+        raise ValueError(f"not a permutation of 0..2: {perm}")
+    perm = integral
+    out = {}
+    for mono, c in f.coeffs.items():
+        renamed, sign = _act(f.flavor, perm, mono)
+        out[renamed] = sign * c
+    return Element(f.flavor, f.degree, out)
+
+
+def admissible_basis(flavor, degree):
+    """Admissible triples of a degree (_integral), in descending lex order."""
+    degree = _integral(degree, "degree")
+    triples = []
+    for k1 in range(degree, -1, -1):
+        for k2 in range(min(k1, degree - k1), -1, -1):
+            k3 = degree - k1 - k2
+            if k3 <= k2 and is_admissible(flavor, (k1, k2, k3)):
+                triples.append((k1, k2, k3))
+    return triples
 
 
 def e2():

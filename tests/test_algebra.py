@@ -11,7 +11,6 @@ from theta_homology.algebra import (
     SYM,
     SYM_ODD,
     Element,
-    admissible_basis,
     basis_coordinates,
     is_admissible,
     mirror,
@@ -19,11 +18,17 @@ from theta_homology.algebra import (
     mirror_sign,
     mul_e1,
     orbit,
-    permute_variables,
     render_element,
     symmetrize,
 )
-from element_oracle import e2, e3, element_power, vandermonde
+from element_oracle import (
+    admissible_basis,
+    e2,
+    e3,
+    element_power,
+    permute_variables,
+    vandermonde,
+)
 from word_oracle import word_mirror, word_mul
 
 

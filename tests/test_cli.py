@@ -108,8 +108,9 @@ def test_basis_json(capsys):
 
 
 def test_signs_small_grid(capsys, monkeypatch):
-    # the grid calls the four public sign functions through cli's names once
-    # per cell, the names the benchmark's sign spans and cell counter wrap
+    # the grid calls the engines through cli's names once per cell and the
+    # formulas once per (case, symmetry, hairs), since they read no defect:
+    # the names the benchmark's sign spans and cell counter wrap
     calls = {}
     for name in (
         "vertical_reflection_sign",
@@ -126,13 +127,13 @@ def test_signs_small_grid(capsys, monkeypatch):
     rc, out, _ = run(capsys, ["signs", "--max-exponent", "2"])
     assert rc == 0
     # 4 cases x (2 reflection defects + 3 swaps x 3 defects) x 27 triples:
-    # 216 reflection cells and 972 swap cells
+    # 216 reflection cells and 972 swap cells, 324 swap formulas
     assert out == "1188/1188 cells PASS (k_i <= 2)\n"
     assert calls == {
         "vertical_reflection_sign": 216,
         "vertical_reflection_sign_formula": 216,
         "edge_swap_sign": 972,
-        "edge_swap_sign_formula": 972,
+        "edge_swap_sign_formula": 324,
     }
 
 

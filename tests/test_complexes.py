@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import operator
 import random
 import re
 from fractions import Fraction
@@ -14,7 +15,6 @@ from theta_homology.algebra import (
     SYM,
     SYM_ODD,
     Element,
-    admissible_basis,
     basis_coordinates,
     crossing,
     is_admissible,
@@ -38,7 +38,7 @@ from theta_homology.complexes import (
     slice_as_dict,
 )
 from theta_homology.linalg import RationalMatrix, is_zero_composition
-from element_oracle import vandermonde
+from element_oracle import admissible_basis, vandermonde
 from word_oracle import word_mirror, word_mul
 
 
@@ -263,6 +263,8 @@ def test_assembly_memos_are_the_rules_and_the_kept_degrees():
     # a new memo is cleared by the fixture without a change here; this pins
     # the set, so adding one is a decision a reviewer sees
     assert set(assembly_memos()) == {"_rules", "_degree"}
+    # one slice reads degrees t-2, t-1 and t; the next reuses two of them
+    assert complexes._degree.cache_parameters()["maxsize"] == 3
 
 
 @pytest.mark.parametrize(
@@ -349,7 +351,9 @@ def random_admissible_triples(flavor, count, rng):
 
 def test_stencil_table_equals_the_orbit_path_far_out():
     # the key decides the column: the table, derived at triples with entries
-    # below 14, equals the orbit path and the Element product up to degree 1000
+    # below 14, equals the orbit path and the Element product up to degree
+    # 1000, on each side of every flavor, so also where the commuting
+    # flavors file one table under both sides
     rng = random.Random(16)
     for flavor in FLAVORS:
         triples = random_admissible_triples(flavor, 500, rng)
@@ -357,9 +361,11 @@ def test_stencil_table_equals_the_orbit_path_far_out():
             table = complexes._rules(flavor).stencil[side]
             for triple in triples:
                 column = table[complexes._stencil_key(triple)]
-                assert column == complexes._orbit_column(flavor, side, triple)
+                rows = {
+                    tuple(map(operator.add, triple, e)): c for e, c in column.items()
+                }
+                assert rows == complexes._orbit_product(flavor, {triple: 1}, E1, side)
                 image = mul_e1(symmetrize(flavor, triple), side)
-                rows = {tuple(k + x for k, x in zip(triple, e)): c for e, c in column}
                 assert rows == basis_coordinates(image), (flavor, side, triple)
 
 
@@ -429,6 +435,25 @@ def test_orbit_is_read_only_to_derive_the_tables(monkeypatch, fresh_equivariance
     build_slice(CASE_EO, 31)
     build_slice(CASE_EO, 64)
     assert len(calls) == 2 * 2 * 32
+
+
+def test_commuting_flavors_share_one_e1_table(monkeypatch, fresh_equivariance_memo):
+    # left and right multiplication by e1 are one map when the generators
+    # commute, so the left table is derived once and filed under both sides;
+    # test_stencil_table_equals_the_orbit_path_far_out checks both sides
+    calls = collections.Counter()
+    orbit = complexes.orbit
+
+    def counted(flavor, triple):
+        calls[flavor] += 1
+        return orbit(flavor, triple)
+
+    monkeypatch.setattr(complexes, "orbit", counted)
+    for flavor in FLAVORS:
+        stencil = complexes._rules(flavor).stencil
+        assert (stencil["right"] is stencil["left"]) is not flavor.odd
+    # a base and its shift per stencil key and derived side: 384 in all
+    assert calls == {SYM: 64, ASYM: 64, SYM_ODD: 128, ASYM_ODD: 128}
 
 
 def test_fresh_memo_fixture_clears_the_stencil_tables(request):
@@ -539,7 +564,7 @@ def test_d1_drops_only_mirror_odd_basis_triples(monkeypatch):
     # where that component is mirror-odd and so was once dropped as the
     # projection's
     # the fault adds (2, 1, 1) to the image of (2, 1, 0)
-    key, fault = (0, 1, 0, 1, 1), ((0, 0, 1), 1)
+    key, fault = (0, 1, 0, 1, 1), {(0, 0, 1): 1}
     assert complexes._stencil_key((2, 1, 0)) == key
     assert not is_admissible(SYM_ODD, (2, 1, 1))
     assert mirror_sign(SYM_ODD, (2, 1, 1)) == -1
@@ -550,7 +575,8 @@ def test_d1_drops_only_mirror_odd_basis_triples(monkeypatch):
         if flavor != SYM_ODD:
             return found
         left = dict(found.stencil["left"])
-        left[key] += (fault,)
+        assert fault.keys().isdisjoint(left[key])
+        left[key] = {**left[key], **fault}
         return found._replace(stencil={**found.stencil, "left": left})
 
     monkeypatch.setattr(complexes, "_rules", faulty)
