@@ -15,18 +15,21 @@ symmetrized monomials (or two-term combinations) indexed by congruence
 conditions on the exponents; homology_generators enumerates them at a given
 Hodge degree as coordinate maps over the symmetrized basis: e2^beta and
 Delta e3 e2^beta by the integer product that derives the differentials'
-stencils (complexes._orbit_product), one e2 per power, and times e3^gamma,
-one monomial fixed by every renaming, as a shift of every exponent by gamma.
-homology_basis_report checks, on the slice's own matrices, that every
-generator lies in its space, that the H1 ones are cycles, that there are
-exactly a (resp. b) of them, and that they stay independent modulo the
-boundaries.  No Element is built unless a problem line needs a generator's
-text.
+stencils (complexes._orbit_product), one e2 per power, each power built
+once per process and kept in a chain per (flavor, seed), and times
+e3^gamma, one monomial fixed by every renaming, as a shift of every
+exponent by gamma.  homology_basis_report checks, on the slice's own
+matrices, that every generator lies in its space, that the H1 ones are
+cycles, that there are exactly a (resp. b) of them, and that they stay
+independent modulo the boundaries (linalg.rank_modulo, which reduces only
+the generator columns against the pivots homology_ranks already reduced).
+No Element is built unless a problem line needs a generator's text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import SYM, orbit, render_element, symmetrize
 from .cases import ParityCase
@@ -36,7 +39,12 @@ from .complexes import _orbit_product
 from .algebra import basis_coordinates  # noqa: F401
 from .complexes import apply_defect1  # noqa: F401
 from .genfun import euler_sign
-from .linalg import RationalMatrix, is_zero_composition, nonzero_product_columns
+from .linalg import (
+    RationalMatrix,
+    is_zero_composition,
+    nonzero_product_columns,
+    rank_modulo,
+)
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,19 @@ def _k2_k3(n, rule, gap):
     return out
 
 
+_E2 = orbit(SYM, (1, 1, 0))  # e2 = x1 x2 + x1 x3 + x2 x3
+
+
+@cache
+def _chain(flavor, seed):
+    """[seed e2^beta] for beta = 0, 1, ..., as far as any call has needed.
+
+    Only homology_generators extends the list, one e2 product per new power;
+    its elements are never changed, since every generator is a fresh dict.
+    """
+    return [{seed: 1}]
+
+
 def homology_generators(case, t):
     """The closed-form H0 and H1 generators at Hodge degree t.
 
@@ -142,14 +163,15 @@ def homology_generators(case, t):
     if case.m_odd == case.n_odd:
         # oo: e2^beta e3^gamma; ee: Delta e3 e2^beta e3^gamma; gamma even.  e3^g
         # is the one monomial (g, g, g), fixed by every renaming, so it shifts
-        # every exponent by g; chain[beta] = seed e2^beta, one e2 product each
+        # every exponent by g; chain[beta] = seed e2^beta, each power built by
+        # one e2 product the first time any call needs it, and kept
         seed = (0, 0, 0) if case.m_odd else (3, 2, 1)
-        e2, chain = orbit(SYM, (1, 1, 0)), [{seed: 1}]
+        chain = _chain(case.flavor, seed)
         out = [], []
         for degree, generators in zip((t, t - 1), out):
             for beta, g in _oo_monomials(degree - sum(seed)):
                 while len(chain) <= beta:
-                    chain.append(_orbit_product(case.flavor, chain[-1], e2, "left"))
+                    chain.append(_orbit_product(case.flavor, chain[-1], _E2, "left"))
                 power = chain[beta].items()
                 generators.append({(a + g, b + g, c + g): v for (a, b, c), v in power})
         return out
@@ -203,9 +225,8 @@ def homology_basis_report(slice_):
         problems.append(f"H0 at t={t}: {len(h0)} generators listed, rank is {row.a}")
     flavor = slice_.case.flavor
     pairs0 = _coordinate_columns(h0, flavor, slice_.basis0, "H0", problems)
-    cols0 = tuple(c for _, c in pairs0)
-    with_d1 = RationalMatrix(len(slice_.basis0), slice_.d1.columns + cols0)
-    if with_d1.rank() != row.rank_d1 + len(cols0):
+    cols0 = RationalMatrix(len(slice_.basis0), [c for _, c in pairs0])
+    if rank_modulo(slice_.d1, cols0) != cols0.cols:
         problems.append(f"H0 at t={t}: generators are dependent modulo boundaries")
 
     if len(h1) != row.b:
@@ -214,8 +235,7 @@ def homology_basis_report(slice_):
     cols1 = RationalMatrix(len(slice_.basis1), [c for _, c in pairs1])
     for j in nonzero_product_columns(slice_.d1, cols1):
         problems.append(f"H1 generator {_render(flavor, pairs1[j][0])} is not a cycle")
-    with_d2 = RationalMatrix(len(slice_.basis1), slice_.d2.columns + cols1.columns)
-    if with_d2.rank() != row.rank_d2 + cols1.cols:
+    if rank_modulo(slice_.d2, cols1) != cols1.cols:
         problems.append(f"H1 at t={t}: generators are dependent modulo boundaries")
     return problems
 

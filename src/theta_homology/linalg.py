@@ -6,9 +6,12 @@ on exact cancellation, so everything here works in int, never floating point.
 A matrix is stored column by column, the form in which the differentials are
 assembled and reduced; one constructor builds it from its row count and
 column maps, through one validating pass.  Rank is fraction-free column
-reduction on leading rows, with no pivot heuristic.  No product is built:
-nonzero_product_columns sums each product column from the left factor's
-columns and keeps only whether it vanishes.  Sizes grow roughly
+reduction on leading rows, with no pivot heuristic, run once per matrix: the
+reduced pivots are kept, which is sound because a matrix is never changed
+after construction.  rank_modulo(a, b), the rank b adds to a's column
+space, reduces only b's columns against a copy of a's kept pivots.  No
+product is built: nonzero_product_columns sums each product column from the
+left factor's columns and keeps only whether it vanishes.  Sizes grow roughly
 quadratically in the Hodge degree t: in the hundreds for t <= 40, and about
 1400 x 1400 near t = 128 (d1 of case oo at t = 128 is 1430 x 1408).
 """
@@ -30,10 +33,12 @@ class RationalMatrix:
     is stored as 2; 0.5, True or None raise ValueError), raises ValueError on
     a row index outside the matrix and drops zeros, leaving columns a tuple
     of cols maps.  entries is a read-only {(i, j): int} view built on each
-    read.  rank() is the rank over Q.  Instances are treated as immutable.
+    read.  rank() is the rank over Q.  Instances are treated as immutable,
+    so the pivots the first rank() reduces are kept and serve every later
+    rank() and rank_modulo() on the matrix.
     """
 
-    __slots__ = ("rows", "cols", "columns")
+    __slots__ = ("rows", "cols", "columns", "_pivots")
 
     def __init__(self, rows, columns):
         """The one validating pass (see the class docstring); columns is a
@@ -56,6 +61,7 @@ class RationalMatrix:
                     kept[i] = value
             filled.append(kept)
         self.rows, self.cols, self.columns = rows, cols, tuple(filled)
+        self._pivots = None
 
     @property
     def entries(self):
@@ -78,25 +84,18 @@ class RationalMatrix:
         return sorted((i, j, v) for j, column in columns for i, v in column.items())
 
     def rank(self):
-        """Rank over Q, by fraction-free column reduction in column order.
+        """Rank over Q: the number of pivots _reduce leaves in column order.
 
-        While an earlier column owns the leading row (smallest row index) of
-        a column, that column becomes p*col - q*pivot, p and q being the two
-        entries in that row, divided by the gcd of its entries.  The rank is
-        the number of distinct leading rows left.
+        The columns are reduced on the first call only, and the pivots kept;
+        later calls count them.
         """
-        pivots = {}
-        for col in self.columns:
-            while col and (lead := min(col)) in pivots:
-                pivot = pivots[lead]
-                p, q = pivot[lead], col[lead]
-                rows = col.keys() | pivot.keys()
-                col = {i: p * col.get(i, 0) - q * pivot.get(i, 0) for i in rows}
-                g = gcd(*col.values())
-                col = {i: v // g for i, v in col.items() if v}
-            if col:
-                pivots[lead] = col  # lead is min(col), from the loop test
-        return len(pivots)
+        return len(self._reduced())
+
+    def _reduced(self):
+        """{leading row: reduced column} of the columns, reduced once and kept."""
+        if self._pivots is None:
+            self._pivots = _reduce(self.columns, {})
+        return self._pivots
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -113,6 +112,42 @@ class RationalMatrix:
     def __repr__(self):
         nonzero = sum(map(len, self.columns))
         return f"RationalMatrix({self.rows}x{self.cols}, {nonzero} nonzero)"
+
+
+def _reduce(columns, pivots):
+    """Reduce columns in order into pivots, {leading row: column}; returns it.
+
+    Fraction-free column reduction: while a pivot owns the leading row
+    (smallest row index) of a column, that column becomes p*col - q*pivot,
+    p and q being the two entries in that row, divided by the gcd of its
+    entries.  A column left nonzero becomes the pivot of its leading row,
+    so the rank of everything reduced is len(pivots).  No pivot is changed,
+    so pivots may be a copy of another matrix's kept ones.
+    """
+    for col in columns:
+        while col and (lead := min(col)) in pivots:
+            pivot = pivots[lead]
+            p, q = pivot[lead], col[lead]
+            rows = col.keys() | pivot.keys()
+            col = {i: p * col.get(i, 0) - q * pivot.get(i, 0) for i in rows}
+            g = gcd(*col.values())
+            col = {i: v // g for i, v in col.items() if v}
+        if col:
+            pivots[lead] = col  # lead is min(col), from the loop test
+    return pivots
+
+
+def rank_modulo(a, b):
+    """rank [a | b] - rank a, the rank b's columns add to a's column space.
+
+    [a | b] reduces a's columns first, to a's kept pivots, so only b's
+    columns are reduced, into a copy of those; raises ValueError when the
+    row counts differ.
+    """
+    if a.rows != b.rows:
+        raise ValueError(f"cannot put {a.rows}x{a.cols} beside {b.rows}x{b.cols}")
+    pivots = a._reduced()
+    return len(_reduce(b.columns, dict(pivots))) - len(pivots)
 
 
 def nonzero_product_columns(a, b):

@@ -23,7 +23,7 @@ from theta_homology.algebra import (
     mul_e1,
     symmetrize,
 )
-from theta_homology import complexes
+from theta_homology import complexes, homology
 from theta_homology.algebra import ASYM, FLAVORS, Flavor, orbit
 from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.complexes import (
@@ -235,25 +235,26 @@ def test_assembly_matches_element_oracle():
             assert s.d1 == d1, (case.key, t)
 
 
-def assembly_memos():
-    """{name: memo} of every attribute of complexes with cache_clear."""
+def assembly_memos(module=complexes):
+    """{name: memo} of every attribute of module with cache_clear."""
     return {
         name: value
-        for name, value in vars(complexes).items()
+        for name, value in vars(module).items()
         if hasattr(value, "cache_clear")
     }
 
 
 def clear_assembly_memos():
-    for memo in assembly_memos().values():
-        memo.cache_clear()
+    for module in (complexes, homology):
+        for memo in assembly_memos(module).values():
+            memo.cache_clear()
 
 
 @pytest.fixture
 def fresh_equivariance_memo():
-    # every memo of complexes: rules or kept degrees derived under a
-    # monkeypatched crossing, _act, orbit or mirror_sign must not outlive
-    # their test
+    # every memo of complexes and homology: rules, kept degrees or e2 chains
+    # derived under a monkeypatched crossing, _act, orbit or mirror_sign must
+    # not outlive their test
     clear_assembly_memos()
     yield
     clear_assembly_memos()
@@ -263,6 +264,8 @@ def test_assembly_memos_are_the_rules_and_the_kept_degrees():
     # a new memo is cleared by the fixture without a change here; this pins
     # the set, so adding one is a decision a reviewer sees
     assert set(assembly_memos()) == {"_rules", "_degree"}
+    # the e2 chains of the closed-form generators are products by the rules
+    assert set(assembly_memos(homology)) == {"_chain"}
     # one slice reads degrees t-2, t-1 and t; the next reuses two of them
     assert complexes._degree.cache_parameters()["maxsize"] == 3
 
@@ -470,6 +473,13 @@ def test_fresh_memo_fixture_clears_the_kept_degrees(request):
     request.getfixturevalue("fresh_equivariance_memo")
     assert complexes._degree.cache_info().currsize == 0
     assert complexes._rules.cache_info().currsize == 0
+
+
+def test_fresh_memo_fixture_clears_the_e2_chains(request):
+    homology.homology_generators(CASE_OO, 12)
+    assert homology._chain.cache_info().currsize > 0
+    request.getfixturevalue("fresh_equivariance_memo")
+    assert homology._chain.cache_info().currsize == 0
 
 
 def residue_key(triple):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_homology import algebra, homology
+from theta_homology import algebra, homology, linalg
 from theta_homology.algebra import (
     SYM,
     SYM_ODD,
@@ -37,7 +37,7 @@ from theta_homology.homology import (
     homology_ranks,
     verify_homology_basis,
 )
-from theta_homology.linalg import RationalMatrix
+from theta_homology.linalg import RationalMatrix, rank_modulo
 from element_oracle import element_generators
 
 
@@ -183,7 +183,9 @@ def test_generators_match_the_element_oracle_past_the_exhaustive_range(case, t):
 
 def test_generators_multiply_by_e2_once_per_power(monkeypatch):
     # e3^gamma is a shift, so the only products are the chain's, one by e2 per
-    # power up to the largest beta: 20 (oo) and 17 (ee) at t = 40
+    # power, each made the first time a call needs it: from a cleared memo,
+    # 20 (oo) and 17 (ee) at t = 40, none on a repeated call, and 15 + 12
+    # over every case at t <= 30
     multipliers = []
 
     def counted(flavor, coords, multiplier, side):
@@ -193,9 +195,18 @@ def test_generators_multiply_by_e2_once_per_power(monkeypatch):
     monkeypatch.setattr(homology, "_orbit_product", counted)
     e2 = orbit(SYM, (1, 1, 0))
     for case, count in ((CASE_OO, 20), (CASE_EE, 17)):
+        homology._chain.cache_clear()
         multipliers.clear()
-        homology_generators(case, 40)
+        first = homology_generators(case, 40)
         assert multipliers == [e2] * count, case.key
+        assert homology_generators(case, 40) == first
+        assert len(multipliers) == count, case.key
+    homology._chain.cache_clear()
+    multipliers.clear()
+    for case in ALL_CASES:
+        for t in range(1, 31):
+            homology_generators(case, t)
+    assert multipliers == [e2] * 27
 
 
 @pytest.mark.parametrize("case", (CASE_OO, CASE_EE))
@@ -269,6 +280,45 @@ def test_hodge_degree_follows_the_integral_rule():
             homology_generators(CASE_OO, bad)
         with pytest.raises(ValueError):
             verify_homology_basis(CASE_OO, bad)
+
+
+def test_rank_modulo_on_the_generator_columns():
+    # rank [d | generators] - rank d on every case's slices and closed-form
+    # generator columns at t <= 30, both degrees
+    for case in ALL_CASES:
+        for t in range(1, 31):
+            s = build_slice(case, t)
+            for d, generators, basis in zip(
+                (s.d1, s.d2), homology_generators(case, t), (s.basis0, s.basis1)
+            ):
+                index = {triple: i for i, triple in enumerate(basis)}
+                cols = RationalMatrix(
+                    d.rows, [{index[k]: c for k, c in g.items()} for g in generators]
+                )
+                stacked = RationalMatrix(d.rows, d.columns + cols.columns)
+                want = stacked.rank() - d.rank()
+                assert rank_modulo(d, cols) == want, (case.key, t)
+
+
+def test_one_reduction_per_matrix(monkeypatch):
+    # d2 and d1 once each for the ranks, then only the H0 and H1 generator
+    # columns, against the pivots the ranks kept; the report's own
+    # homology_ranks calls rank() a second time on d2 and d1, which reduces
+    # nothing
+    reduced, reduce = [], linalg._reduce
+
+    def counted(columns, pivots):
+        reduced.append(len(columns))
+        return reduce(columns, pivots)
+
+    monkeypatch.setattr(linalg, "_reduce", counted)
+    s = build_slice(CASE_OO, 12)
+    row = homology_ranks(s)
+    assert homology_basis_report(s) == []
+    assert reduced == [s.d2.cols, s.d1.cols, row.a, row.b]
+    reduced.clear()
+    assert verify_homology_basis(CASE_EO, 11)
+    assert len(reduced) == 4
 
 
 def test_verify_examples():
@@ -369,7 +419,8 @@ def test_report_names_each_problem(monkeypatch):
         assert not verify_homology_basis(case, t)
     # substituted H1 lists, with b = 0: a generator that d1 does not kill is
     # named as no cycle; one of the wrong degree has no coordinate column, so
-    # it gets its sticks-out line and no cycle verdict
+    # it gets its sticks-out line and no cycle verdict; a boundary is a cycle
+    # that is dependent modulo the boundaries
     not_a_cycle = render_element(symmetrize(SYM_ODD, (10, 0, 0)))
     wrong_degree = render_element(symmetrize(SYM_ODD, (9, 0, 0)))
     for h1, want in (
@@ -386,6 +437,14 @@ def test_report_names_each_problem(monkeypatch):
                 "H1 at t=11: 1 generators listed, rank is 0",
                 f"H1 generator {wrong_degree} sticks out of the space "
                 "(component (9, 0, 0))",
+            ],
+        ),
+        (
+            # d2's first column: a cycle, but a boundary
+            [{(6, 3, 1): 2, (5, 4, 1): -2, (5, 3, 2): 2}],
+            [
+                "H1 at t=11: 1 generators listed, rank is 0",
+                "H1 at t=11: generators are dependent modulo boundaries",
             ],
         ),
     ):

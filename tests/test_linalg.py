@@ -10,6 +10,7 @@ from theta_homology.linalg import (
     RationalMatrix,
     is_zero_composition,
     nonzero_product_columns,
+    rank_modulo,
 )
 
 
@@ -277,7 +278,8 @@ def test_rank_invariant_under_transpose_and_scaling():
         assert RationalMatrix(rows, zeroed).rank() == 0
 
 
-def test_rank_against_dense_oracle():
+def random_dense_matrices():
+    """60 seeded (dense rows, matrix) pairs, up to 7 x 7, half the entries 0."""
     rng = random.Random(20240817)
     for _ in range(60):
         rows = rng.randrange(0, 8)
@@ -286,7 +288,11 @@ def test_rank_against_dense_oracle():
             [rng.randrange(-12, 13) if rng.random() < 0.5 else 0 for _ in range(cols)]
             for _ in range(rows)
         ]
-        mat = from_rows(dense) if rows else RationalMatrix(0, [{}] * cols)
+        yield dense, from_rows(dense) if rows else RationalMatrix(0, [{}] * cols)
+
+
+def test_rank_against_dense_oracle():
+    for dense, mat in random_dense_matrices():
         assert mat.rank() == dense_rank(dense)
     # the real differentials; only there does d1 of eo/oe make rank reduce
     # columns, since two of them share a leading row (smallest row index)
@@ -302,6 +308,33 @@ def test_rank_against_dense_oracle():
             if len(set(leading.values())) < len(leading):
                 shared.add(case.key)
     assert {"eo", "oe"} <= shared
+
+
+def assert_rank_modulo_is_its_definition(a, b):
+    got = rank_modulo(a, b)  # first, so a's kept pivots must survive it
+    assert got == RationalMatrix(a.rows, a.columns + b.columns).rank() - a.rank()
+
+
+def test_rank_modulo_against_its_definition():
+    # the dense oracle's inputs, split into a | b: every split of the random
+    # ones, and the two ends and the middle of every d1 and d2 at t <= 16
+    def split(mat, j):
+        return (
+            RationalMatrix(mat.rows, mat.columns[:j]),
+            RationalMatrix(mat.rows, mat.columns[j:]),
+        )
+
+    for _, mat in random_dense_matrices():
+        for j in range(mat.cols + 1):
+            assert_rank_modulo_is_its_definition(*split(mat, j))
+    for case in ALL_CASES:
+        for t in range(1, 17):
+            s = build_slice(case, t)
+            for mat in (s.d1, s.d2):
+                for j in {0, mat.cols // 2, mat.cols}:
+                    assert_rank_modulo_is_its_definition(*split(mat, j))
+    with pytest.raises(ValueError, match="cannot put 2x1 beside 3x1"):
+        rank_modulo(RationalMatrix(2, [{0: 1}]), RationalMatrix(3, [{0: 1}]))
 
 
 def test_rank_against_minor_oracle():
