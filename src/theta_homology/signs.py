@@ -23,12 +23,13 @@ slot each from a small per-(defect, odd kinds) table (_layout), and token
 (kind, e, i) of hair block i on edge e sits at starts[e] + i*b + the kind's
 rank in a block, b odd kinds per block, where edge e's first block begins at
 starts[e] + b (_block_starts).  A symmetry moves whole hair blocks, so a
-block's images are written as ranges, not token by token: the edge swap sends
-block i of edge e to block i of the target edge, so edge e's images are one
-contiguous range; the reflection sends block i to block k_e + 1 - i, one
-range of step -b per kind, except that segment j goes to segment k_e - j,
-one block lower, and segment 0 is a head slot.  The sign is the cycle parity
-of the resulting permutation of slots.
+block's images are ranges.  The reflection sends block i to block k_e + 1 - i,
+one range of step -b per kind, except that segment j goes to segment k_e - j,
+one block lower, and segment 0 is a head slot; its sign is the cycle parity
+of the resulting permutation of slots.  The edge swap maps the head into
+itself and edge e's blocks, in order, to one ascending range of the target
+edge: its sign is the head's cycle parity times -1 per pair of ranges that
+it reorders and whose lengths' product is odd (_block_permutation_sign).
 The engine reads no formula.  The *_formula functions read the sign rules
 the complexes are built from, algebra.mirror_sign and algebra._act, so the
 test-suite and the `signs` CLI mode check those rules against the engine.
@@ -54,23 +55,27 @@ class UnsupportedSymmetryError(ValueError):
 
 
 def _validate(defect, hairs):
-    """(defect, hairs) as ints under the integral rule, or ValueError."""
-    defect = _integral(defect, "defect")
+    """(defect, hairs) as ints under the integral rule, or ValueError; an
+    int defect and a non-negative int count pass without the rule's call."""
+    if type(defect) is not int:
+        defect = _integral(defect, "defect")
     if defect not in (0, 1, 2):
         raise ValueError(f"defect must be 0, 1, or 2, got {defect!r}")
     if not isinstance(hairs, (tuple, list)) or len(hairs) != 3:
         raise ValueError(f"hairs must be a tuple or list of three counts, got {hairs!r}")
     k1, k2, k3 = hairs
     return defect, (
-        _integral(k1, "hair count", 0),
-        _integral(k2, "hair count", 0),
-        _integral(k3, "hair count", 0),
+        k1 if type(k1) is int and k1 >= 0 else _integral(k1, "hair count", 0),
+        k2 if type(k2) is int and k2 >= 0 else _integral(k2, "hair count", 0),
+        k3 if type(k3) is int and k3 >= 0 else _integral(k3, "hair count", 0),
     )
 
 
 def _transposition(p, q):
-    """The 0-based S3 transposition of edges p and q, distinct integers in 1..3."""
-    p, q = _integral(p, "edge"), _integral(q, "edge")
+    """The 0-based S3 transposition of edges p and q, distinct integers in
+    1..3 under the integral rule; int edges pass without the rule's call."""
+    if type(p) is not int or type(q) is not int:
+        p, q = _integral(p, "edge"), _integral(q, "edge")
     if p == q or not {p, q} <= {1, 2, 3}:
         raise ValueError(f"need two distinct edges among 1..3, got {(p, q)}")
     perm = [0, 1, 2]
@@ -157,6 +162,18 @@ def _block_starts(head, b, hairs):
     return (None, first, first + k1 * b, first + (k1 + k2) * b)
 
 
+def _block_permutation_sign(head, ranges):
+    """Sign of the slot permutation that sends slot i to head[i], a
+    permutation of range(len(head)), and the later slots in order onto three
+    ranges, (target start, length) each in source order.  Nothing leaves the
+    head and each range keeps its order, so it is the head's cycle parity
+    times -1 per reordered pair of ranges whose lengths' product is odd."""
+    (s1, n1), (s2, n2), (s3, n3) = ranges
+    pairs = n1 * n2 * (s1 > s2) + n1 * n3 * (s1 > s3) + n2 * n3 * (s2 > s3)
+    sign = _permutation_sign(head)
+    return -sign if pairs % 2 else sign
+
+
 def _reversal_sign(case, pieces):
     """(-1)^N per reversed edge piece."""
     return -1 if case.n_odd and pieces % 2 else 1
@@ -210,8 +227,10 @@ def edge_swap_sign(defect, hairs, case, p, q):
     """First-principles sign of transposing edges p and q (1-based).
 
     Maps the graph with hair counts `hairs` to the one with counts swapped;
-    junction data is fixed and no edge piece is reversed.  Two edges that
-    carry one hair each, in a case with m even and N odd:
+    junction data is fixed and no edge piece is reversed, and the sign is
+    the head's cycle parity times (-1)^(b * sum k_e * k_f) over the pairs
+    of edges e < f whose blocks change order.  Two one-hair edges, m even
+    and N odd:
 
     >>> from theta_homology.cases import CASE_EO
     >>> edge_swap_sign(0, (1, 1, 0), CASE_EO, 1, 2)
@@ -227,11 +246,13 @@ def edge_swap_sign(defect, hairs, case, p, q):
     # (kind, side) stays, (seg, e, 0) goes to (seg, edge[e], 0); source and
     # target share the head layout, so `head` lists the source head in order
     positions = [head[kind, edge[x] if kind == "seg" else x] for kind, x in head]
-    # hair block i of edge e lands in block i of edge edge[e]
-    for e, k in zip((1, 2, 3), hairs):
-        start = starts[edge[e]]
-        positions += range(start + b, start + (k + 1) * b)
-    return _permutation_sign(positions)
+    # edge e's b * k_e block slots land, in order, on edge edge[e]'s blocks
+    ranges = (
+        (starts[edge[1]] + b, b * hairs[0]),
+        (starts[edge[2]] + b, b * hairs[1]),
+        (starts[edge[3]] + b, b * hairs[2]),
+    )
+    return _block_permutation_sign(positions, ranges)
 
 
 def vertical_reflection_sign_formula(defect, hairs, case):

@@ -176,8 +176,9 @@ def test_signs_grid_checks_the_algebra_rules(capsys, monkeypatch):
 
 
 def test_signs_grid_catches_engine_faults(capsys, monkeypatch):
-    # the engine side of the grid: a kind wrongly taken as even, or the two
-    # junctions' slots exchanged in the head table, must fail cells
+    # the engine side of the grid: a kind wrongly taken as even, the two
+    # junctions' slots exchanged in the head table, or the swap's sign
+    # without its range-pair term, must fail cells
     odd_kinds, layout = signs._odd_kinds, signs._layout
 
     def junctions_exchanged(defect, odd):
@@ -199,6 +200,12 @@ def test_signs_grid_catches_engine_faults(capsys, monkeypatch):
             junctions_exchanged,
             1408,
             "FAIL oo reflect defect=0 hairs=(0, 0, 0): engine -1, formula +1",
+        ),
+        (
+            "_block_permutation_sign",
+            lambda head, ranges: signs._permutation_sign(head),
+            2432,
+            "FAIL eo swap(1,2) defect=0 hairs=(1, 1, 0): engine +1, formula -1",
         ),
     )
     assert_mutants_fail_the_grid(capsys, monkeypatch, mutants)
