@@ -14,25 +14,28 @@ parameters (m, N) through their parities only:
 A symmetry of the graph permutes the tokens and may reverse edge pieces;
 its sign is the Koszul sign of that permutation (odd-degree tokens
 anticommute) times (-1)^N per reversed edge piece.  vertical_reflection_sign
-and edge_swap_sign, the engine, compute it from that definition alone.  Each
-writes, for every odd-degree token of the source in canonical order (even
-ones never change the sign), the slot of its image among the odd tokens of
-the target's canonical list.  The slots come from the canonical layout, read
-by both: the head tokens (junction hairs, junctions, first segments) keep one
-slot each from a small per-(defect, odd kinds) table (_layout), and token
-(kind, e, i) of hair block i on edge e sits at starts[e] + i*b + the kind's
-rank in a block, b odd kinds per block, where edge e's first block begins at
-starts[e] + b (_block_starts).  A symmetry moves whole hair blocks, so a
-block's images are ranges.  The reflection sends block i to block k_e + 1 - i,
-one range of step -b per kind, except that segment j goes to segment k_e - j,
-one block lower, and segment 0 is a head slot; its sign is the cycle parity
-of the resulting permutation of slots.  The edge swap maps the head into
-itself and edge e's blocks, in order, to one ascending range of the target
-edge: its sign is the head's cycle parity times -1 per pair of ranges that
-it reorders and whose lengths' product is odd (_block_permutation_sign).
-The engine reads no formula.  The *_formula functions read the sign rules
-the complexes are built from, algebra.mirror_sign and algebra._act, so the
-test-suite and the `signs` CLI mode check those rules against the engine.
+and edge_swap_sign, the engine, compute it from that definition alone, as
+the sign of the permutation that the symmetry makes of the slots of the odd
+tokens (even ones never change the sign) in canonical order.  The slots come
+from the canonical layout, read by both: the head tokens (junction hairs,
+junctions, first segments) keep one slot each from a small per-(defect, odd
+kinds) table (_layout), and token (kind, e, i) of hair block i on edge e
+sits at starts[e] + i*b + the kind's rank in a block, b odd kinds per block,
+where edge e's first block begins at starts[e] + b (_block_starts).  A
+symmetry moves whole hair blocks, so the engine builds no list of slots and
+costs the same at any hair count.  The reflection is an involution: it
+exchanges the junction sides, pairs block i with block k_e + 1 - i per
+kind, and pairs segment j with segment k_e - j, where segment 0 is a head
+slot; its sign is -1 per exchanged pair, the head's parity times a per-edge
+term (_involution_sign).  The edge swap maps the head into itself and edge
+e's blocks, in order, to one ascending range of the target edge: its sign is
+the head's cycle parity times -1 per pair of ranges that it reorders and
+whose lengths' product is odd (_block_permutation_sign).  The head parities
+of the reflection and of the three swaps are derived once per layout
+(_head_turns).  The engine reads no formula.  The *_formula functions read
+the sign rules the complexes are built from, algebra.mirror_sign and
+algebra._act, so the test-suite and the `signs` CLI mode check those rules
+against the engine.
 
 Two symmetries matter downstream: the vertical reflection, exchanging the
 two junctions (it fixes the hair counts, and a graph whose reflection sign is
@@ -142,15 +145,35 @@ def _permutation_sign(perm):
 
 @lru_cache(maxsize=12)  # one entry per (defect, parity case)
 def _layout(defect, odd):
-    """(head, rank): the canonical layout of the odd tokens.
+    """(head, rank, turns): the canonical layout of the odd tokens.
 
     head maps each odd head token, keyed by its first two entries (so
     ("seg", e, 0) is ("seg", e)), to its slot, in canonical order; rank maps
-    each odd block kind to its place within a hair block.
+    each odd block kind to its place within a hair block; turns is
+    _head_turns(defect, head), so the engine's head parities are derived
+    here, once per layout.
     """
     head = {token[:2]: n for n, token in enumerate(_tokens(defect, (0, 0, 0), odd))}
     rank = {kind: r for r, kind in enumerate(kind for kind in _BLOCK if kind in odd)}
-    return head, rank
+    return head, rank, _head_turns(defect, head)
+
+
+def _head_turns(defect, head):
+    """{symmetry: (images, sign)} for the head slots of a layout's head table.
+
+    images lists, in canonical order, the slot each head token goes to, and
+    sign is its cycle parity.  The symmetry "reflect" swaps the junction
+    sides, (kind, s) -> (kind, 3 - s), and fixes the first segments (the
+    reflection's segment pairs are counted by _involution_sign); the 0-based
+    transposition perm of an edge swap fixes the sides and sends ("seg", e)
+    to ("seg", perm[e - 1] + 1).  Defect 1 has no "reflect" entry.
+    """
+    turns = {}
+    if defect != 1:
+        turns["reflect"] = [head[kind, x if kind == "seg" else 3 - x] for kind, x in head]
+    for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+        turns[perm] = [head[kind, perm[x - 1] + 1 if kind == "seg" else x] for kind, x in head]
+    return {key: (images, _permutation_sign(images)) for key, images in turns.items()}
 
 
 def _block_starts(head, b, hairs):
@@ -162,15 +185,26 @@ def _block_starts(head, b, hairs):
     return (None, first, first + k1 * b, first + (k1 + k2) * b)
 
 
-def _block_permutation_sign(head, ranges):
-    """Sign of the slot permutation that sends slot i to head[i], a
-    permutation of range(len(head)), and the later slots in order onto three
-    ranges, (target start, length) each in source order.  Nothing leaves the
-    head and each range keeps its order, so it is the head's cycle parity
-    times -1 per reordered pair of ranges whose lengths' product is odd."""
+def _block_permutation_sign(sign, ranges):
+    """Sign of a slot permutation that maps the head into itself with cycle
+    parity sign and the later slots in order onto three ranges, (target
+    start, length) each in source order.  Nothing leaves the head and each
+    range keeps its order, so it is sign times -1 per reordered pair of
+    ranges whose lengths' product is odd."""
     (s1, n1), (s2, n2), (s3, n3) = ranges
     pairs = n1 * n2 * (s1 > s2) + n1 * n3 * (s1 > s3) + n2 * n3 * (s2 > s3)
-    sign = _permutation_sign(head)
+    return -sign if pairs % 2 else sign
+
+
+def _involution_sign(sign, b, seg, hairs):
+    """sign times -1 per pair of slots that the reflection exchanges on the
+    edges, b odd kinds per hair block and seg true when segments are odd.
+    On edge e every odd kind but the segment pairs block i with block
+    k_e + 1 - i, floor(k_e / 2) pairs, and the segments pair j with k_e - j
+    over k_e + 1 slots, floor((k_e + 1) / 2) pairs: b * floor(k_e / 2) +
+    seg * (k_e mod 2) pairs per edge."""
+    k1, k2, k3 = hairs
+    pairs = b * (k1 // 2 + k2 // 2 + k3 // 2) + seg * (k1 % 2 + k2 % 2 + k3 % 2)
     return -sign if pairs % 2 else sign
 
 
@@ -188,39 +222,29 @@ def vertical_reflection_sign(defect, hairs, case):
     edge segment; hair edges keep their tip-outward direction.  At defect 1
     the reflection moves the junction hair to the other junction, a different
     graph presentation, so no self-symmetry sign exists and we refuse.
+
+    The reflection is an involution that fixes the hair counts, so its slot
+    permutation is a product of disjoint exchanges of two slots and its sign
+    is -1 per exchange.  In _layout's head, (kind, s) and (kind, 3 - s) are
+    exchanged: the head parity with the junction sides swapped and the first
+    segments fixed, _head_turns' "reflect" entry.  By _block_starts, token
+    (kind, e, i) of a non-segment kind sits at starts[e] + i * b + rank[kind]
+    and goes to block k_e + 1 - i at the same rank, so each such kind makes
+    floor(k_e / 2) exchanges on edge e.  Segment j goes to segment k_e - j,
+    where segment 0 is the head slot ("seg", e) and segment j >= 1 sits in
+    block j: an odd segment kind makes floor((k_e + 1) / 2) exchanges.
+    Together, b * floor(k_e / 2) + [seg odd] * (k_e mod 2) per edge
+    (_involution_sign), times (-1)^N per reversed edge piece.  No step
+    branches on a hair count, and no list of block slots is built.
     """
     defect, hairs = _validate(defect, hairs)
     if defect == 1:
         raise UnsupportedSymmetryError(
             "the vertical reflection is not a self-map at defect 1"
         )
-    odd = _odd_kinds(case)
-    head, rank = _layout(defect, odd)
-    b = len(rank)
-    starts = _block_starts(head, b, hairs)
-    # (kind, s) -> (kind, 3 - s) at the junctions; segment j of edge e goes
-    # to segment k_e - j, and segment 0 is the head slot ("seg", e)
-    seg = rank.get("seg")
-    positions = [
-        head[kind, 3 - x]
-        if kind != "seg"
-        else (starts[x] + hairs[x - 1] * b + seg if hairs[x - 1] else head[kind, x])
-        for kind, x in head
-    ]
-    positions += [0] * (b * sum(hairs))
-    # hair block i of edge e lands in block k_e + 1 - i, its segment in block
-    # k_e - i: per kind, the source slots of step b take a range of step -b
-    for e, start, k in zip((1, 2, 3), starts[1:], hairs):
-        if not k:
-            continue
-        for kind, r in rank.items():
-            source = slice(start + b + r, start + (k + 1) * b, b)
-            if kind == "seg":
-                last = start + (k - 1) * b + r
-                positions[source] = [*range(last, start + r, -b), head[kind, e]]
-            else:
-                positions[source] = range(start + k * b + r, start + r, -b)
-    return _permutation_sign(positions) * _reversal_sign(case, sum(hairs) + 3)
+    _, rank, turns = _layout(defect, _odd_kinds(case))
+    sign = _involution_sign(turns["reflect"][1], len(rank), "seg" in rank, hairs)
+    return sign * _reversal_sign(case, sum(hairs) + 3)
 
 
 def edge_swap_sign(defect, hairs, case, p, q):
@@ -228,9 +252,9 @@ def edge_swap_sign(defect, hairs, case, p, q):
 
     Maps the graph with hair counts `hairs` to the one with counts swapped;
     junction data is fixed and no edge piece is reversed, and the sign is
-    the head's cycle parity times (-1)^(b * sum k_e * k_f) over the pairs
-    of edges e < f whose blocks change order.  Two one-hair edges, m even
-    and N odd:
+    the head's cycle parity (_head_turns' entry for the transposition)
+    times (-1)^(b * sum k_e * k_f) over the pairs of edges e < f whose
+    blocks change order.  Two one-hair edges, m even and N odd:
 
     >>> from theta_homology.cases import CASE_EO
     >>> edge_swap_sign(0, (1, 1, 0), CASE_EO, 1, 2)
@@ -239,20 +263,16 @@ def edge_swap_sign(defect, hairs, case, p, q):
     defect, hairs = _validate(defect, hairs)
     perm = _transposition(p, q)
     edge = (None, perm[0] + 1, perm[1] + 1, perm[2] + 1)
-    odd = _odd_kinds(case)
-    head, rank = _layout(defect, odd)
+    head, rank, turns = _layout(defect, _odd_kinds(case))
     b = len(rank)
     starts = _block_starts(head, b, (hairs[perm[0]], hairs[perm[1]], hairs[perm[2]]))
-    # (kind, side) stays, (seg, e, 0) goes to (seg, edge[e], 0); source and
-    # target share the head layout, so `head` lists the source head in order
-    positions = [head[kind, edge[x] if kind == "seg" else x] for kind, x in head]
     # edge e's b * k_e block slots land, in order, on edge edge[e]'s blocks
     ranges = (
         (starts[edge[1]] + b, b * hairs[0]),
         (starts[edge[2]] + b, b * hairs[1]),
         (starts[edge[3]] + b, b * hairs[2]),
     )
-    return _block_permutation_sign(positions, ranges)
+    return _block_permutation_sign(turns[perm][1], ranges)
 
 
 def vertical_reflection_sign_formula(defect, hairs, case):

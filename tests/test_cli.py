@@ -10,9 +10,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_homology import algebra, cli, signs
 from theta_homology.algebra import Flavor
@@ -177,16 +182,19 @@ def test_signs_grid_checks_the_algebra_rules(capsys, monkeypatch):
 
 def test_signs_grid_catches_engine_faults(capsys, monkeypatch):
     # the engine side of the grid: a kind wrongly taken as even, the two
-    # junctions' slots exchanged in the head table, or the swap's sign
-    # without its range-pair term, must fail cells
+    # junctions' slots exchanged in the head table (its head parities
+    # derived from the exchanged table), the swap's sign without its
+    # range-pair term, or the reflection's without its per-edge exchanges,
+    # must fail cells
     odd_kinds, layout = signs._odd_kinds, signs._layout
 
     def junctions_exchanged(defect, odd):
-        head, rank = layout(defect, odd)
+        head, rank, turns = layout(defect, odd)
         if ("junction", 1) in head:
             head = dict(head)
             head["junction", 1], head["junction", 2] = head["junction", 2], head["junction", 1]
-        return head, rank
+            turns = signs._head_turns(defect, head)
+        return head, rank, turns
 
     mutants = (
         (
@@ -203,12 +211,41 @@ def test_signs_grid_catches_engine_faults(capsys, monkeypatch):
         ),
         (
             "_block_permutation_sign",
-            lambda head, ranges: signs._permutation_sign(head),
+            lambda sign, ranges: sign,
             2432,
             "FAIL eo swap(1,2) defect=0 hairs=(1, 1, 0): engine +1, formula -1",
         ),
+        (
+            "_involution_sign",
+            lambda sign, b, seg, hairs: sign,
+            2624,
+            "FAIL ee reflect defect=0 hairs=(0, 0, 1): engine +1, formula -1",
+        ),
     )
     assert_mutants_fail_the_grid(capsys, monkeypatch, mutants)
+
+
+def test_warm_signs_grid_walks_no_permutation(capsys, monkeypatch):
+    # every head parity is derived once per (defect, odd kinds), inside
+    # _layout's memo: 11 symmetries of the head per parity case (no
+    # reflection at defect 1), so a cold grid walks 44 head lists of at most
+    # 7 slots (two tips, two tip edges, three first segments in oe) and a
+    # warm one none, whatever the hair counts
+    walked = []
+    permutation_sign = signs._permutation_sign
+    monkeypatch.setattr(
+        signs, "_permutation_sign", lambda perm: walked.append(perm) or permutation_sign(perm)
+    )
+    signs._layout.cache_clear()
+    for want in (44, 0):
+        walked.clear()
+        assert run(capsys, ["signs", "--max-exponent", "3"]) == (
+            0,
+            "2816/2816 cells PASS (k_i <= 3)\n",
+            "",
+        )
+        assert len(walked) == want
+        assert max(map(len, walked), default=0) == (7 if want else 0)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -247,6 +284,74 @@ def test_numeric_caps(capsys, argv, dest, cap):
         parser.parse_args(argv + [str(cap + 1)])
     assert info.value.code == 2
     assert f"got {cap + 1}" in capsys.readouterr().err
+
+
+# argument lists for the robustness test: a subcommand, then up to four
+# options, each one of its own with one of its values, or any option with
+# any token, or a loose token.  Numbers are small valid ones, or one past a
+# cap, or far past them all: 13 is still a valid Hodge degree and 201 a
+# valid --terms, so no slice above t = 13 runs.  Junk has no "/", so every
+# --out stays in its directory, and no control character or surrogate: a
+# shell passes no NUL byte, and a NUL in --out makes the path raise
+# ValueError
+SMALL_NUMBERS = st.integers(-2, 6).map(str)
+CAP_NUMBERS = st.sampled_from(
+    (cli.MAX_EXPONENT_CAP + 1, cli.HODGE_CAP + 1, cli.TERMS_CAP + 1, 10**30)
+).map(str)
+JUNK = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="/"), max_size=6
+)
+VALUES = {
+    "--case": st.sampled_from(("all", "oo", "ee", "eo", "oe")),
+    "--mode": st.sampled_from(("bruteforce", "closedform", "crosscheck")),
+    "--format": st.sampled_from(("text", "csv", "json")),
+    "--which": st.sampled_from(("h0", "h1", "chi")),
+    "--max-hodge": SMALL_NUMBERS,
+    "--hodge": SMALL_NUMBERS,
+    "--terms": SMALL_NUMBERS,
+    "--max-exponent": SMALL_NUMBERS,
+    "--out": st.sampled_from(("out.txt", "sub/out.json")),
+}
+OPTIONS_OF = {
+    "table": ("--case", "--max-hodge", "--mode", "--format", "--out"),
+    "series": ("--case", "--which", "--terms", "--format", "--out"),
+    "signs": ("--max-exponent", "--out"),
+    "basis": ("--case", "--hodge", "--out"),
+}
+TOKENS = st.one_of(
+    st.sampled_from((*OPTIONS_OF, *VALUES, "--help")), *VALUES.values(), CAP_NUMBERS, JUNK
+)
+
+
+def argument_lists(command):
+    own = st.one_of(
+        *(st.tuples(st.just(option), VALUES[option]) for option in OPTIONS_OF[command])
+    )
+    other = st.one_of(
+        st.tuples(st.sampled_from(tuple(VALUES)), TOKENS), TOKENS.map(lambda token: (token,))
+    )
+    # four in five options are the subcommand's own, so that runs get past the parser
+    options = st.integers(0, 4).flatmap(lambda n: other if n == 0 else own)
+    return st.lists(options, max_size=4).map(
+        lambda chosen: [command, *(token for option in chosen for token in option)]
+    )
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(argv=st.sampled_from(tuple(OPTIONS_OF)).flatmap(argument_lists))
+def test_any_argument_list_ends_in_an_exit_status(argv):
+    # whatever the argument list, main ends in 0, 1 or 2 with no traceback;
+    # a relative --out lands in a fresh temporary directory
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir:
+        with mock.patch.dict(os.environ, {"THETA_HOMOLOGY_OUTDIR": outdir}):
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_long_integer_options_are_read_by_value(capsys):

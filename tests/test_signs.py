@@ -92,7 +92,7 @@ def reference_slots(defect, hairs, odd):
     """slot(kind, e, i): the position of token (kind, e, i) among the odd
     tokens of canonical_tokens(defect, hairs), one token at a time from the
     engine's layout; i = 0 (or no i) names a head token."""
-    head, rank = signs._layout(defect, odd)
+    head, rank, _ = signs._layout(defect, odd)
     starts = signs._block_starts(head, len(rank), hairs)
 
     def slot(kind, e, i=0):
@@ -156,48 +156,76 @@ def test_slots_are_the_canonical_order():
                 assert slots == list(range(len(slots))), (case.key, defect, hairs)
 
 
+def reflection_slots(head, rank, images, hairs):
+    """The slot list the reflection's sign stands for: the head images, then
+    per edge and odd kind the chain of that kind's slots reversed, hair
+    blocks 1..k_e for a non-segment kind and segments 0..k_e, segment 0 the
+    head slot ("seg", e), for the segment kind."""
+    b = len(rank)
+    starts = signs._block_starts(head, b, hairs)
+    slots = list(images) + [None] * (b * sum(hairs))
+    for e, start, k in zip((1, 2, 3), starts[1:], hairs):
+        for kind, r in rank.items():
+            chain = [start + i * b + r for i in range(1, k + 1)]
+            if kind == "seg":
+                chain.insert(0, head["seg", e])
+            for slot, image in zip(chain, reversed(chain)):
+                slots[slot] = image
+    return slots
+
+
 def test_engine_writes_the_reference_slot_of_every_odd_token(monkeypatch):
-    # the slots the engine reads, before their parity is taken, are the
-    # reference slot of each odd source token's image, in the source's
-    # canonical order: two compensating slot errors could leave the sign
-    # unchanged.  The reflection hands its image list to _permutation_sign;
-    # the swap hands its head images and block ranges to
-    # _block_permutation_sign, whose ranges are expanded here slot by slot
+    # the slots the engine's sign stands for are the reference slot of each
+    # odd source token's image, in the source's canonical order: two
+    # compensating slot errors could leave the sign unchanged.  The engine
+    # builds no slot list, so what it hands on is expanded here.  The
+    # reflection hands its head parity, b, segment flag and hair counts to
+    # _involution_sign: the head images come from the layout's table, and the
+    # per-edge exchanges are written out slot by slot.  The swap hands its
+    # head parity and block ranges to _block_permutation_sign: the head
+    # images come from the layout's table, and the ranges are expanded
     recorded = []
-    monkeypatch.setattr(signs, "_permutation_sign", lambda perm: recorded.append(perm) or 1)
-
-    def expanded(head, ranges):
-        slots = [slot for start, n in ranges for slot in range(start, start + n)]
-        return recorded.append(head + slots) or 1
-
-    monkeypatch.setattr(signs, "_block_permutation_sign", expanded)
+    monkeypatch.setattr(signs, "_involution_sign", lambda *args: recorded.append(args) or 1)
+    monkeypatch.setattr(signs, "_block_permutation_sign", lambda *args: recorded.append(args) or 1)
     for case in ALL_CASES:
         odd = _odd_kinds(case)
+        for defect in (0, 1, 2):
+            for symmetry, (images, sign) in signs._layout(defect, odd)[2].items():
+                assert sign == _permutation_sign(images), (case.key, defect, symmetry)
         for hairs in product(range(6), repeat=3):
             for defect, pair in [(d, None) for d in (0, 2)] + [
                 (d, pair) for pair in ((1, 2), (2, 3), (1, 3)) for d in (0, 1, 2)
             ]:
+                head, rank, turns = signs._layout(defect, odd)
                 recorded.clear()
                 if pair is None:
                     vertical_reflection_sign(defect, hairs, case)
                     image, target = reflection_image(hairs), hairs
+                    images, sign = turns["reflect"]
+                    assert recorded == [(sign, len(rank), "seg" in rank, hairs)]
+                    slots = reflection_slots(head, rank, images, hairs)
                 else:
                     edge_swap_sign(defect, hairs, case, *pair)
                     image, target = swap_image(*pair), swapped(hairs, *pair)
+                    images, sign = turns[signs._transposition(*pair)]
+                    [(recorded_sign, ranges)] = recorded
+                    assert recorded_sign == sign
+                    slots = images + [i for start, n in ranges for i in range(start, start + n)]
                 slot = reference_slots(defect, target, odd)
                 want = [
                     slot(*image(token))
                     for token in canonical_tokens(defect, hairs)
                     if token_parity(token, case)
                 ]
-                assert recorded == [want], (case.key, defect, hairs, pair)
+                assert slots == want, (case.key, defect, hairs, pair)
                 assert sorted(want) == list(range(len(want)))
 
 
 def test_block_permutation_sign_matches_the_definition():
-    # the swap's sign rule against the cycle walk of the expanded slot list
-    # and the O(n^2) inversion count: a random head permutation, then three
-    # ranges of 0..20 slots tiling the rest in each of the six target orders
+    # the swap's sign rule, given the head's cycle parity, against the cycle
+    # walk of the expanded slot list and the O(n^2) inversion count: a random
+    # head permutation, then three ranges of 0..20 slots tiling the rest in
+    # each of the six target orders
     rng = random.Random(89)
     for _ in range(100):
         h = rng.randrange(10)
@@ -214,7 +242,7 @@ def test_block_permutation_sign_matches_the_definition():
             inversions = sum(
                 perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
             )
-            sign = _block_permutation_sign(head, ranges)
+            sign = _block_permutation_sign(_permutation_sign(head), ranges)
             assert sign == _permutation_sign(perm) == (-1) ** inversions, (head, ranges)
 
 
@@ -258,6 +286,53 @@ def test_edge_swap_engine_matches_formula_up_to_a_billion_hairs(case, hairs, def
     # what small ones do
     assert edge_swap_sign(defect, hairs, case, *pair) == edge_swap_sign_formula(
         hairs, case, *pair
+    )
+
+
+def test_reflection_sign_has_period_4_in_each_hair_count():
+    """The reflection half of the sign grid's proof for every hair count.
+
+    vertical_reflection_sign is the head parity, which depends on the
+    defect and the case only, times (-1)^(b * floor(k_e / 2) + [seg odd] *
+    (k_e mod 2)) per edge (_involution_sign), times (-1)^N per reversed
+    piece, k_1 + k_2 + k_3 + 3 of them.  b * floor(k_e / 2) has the parity
+    of b * C(k_e, 2), the inversions of k_e reversed blocks of b slots
+    (b^2 = b mod 2).  Adding 4 to k_e adds b * (C(k + 4, 2) - C(k, 2)) =
+    b * (4k + 6), 4 * [seg odd] and 4 reversed pieces to the exponent, all
+    even: the sign has period 4 in each hair count.  Adding 2 adds
+    b * (C(k + 2, 2) - C(k, 2)) = b * (2k + 1), 2 * [seg odd] and 2 pieces,
+    so period 2 breaks exactly when b is odd: in eo (b = 1) and oe (b = 3),
+    not in oo or ee (b = 2).  This assumes the engine branches on no hair
+    count.  Checked on every reflection cell with k_i <= 3 in every case and
+    defect (1536 comparisons per period), 768 of which flip under + 2.
+    """
+    checked = flipped = 0
+    for case in ALL_CASES:
+        b = len(signs._layout(0, _odd_kinds(case))[1])
+        for defect in (0, 2):
+            for hairs in product(range(4), repeat=3):
+                sign = vertical_reflection_sign(defect, hairs, case)
+                for i in range(3):
+                    cell = (case.key, defect, hairs, i)
+                    plus = [tuple(k + n * (j == i) for j, k in enumerate(hairs)) for n in (2, 4)]
+                    assert vertical_reflection_sign(defect, plus[1], case) == sign, cell
+                    flip = vertical_reflection_sign(defect, plus[0], case) != sign
+                    assert flip == (b % 2 == 1), cell
+                    checked += 1
+                    flipped += flip
+    assert (checked, flipped) == (1536, 768)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    case=st.sampled_from(ALL_CASES),
+    hairs=st.tuples(*[st.integers(0, 10**9)] * 3),
+    defect=st.sampled_from((0, 2)),
+)
+def test_reflection_engine_matches_formula_up_to_a_billion_hairs(case, hairs, defect):
+    # the reflection builds no list of block slots either
+    assert vertical_reflection_sign(defect, hairs, case) == vertical_reflection_sign_formula(
+        defect, hairs, case
     )
 
 
