@@ -28,7 +28,7 @@ the parity-class checks of complexes._rules and the edge-swap sign in
 signs, as mirror_sign is read for the reflection sign there.
 crossing is the one statement of the odd product's sign, read by Element
 multiplication and by the integer product on coordinates in complexes
-(_orbit_product), which assembles the differentials and the closed-form
+(_sorted_product), which assembles the differentials and the closed-form
 generators.  Symmetrized monomials, written (k1,k2,k3) in the plain flavors
 and [k1,k2,k3] in the sign-twisted ones, are the signed S3-orbit sums
 normalized to coefficient +1 on the descending-sorted monomial.
@@ -43,24 +43,71 @@ lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
-Triple = tuple[int, int, int]
+
+class _Frozen:
+    """Base of the package's value types: __slots__ fields, written once by
+    _assign, so that any later assignment or deletion raises AttributeError.
+    __reduce__ and __repr__ read the fields in __slots__ order; a subclass
+    whose constructor takes other arguments overrides both."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Flavor:
-    """Generator parity plus the S3-equivariance character."""
+def _assign(value, *fields):
+    """Write fields to value's __slots__, in order, past _Frozen.__setattr__."""
+    for name, field in zip(value.__slots__, fields):
+        object.__setattr__(value, name, field)
 
-    odd: bool
-    antisymmetric: bool
+
+def _intern(cls, *fields):
+    """A new instance of an interned value type; only its module makes them."""
+    value = object.__new__(cls)
+    _assign(value, *fields)
+    return value
+
+
+class Flavor(_Frozen):
+    """Generator parity plus the S3-equivariance character.
+
+    There is one instance per pair of bools, the module's four, and the
+    constructor returns it, so equality and hashing are by identity.
+    """
+
+    __slots__ = ("odd", "antisymmetric")
+
+    def __new__(cls, odd, antisymmetric):
+        try:
+            return _FLAVOR_OF[odd, antisymmetric]
+        except KeyError:
+            raise ValueError(
+                f"a flavor is a pair of bools, got {(odd, antisymmetric)!r}"
+            ) from None
 
     def __str__(self):
         stem = "xi" if self.odd else "x"
         return ("ASym[%s]" if self.antisymmetric else "Sym[%s]") % stem
 
 
+_FLAVOR_OF = {
+    (odd, antisymmetric): _intern(Flavor, odd, antisymmetric)
+    for odd in (False, True)
+    for antisymmetric in (False, True)
+}
 SYM = Flavor(odd=False, antisymmetric=False)
 ASYM = Flavor(odd=False, antisymmetric=True)
 SYM_ODD = Flavor(odd=True, antisymmetric=False)

@@ -11,41 +11,55 @@ means m even, N odd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import ASYM, ASYM_ODD, SYM, SYM_ODD
+from .algebra import ASYM, ASYM_ODD, SYM, SYM_ODD, _Frozen, _intern
 
 
-@dataclass(frozen=True)
-class ParityCase:
-    m_odd: bool
-    n_odd: bool
+class ParityCase(_Frozen):
+    """The parities of (m, N), with what follows from them stored at interning.
 
-    @property
-    def key(self):
-        return ("o" if self.m_odd else "e") + ("o" if self.n_odd else "e")
+    There is one instance per pair of bools, the module's four, and the
+    constructor returns it, so equality and hashing are by identity.  key is
+    the two-letter name; flavor the algebra flavor, read from a table;
+    defect2_mirror_sign the mirror eigenvalue cutting out the defect-2 space
+    (-1 commuting, +1 odd), also the defect-2 factor of the graph's
+    reflection sign (which swaps the junction hairs): C2 is the set of graphs
+    whose reflection sign is +1.
+    """
 
-    @property
-    def flavor(self):
-        if self.m_odd and self.n_odd:
-            return SYM
-        if not self.m_odd and not self.n_odd:
-            return ASYM
-        if self.n_odd:
-            return SYM_ODD
-        return ASYM_ODD
+    __slots__ = ("m_odd", "n_odd", "key", "flavor", "defect2_mirror_sign")
 
-    @property
-    def defect2_mirror_sign(self):
-        """Mirror eigenvalue cutting out the defect-2 space (-1 commuting, +1 odd),
-        also the defect-2 factor of the graph's reflection sign (which swaps
-        the junction hairs): C2 is the set of graphs whose reflection sign is +1."""
-        return 1 if self.flavor.odd else -1
+    def __new__(cls, m_odd, n_odd):
+        try:
+            return _CASE_OF[m_odd, n_odd]
+        except KeyError:
+            raise ValueError(
+                f"a parity case is a pair of bools, got {(m_odd, n_odd)!r}"
+            ) from None
+
+    def __reduce__(self):
+        return ParityCase, (self.m_odd, self.n_odd)
+
+    def __repr__(self):
+        return f"ParityCase(m_odd={self.m_odd!r}, n_odd={self.n_odd!r})"
 
     def __str__(self):
         return self.key
 
 
+_FLAVOR_OF_KEY = {"oo": SYM, "ee": ASYM, "eo": SYM_ODD, "oe": ASYM_ODD}
+
+
+def _case(m_odd, n_odd):
+    key = ("o" if m_odd else "e") + ("o" if n_odd else "e")
+    flavor = _FLAVOR_OF_KEY[key]
+    return _intern(ParityCase, m_odd, n_odd, key, flavor, 1 if flavor.odd else -1)
+
+
+_CASE_OF = {
+    (m_odd, n_odd): _case(m_odd, n_odd)
+    for m_odd in (True, False)
+    for n_odd in (True, False)
+}
 CASE_OO = ParityCase(m_odd=True, n_odd=True)
 CASE_EE = ParityCase(m_odd=False, n_odd=False)
 CASE_EO = ParityCase(m_odd=False, n_odd=True)

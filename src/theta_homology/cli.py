@@ -294,8 +294,11 @@ def main(argv=None):
             sys.stdout.write(text)
         else:
             path = Path(os.environ.get("THETA_HOMOLOGY_OUTDIR", ""), args.out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
+            except ValueError as exc:  # a NUL byte in the path
+                raise OSError(str(exc)) from None
     except ComplexConsistencyError as exc:
         where = ""
         if exc.case is not None and exc.t is not None:

@@ -41,13 +41,14 @@ must agree.  sign maps the residue key (the exponents mod 4 and which gaps
 are 0) to the mirror eigenvalue, or 0 if the triple is not admissible: the
 walk of a degree reads one entry per sorted triple.  stencil maps each side
 and stencil key (the parities and the gaps clipped at 2) to the stencil
-{e_i: coefficient on k + e_i}, derived from the orbit path (_orbit_product
-with e1: each monomial mu of algebra.orbit moved to mu + e_i with the odd
-sign algebra.crossing, only the sorted images kept, re-based at k); homology
-builds the closed-form generators with the same product.  In the commuting
-flavors left and right multiplication are one map, so one table is checked,
-derived and filed under both sides.  _matrix_of reads at most three stencil
-entries per column.
+{e_i: coefficient on k + e_i}, derived from the orbit path (_sorted_product
+of algebra.orbit and e1: each monomial mu of the orbit moved to mu + e_i with
+the odd sign algebra.crossing, only the sorted images kept, re-based at k);
+homology builds the closed-form generators with _orbit_product, the same
+product on coordinate maps.  In the commuting flavors left and right
+multiplication are one map, so one table is checked, derived and filed
+under both sides.  _matrix_of reads at most three stencil entries per
+column.
 _differential is the one statement of each differential's side and scalar;
 _matrix_of reads it once per matrix, and apply_defect2 and apply_defect1
 read it on Element values: the reference path, which no module calls and
@@ -59,13 +60,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .algebra import (
     S3,
-    Triple,
     _act,
+    _assign,
+    _Frozen,
     _integral,
     crossing,
     is_admissible,
@@ -78,7 +79,6 @@ from .algebra import (
 
 # Not called here: perfbench/child.py's tracer wraps both on this module by name.
 from .algebra import basis_coordinates, symmetrize  # noqa: F401
-from .cases import ParityCase
 from .linalg import RationalMatrix
 
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -102,11 +102,9 @@ def _hodge_degree(t, least=None):
     return _integral(t, "Hodge degree t (the number of hairs)", least)
 
 
-class _Degree(NamedTuple):
-    """The admissible triples of one (flavor, degree) and their mirror classes."""
-
-    basis: tuple[Triple, ...]  # descending lex
-    by_sign: dict[int, tuple[Triple, ...]]  # mirror eigenvalue -> its triples
+# The admissible triples of one (flavor, degree), in descending lex order, and
+# by_sign, their mirror classes: {mirror eigenvalue: its triples}.
+_Degree = namedtuple("_Degree", "basis by_sign")
 
 
 @functools.lru_cache(maxsize=3)
@@ -182,15 +180,14 @@ def apply_defect1(case, f):
     return mirror_even_part(mul_e1(f, side)) * scalar
 
 
-@dataclass(frozen=True)
-class HodgeSlice:
-    case: ParityCase
-    t: int
-    basis2: tuple[Triple, ...]
-    basis1: tuple[Triple, ...]
-    basis0: tuple[Triple, ...]
-    d2: RationalMatrix
-    d1: RationalMatrix
+class HodgeSlice(_Frozen):
+    """One (case, t): the bases of C2, C1 and C0, sorted triples in descending
+    lex order, and the matrices of d2 and d1 (RationalMatrix)."""
+
+    __slots__ = ("case", "t", "basis2", "basis1", "basis0", "d2", "d1")
+
+    def __init__(self, case, t, basis2, basis1, basis0, d2, d1):
+        _assign(self, case, t, basis2, basis1, basis0, d2, d1)
 
 
 def _e_sign(flavor, side, e, mu):
@@ -211,18 +208,29 @@ def _orbit_product(flavor, coords, multiplier, side):
     """coords times an equivariant multiplier on the orbit path, as coordinates.
 
     coords maps sorted triples to coefficients over the symmetrized monomials
-    of flavor, multiplier maps monomials to coefficients.  Each orbit monomial
-    mu meets each multiplier monomial e with the sign _e_sign on that side;
-    only the sorted images, the product's coordinates, are kept, zeros dropped.
+    of flavor, multiplier maps monomials to coefficients.  The orbits of
+    distinct sorted triples are disjoint, so coords is the element summing
+    a * orbit(flavor, triple) monomial by monomial; _sorted_product keeps
+    its product's coordinates.
     """
-    image = {}
+    element = {}
     for triple, a in coords.items():
         for mu, c in orbit(flavor, triple).items():
-            for e, b in multiplier.items():
-                nu = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
-                if nu[0] >= nu[1] >= nu[2]:
-                    term = _e_sign(flavor, side, e, mu) * a * b * c
-                    image[nu] = image.get(nu, 0) + term
+            element[mu] = a * c
+    return _sorted_product(flavor, element, multiplier, side)
+
+
+def _sorted_product(flavor, element, multiplier, side):
+    """The sorted monomials of element times multiplier on side, each a map
+    from monomials to coefficients: each monomial mu of element meets each
+    multiplier monomial e with the sign _e_sign on that side; only the
+    sorted images, the product's coordinates, are kept, zeros dropped."""
+    image = {}
+    for mu, c in element.items():
+        for e, b in multiplier.items():
+            nu = (mu[0] + e[0], mu[1] + e[1], mu[2] + e[2])
+            if nu[0] >= nu[1] >= nu[2]:
+                image[nu] = image.get(nu, 0) + _e_sign(flavor, side, e, mu) * b * c
     return {nu: c for nu, c in image.items() if c}
 
 
@@ -238,13 +246,11 @@ _BASES = tuple(
 )
 
 
-class _Rules(NamedTuple):
-    """What a flavor's rules say about sorted triples, read by key (_rules)."""
-
-    sign: dict  # residue key -> mirror eigenvalue if admissible, else 0
-    # side -> {stencil key: {e_i: coefficient on k + e_i}}; one dict for both
-    # sides in the commuting flavors
-    stencil: dict[str, dict]
+# What a flavor's rules say about sorted triples, read by key (_rules): sign
+# maps the residue key to the mirror eigenvalue if admissible, else 0;
+# stencil maps each side to {stencil key: {e_i: coefficient on k + e_i}},
+# one dict for both sides in the commuting flavors.
+_Rules = namedtuple("_Rules", "sign stencil")
 
 
 @functools.cache
@@ -256,10 +262,11 @@ def _rules(flavor):
     signs; (b) on each side, sigma(e_i mu) = e_sigma(i) sigma(mu) with the
     signs of _act and crossing (mu e_i on the right side), so e1
     multiplication keeps equivariance.  Both signs depend only on the
-    exponents' parities, so this covers every monomial.  In the commuting
-    flavors _e_sign is 1 on both sides, so the two sides are one map: (b)
-    and the stencil derivation run for "left" only, and stencil["right"] is
-    that same dict.
+    exponents' parities, so this covers every monomial.  Both checks read
+    _act from one table, built first, over the parity classes and their unit
+    shifts.  In the commuting flavors _e_sign is 1 on both sides, so the two
+    sides are one map: (b) and the stencil derivation run for "left" only,
+    and stencil["right"] is that same dict.
 
     Then every base triple is read against the same triple shifted by 4 in
     each coordinate, which keeps both of its keys; if the two disagree,
@@ -269,18 +276,24 @@ def _rules(flavor):
     each exponent, fixed by k mod 4, in the odd flavors, and the degree's
     parity in the commuting ones.  stencil[side] is keyed by _stencil_key and
     derived at the first base of each key, as the orbit product of e1 and
-    that base with each image nu filed under nu - base (a sorted image is a
+    that base with each image nu filed under nu - base, both sides from one
+    orbit of the base and one of its shift (a sorted image is a
     permutation of the base with one entry raised, so it is base + e_i, i
     the first index of its block of equal entries).  The signs read
     parities, and is_admissible and the stabilizers of k and of k + e_i read
     only whether a gap is 0 or 1, since a gap of 2 or more stays positive
     when one entry is raised.  A check that fails caches nothing.
     """
+    # _act on what both checks read: the parity classes and their unit
+    # shifts, 20 monomials, so 120 calls
+    shifts = ((0, 0, 0),) + _UNIT
+    monomials = {tuple(map(operator.add, mu, e)) for mu in _PARITIES for e in shifts}
+    act = {(sigma, mu): _act(flavor, sigma, mu) for sigma in S3 for mu in monomials}
     for mu, tau in itertools.product(_PARITIES, S3):
-        tau_mu, tau_sign = _act(flavor, tau, mu)
+        tau_mu, tau_sign = act[tau, mu]
         for sigma in S3:
-            image, sign = _act(flavor, sigma, tau_mu)
-            composed = _act(flavor, tuple(sigma[j] for j in tau), mu)
+            image, sign = act[sigma, tau_mu]
+            composed = act[tuple(sigma[j] for j in tau), mu]
             if (image, sign * tau_sign) != composed:
                 raise ComplexConsistencyError(
                     f"the S3 action of {flavor} is not a group action on {mu}"
@@ -289,8 +302,8 @@ def _rules(flavor):
     rules = _Rules({}, {side: {} for side in sides})
     for side, mu, i, sigma in itertools.product(rules.stencil, _PARITIES, range(3), S3):
         e, sigma_e = _UNIT[i], _UNIT[sigma[i]]
-        moved, sign = _act(flavor, sigma, tuple(map(operator.add, mu, e)))
-        sigma_mu, mu_sign = _act(flavor, sigma, mu)
+        moved, sign = act[sigma, tuple(map(operator.add, mu, e))]
+        sigma_mu, mu_sign = act[sigma, mu]
         target = tuple(map(operator.add, sigma_mu, sigma_e))
         sign *= _e_sign(flavor, side, e, mu)
         mu_sign *= _e_sign(flavor, side, sigma_e, sigma_mu)
@@ -314,15 +327,16 @@ def _rules(flavor):
             )
         rules.sign[key] = values[0]
         key = _stencil_key(base)
+        if key in rules.stencil["left"]:
+            continue
+        orbits = {k: orbit(flavor, k) for k in (base, shifted)}
         for side, table in rules.stencil.items():
-            if key in table:
-                continue
             column, other = (
                 {
                     tuple(map(operator.sub, nu, k)): c
-                    for nu, c in _orbit_product(flavor, {k: 1}, _E1, side).items()
+                    for nu, c in _sorted_product(flavor, element, _E1, side).items()
                 }
-                for k in (base, shifted)
+                for k, element in orbits.items()
             )
             if other != column:
                 raise ComplexConsistencyError(

@@ -19,9 +19,7 @@ which euler_relation_check verifies coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import _integral
+from .algebra import _assign, _Frozen, _integral
 
 
 def poly_mul(a, b):
@@ -43,20 +41,26 @@ def _sum_powers(powers):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GeneratingFunction:
-    """num/den with integer coefficients (algebra._integral) and den[0] = +-1."""
+class GeneratingFunction(_Frozen):
+    """num/den with integer coefficients (algebra._integral) and den[0] = +-1;
+    equal when both coefficient tuples are."""
 
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self):
-        for name in ("numerator", "denominator"):
-            coefficients = getattr(self, name)
-            coefficients = tuple(_integral(c, f"{name} coefficient") for c in coefficients)
-            object.__setattr__(self, name, coefficients)
-        if not self.denominator or self.denominator[0] not in (1, -1):
+    def __init__(self, numerator, denominator):
+        numerator = tuple(_integral(c, "numerator coefficient") for c in numerator)
+        denominator = tuple(_integral(c, "denominator coefficient") for c in denominator)
+        if not denominator or denominator[0] not in (1, -1):
             raise ValueError("denominator needs constant term 1 or -1")
+        _assign(self, numerator, denominator)
+
+    def __eq__(self, other):
+        if type(other) is not GeneratingFunction:
+            return NotImplemented
+        return (self.numerator, self.denominator) == (other.numerator, other.denominator)
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
 
     def coefficients(self, kmax):
         """Maclaurin coefficients of t^0 .. t^kmax, as ints."""

@@ -28,11 +28,9 @@ No Element is built unless a problem line needs a generator's text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .algebra import SYM, orbit, render_element, symmetrize
-from .cases import ParityCase
+from .algebra import SYM, _assign, _Frozen, orbit, render_element, symmetrize
 from .complexes import ComplexConsistencyError, _hodge_degree, build_slice
 from .complexes import _orbit_product
 # Not called here: perfbench/child.py's tracer wraps both on this module by name.
@@ -47,18 +45,15 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class RankRow:
-    case: ParityCase
-    t: int
-    a: int
-    b: int
-    chi: int
-    dim_c2: int
-    dim_c1: int
-    dim_c0: int
-    rank_d2: int
-    rank_d1: int
+class RankRow(_Frozen):
+    """The ranks of one slice: a, b and chi, the dimensions and the ranks."""
+
+    __slots__ = (
+        "case", "t", "a", "b", "chi", "dim_c2", "dim_c1", "dim_c0", "rank_d2", "rank_d1"
+    )
+
+    def __init__(self, case, t, a, b, chi, dim_c2, dim_c1, dim_c0, rank_d2, rank_d1):
+        _assign(self, case, t, a, b, chi, dim_c2, dim_c1, dim_c0, rank_d2, rank_d1)
 
     @property
     def h2(self):

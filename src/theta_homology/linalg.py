@@ -106,9 +106,6 @@ class RationalMatrix:
             and self.columns == other.columns
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.to_triplets())))
-
     def __repr__(self):
         nonzero = sum(map(len, self.columns))
         return f"RationalMatrix({self.rows}x{self.cols}, {nonzero} nonzero)"

@@ -20,10 +20,11 @@ tokens (even ones never change the sign) in canonical order.  The slots come
 from the canonical layout, read by both: the head tokens (junction hairs,
 junctions, first segments) keep one slot each from a small per-(defect, odd
 kinds) table (_layout), and token (kind, e, i) of hair block i on edge e
-sits at starts[e] + i*b + the kind's rank in a block, b odd kinds per block,
-where edge e's first block begins at starts[e] + b (_block_starts).  A
-symmetry moves whole hair blocks, so the engine builds no list of slots and
-costs the same at any hair count.  The reflection is an involution: it
+sits at starts[e] + (i - 1)*b + the kind's rank in a block, b odd kinds per
+block, where edge e's first block begins at starts[e] = length + b*(k_1 +
+... + k_(e-1)), after the head's length slots.  A symmetry moves whole hair
+blocks, so the engine builds no list of slots and costs the same at any
+hair count.  The reflection is an involution: it
 exchanges the junction sides, pairs block i with block k_e + 1 - i per
 kind, and pairs segment j with segment k_e - j, where segment 0 is a head
 slot; its sign is -1 per exchanged pair, the head's parity times a per-edge
@@ -45,6 +46,7 @@ the three edges (they realize the S3 action on hair triples).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import _act, _integral, mirror_sign
@@ -58,8 +60,20 @@ class UnsupportedSymmetryError(ValueError):
 
 
 def _validate(defect, hairs):
-    """(defect, hairs) as ints under the integral rule, or ValueError; an
-    int defect and a non-negative int count pass without the rule's call."""
+    """(defect, hairs) as ints under the integral rule, or ValueError.  An int
+    defect in 0..2 with a tuple of three non-negative int counts is returned
+    as it is; an int defect and a non-negative int count pass without the
+    rule's call."""
+    if type(hairs) is tuple and len(hairs) == 3:
+        k1, k2, k3 = hairs
+        if (
+            type(defect) is type(k1) is type(k2) is type(k3) is int
+            and 0 <= defect <= 2
+            and k1 >= 0
+            and k2 >= 0
+            and k3 >= 0
+        ):
+            return defect, hairs
     if type(defect) is not int:
         defect = _integral(defect, "defect")
     if defect not in (0, 1, 2):
@@ -74,16 +88,25 @@ def _validate(defect, hairs):
     )
 
 
+# the 0-based S3 transposition of edges p and q, per ordered pair (p, q)
+_TRANSPOSITIONS = {
+    (p, q): tuple(q - 1 if e == p else p - 1 if e == q else e - 1 for e in (1, 2, 3))
+    for p in (1, 2, 3)
+    for q in (1, 2, 3)
+    if p != q
+}
+
+
 def _transposition(p, q):
     """The 0-based S3 transposition of edges p and q, distinct integers in
-    1..3 under the integral rule; int edges pass without the rule's call."""
+    1..3 under the integral rule, read from _TRANSPOSITIONS; int edges pass
+    without the rule's call."""
     if type(p) is not int or type(q) is not int:
         p, q = _integral(p, "edge"), _integral(q, "edge")
-    if p == q or not {p, q} <= {1, 2, 3}:
+    perm = _TRANSPOSITIONS.get((p, q))
+    if perm is None:
         raise ValueError(f"need two distinct edges among 1..3, got {(p, q)}")
-    perm = [0, 1, 2]
-    perm[p - 1], perm[q - 1] = q - 1, p - 1
-    return tuple(perm)
+    return perm
 
 
 def canonical_tokens(defect, hairs):
@@ -143,19 +166,23 @@ def _permutation_sign(perm):
     return -1 if transpositions % 2 else 1
 
 
+# The canonical layout of the odd tokens (_layout): head maps each odd head
+# token, keyed by its first two entries (so ("seg", e, 0) is ("seg", e)), to
+# its slot, in canonical order; rank maps each odd block kind to its place
+# within a hair block; turns is _head_turns(defect, head); b is the number
+# of odd kinds per block, length the number of head slots, and seg whether
+# segments are odd.
+_Layout = namedtuple("_Layout", "head rank turns b length seg")
+
+
 @lru_cache(maxsize=12)  # one entry per (defect, parity case)
 def _layout(defect, odd):
-    """(head, rank, turns): the canonical layout of the odd tokens.
-
-    head maps each odd head token, keyed by its first two entries (so
-    ("seg", e, 0) is ("seg", e)), to its slot, in canonical order; rank maps
-    each odd block kind to its place within a hair block; turns is
-    _head_turns(defect, head), so the engine's head parities are derived
-    here, once per layout.
-    """
+    """The _Layout of the odd tokens at a defect, so the engine's head
+    parities and sizes are derived here, once per layout."""
     head = {token[:2]: n for n, token in enumerate(_tokens(defect, (0, 0, 0), odd))}
     rank = {kind: r for r, kind in enumerate(kind for kind in _BLOCK if kind in odd)}
-    return head, rank, _head_turns(defect, head)
+    turns = _head_turns(defect, head)
+    return _Layout(head, rank, turns, len(rank), len(head), "seg" in rank)
 
 
 def _head_turns(defect, head):
@@ -174,15 +201,6 @@ def _head_turns(defect, head):
     for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
         turns[perm] = [head[kind, perm[x - 1] + 1 if kind == "seg" else x] for kind, x in head]
     return {key: (images, _permutation_sign(images)) for key, images in turns.items()}
-
-
-def _block_starts(head, b, hairs):
-    """starts, indexed by edge e = 1, 2, 3: odd token (kind, e, i) of hair
-    block i >= 1 sits at slot starts[e] + i * b + rank[kind], b odd kinds per
-    block, so edge e's first block begins at starts[e] + b."""
-    k1, k2 = hairs[0], hairs[1]
-    first = len(head) - b
-    return (None, first, first + k1 * b, first + (k1 + k2) * b)
 
 
 def _block_permutation_sign(sign, ranges):
@@ -227,10 +245,10 @@ def vertical_reflection_sign(defect, hairs, case):
     permutation is a product of disjoint exchanges of two slots and its sign
     is -1 per exchange.  In _layout's head, (kind, s) and (kind, 3 - s) are
     exchanged: the head parity with the junction sides swapped and the first
-    segments fixed, _head_turns' "reflect" entry.  By _block_starts, token
-    (kind, e, i) of a non-segment kind sits at starts[e] + i * b + rank[kind]
-    and goes to block k_e + 1 - i at the same rank, so each such kind makes
-    floor(k_e / 2) exchanges on edge e.  Segment j goes to segment k_e - j,
+    segments fixed, _head_turns' "reflect" entry.  By the layout, token
+    (kind, e, i) of a non-segment kind sits at starts[e] + (i - 1) * b +
+    rank[kind] and goes to block k_e + 1 - i at the same rank, so each such
+    kind makes floor(k_e / 2) exchanges on edge e.  Segment j goes to segment k_e - j,
     where segment 0 is the head slot ("seg", e) and segment j >= 1 sits in
     block j: an odd segment kind makes floor((k_e + 1) / 2) exchanges.
     Together, b * floor(k_e / 2) + [seg odd] * (k_e mod 2) per edge
@@ -242,8 +260,8 @@ def vertical_reflection_sign(defect, hairs, case):
         raise UnsupportedSymmetryError(
             "the vertical reflection is not a self-map at defect 1"
         )
-    _, rank, turns = _layout(defect, _odd_kinds(case))
-    sign = _involution_sign(turns["reflect"][1], len(rank), "seg" in rank, hairs)
+    _, _, turns, b, _, seg = _layout(defect, _odd_kinds(case))
+    sign = _involution_sign(turns["reflect"][1], b, seg, hairs)
     return sign * _reversal_sign(case, sum(hairs) + 3)
 
 
@@ -262,16 +280,14 @@ def edge_swap_sign(defect, hairs, case, p, q):
     """
     defect, hairs = _validate(defect, hairs)
     perm = _transposition(p, q)
-    edge = (None, perm[0] + 1, perm[1] + 1, perm[2] + 1)
-    head, rank, turns = _layout(defect, _odd_kinds(case))
-    b = len(rank)
-    starts = _block_starts(head, b, (hairs[perm[0]], hairs[perm[1]], hairs[perm[2]]))
-    # edge e's b * k_e block slots land, in order, on edge edge[e]'s blocks
-    ranges = (
-        (starts[edge[1]] + b, b * hairs[0]),
-        (starts[edge[2]] + b, b * hairs[1]),
-        (starts[edge[3]] + b, b * hairs[2]),
-    )
+    _, _, turns, b, length, _ = _layout(defect, _odd_kinds(case))
+    p1, p2, p3 = perm
+    k1, k2, k3 = hairs
+    # the target's counts are hairs permuted, so its edges' first blocks
+    # start at these slots (0-based edges); the b * k_e block slots of edge
+    # e land, in order, on those of edge perm[e]
+    starts = (length, length + b * hairs[p1], length + b * (hairs[p1] + hairs[p2]))
+    ranges = ((starts[p1], b * k1), (starts[p2], b * k2), (starts[p3], b * k3))
     return _block_permutation_sign(turns[perm][1], ranges)
 
 

@@ -189,12 +189,12 @@ def test_signs_grid_catches_engine_faults(capsys, monkeypatch):
     odd_kinds, layout = signs._odd_kinds, signs._layout
 
     def junctions_exchanged(defect, odd):
-        head, rank, turns = layout(defect, odd)
-        if ("junction", 1) in head:
-            head = dict(head)
-            head["junction", 1], head["junction", 2] = head["junction", 2], head["junction", 1]
-            turns = signs._head_turns(defect, head)
-        return head, rank, turns
+        found = layout(defect, odd)
+        if ("junction", 1) not in found.head:
+            return found
+        head = dict(found.head)
+        head["junction", 1], head["junction", 2] = head["junction", 2], head["junction", 1]
+        return found._replace(head=head, turns=signs._head_turns(defect, head))
 
     mutants = (
         (
@@ -291,9 +291,9 @@ def test_numeric_caps(capsys, argv, dest, cap):
 # any token, or a loose token.  Numbers are small valid ones, or one past a
 # cap, or far past them all: 13 is still a valid Hodge degree and 201 a
 # valid --terms, so no slice above t = 13 runs.  Junk has no "/", so every
-# --out stays in its directory, and no control character or surrogate: a
-# shell passes no NUL byte, and a NUL in --out makes the path raise
-# ValueError
+# --out stays in its directory, and no control character or surrogate, which
+# a shell cannot pass; a NUL byte, which only a caller of main can pass, is
+# one of the --out values
 SMALL_NUMBERS = st.integers(-2, 6).map(str)
 CAP_NUMBERS = st.sampled_from(
     (cli.MAX_EXPONENT_CAP + 1, cli.HODGE_CAP + 1, cli.TERMS_CAP + 1, 10**30)
@@ -310,7 +310,7 @@ VALUES = {
     "--hodge": SMALL_NUMBERS,
     "--terms": SMALL_NUMBERS,
     "--max-exponent": SMALL_NUMBERS,
-    "--out": st.sampled_from(("out.txt", "sub/out.json")),
+    "--out": st.sampled_from(("out.txt", "sub/out.json", "nul\x00.txt")),
 }
 OPTIONS_OF = {
     "table": ("--case", "--max-hodge", "--mode", "--format", "--out"),
@@ -379,6 +379,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
+def test_out_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch):
+    # the path cannot be opened: a ValueError, reported as an unwritable --out
+    monkeypatch.setenv("THETA_HOMOLOGY_OUTDIR", str(tmp_path))
+    for out in ("a\x00b", "sub\x00dir/a.txt"):
+        rc, stdout, err = run(capsys, ["series", "--terms", "1", "--out", out])
+        assert (rc, stdout) == (2, "")
+        assert err == "cannot write output: embedded null byte\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_crosscheck_mismatch_exit_1(capsys, monkeypatch):
@@ -503,11 +513,11 @@ def test_repeated_runs_identical(capsys):
     assert first == second
 
 
-def test_import_loads_no_fractions():
-    # the package is integer-only: importing the CLI loads every submodule,
-    # and none of them may pull in the fractions module
+def loaded_by_import(*modules):
+    """Which of the modules a fresh `python -S` import of the CLI loads; it
+    imports every submodule of the package."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, theta_homology.cli; print('fractions' in sys.modules)"
+    code = f"import sys, theta_homology.cli; print(sorted(set(sys.modules) & {set(modules)}))"
     result = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -515,7 +525,18 @@ def test_import_loads_no_fractions():
         text=True,
         check=True,
     )
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_import_loads_no_fractions():
+    # the package is integer-only
+    assert loaded_by_import("fractions") == "[]\n"
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # the value types are plain classes and namedtuples: every CLI call is a
+    # fresh interpreter, and these modules would be paid for in each
+    assert loaded_by_import("dataclasses", "inspect", "typing") == "[]\n"
 
 
 # exit code and SHA-256 of stdout per run, recorded from a tree whose output

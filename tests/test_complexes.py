@@ -433,30 +433,42 @@ def test_orbit_is_read_only_to_derive_the_tables(monkeypatch, fresh_equivariance
         return orbit(flavor, triple)
 
     monkeypatch.setattr(complexes, "orbit", counted)
-    build_slice(CASE_EO, 30)  # derives the right (d2) and the left (d1) table
-    assert len(calls) == 2 * 2 * 32
+    # derives the right (d2) and the left (d1) table, from one orbit of a
+    # base and one of its shift per stencil key
+    build_slice(CASE_EO, 30)
+    assert len(calls) == 2 * 32
     build_slice(CASE_EO, 31)
     build_slice(CASE_EO, 64)
-    assert len(calls) == 2 * 2 * 32
+    assert len(calls) == 2 * 32
 
 
 def test_commuting_flavors_share_one_e1_table(monkeypatch, fresh_equivariance_memo):
     # left and right multiplication by e1 are one map when the generators
     # commute, so the left table is derived once and filed under both sides;
-    # test_stencil_table_equals_the_orbit_path_far_out checks both sides
+    # test_stencil_table_equals_the_orbit_path_far_out checks both sides.
+    # The odd flavors derive both of theirs from the same orbits, and the
+    # parity-class checks read _act from one table per flavor
     calls = collections.Counter()
-    orbit = complexes.orbit
+    acts = collections.Counter()
+    orbit, act = complexes.orbit, complexes._act
 
     def counted(flavor, triple):
         calls[flavor] += 1
         return orbit(flavor, triple)
 
+    def counted_act(flavor, perm, mono):
+        acts[flavor] += 1
+        return act(flavor, perm, mono)
+
     monkeypatch.setattr(complexes, "orbit", counted)
+    monkeypatch.setattr(complexes, "_act", counted_act)
     for flavor in FLAVORS:
         stencil = complexes._rules(flavor).stencil
         assert (stencil["right"] is stencil["left"]) is not flavor.odd
-    # a base and its shift per stencil key and derived side: 384 in all
-    assert calls == {SYM: 64, ASYM: 64, SYM_ODD: 128, ASYM_ODD: 128}
+    # a base and its shift per stencil key: 256 in all
+    assert calls == dict.fromkeys(FLAVORS, 64)
+    # S3 on the 8 parity classes and their 12 other unit shifts
+    assert acts == dict.fromkeys(FLAVORS, 6 * 20)
 
 
 def test_fresh_memo_fixture_clears_the_stencil_tables(request):
@@ -684,10 +696,12 @@ def test_build_slice_rejects_non_integer_degree():
     for t in (2.7, Fraction(5, 2), True, float("inf"), None, "2"):
         with pytest.raises(ValueError):
             build_slice(CASE_OO, t)
+    want = build_slice(CASE_OO, 2)
     for two in (2.0, Fraction(4, 2)):
         s = build_slice(CASE_OO, two)
         assert s.t == 2 and type(s.t) is int
-        assert s == build_slice(CASE_OO, 2)
+        for field in HodgeSlice.__slots__:  # a slice has no value equality
+            assert getattr(s, field) == getattr(want, field), field
 
 
 def test_slice_matrix_entries():

@@ -1,7 +1,6 @@
 """Tests for the rank arithmetic on Hodge slices and for the verification of
 the closed-form homology bases against the exact matrices."""
 
-import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -39,6 +38,17 @@ from theta_homology.homology import (
 )
 from theta_homology.linalg import RationalMatrix, rank_modulo
 from element_oracle import element_generators
+
+
+def fields(value):
+    """The fields of a slice or a RankRow, in order."""
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
+def replaced(value, **changes):
+    """A new slice or RankRow with the given fields changed."""
+    kept = dict(zip(type(value).__slots__, fields(value)))
+    return type(value)(**{**kept, **changes})
 
 
 def test_rank_row_examples():
@@ -85,8 +95,8 @@ def test_ranks_invariant_under_d2_rescaling():
         d2 = RationalMatrix(
             s.d2.rows, [{i: factor * v for i, v in col.items()} for col in s.d2.columns]
         )
-        rescaled = dataclasses.replace(s, d2=d2)
-        assert homology_ranks(rescaled) == homology_ranks(s)
+        rescaled = replaced(s, d2=d2)
+        assert fields(homology_ranks(rescaled)) == fields(homology_ranks(s))
 
 
 def test_homology_ranks_rejects_non_complex():
@@ -96,7 +106,7 @@ def test_homology_ranks_rejects_non_complex():
     fake_d1 = RationalMatrix(
         len(s.basis0), [{0: 1} if j == i else {} for j in range(len(s.basis1))]
     )
-    broken = dataclasses.replace(s, d1=fake_d1)
+    broken = replaced(s, d1=fake_d1)
     with pytest.raises(ComplexConsistencyError) as caught:
         homology_ranks(broken)
     error = caught.value
@@ -113,9 +123,9 @@ def test_defect_concentration_check():
     rows = [homology_ranks(build_slice(case, t)) for case in ALL_CASES for t in (3, 6, 9)]
     assert defect_concentration_check(rows)
     good = rows[0]
-    assert not defect_concentration_check([dataclasses.replace(good, a=1, b=1)])
+    assert not defect_concentration_check([replaced(good, a=1, b=1)])
     assert good.dim_c2 == 1  # oo t=3 has one defect-2 class
-    assert not defect_concentration_check([dataclasses.replace(good, rank_d2=0)])
+    assert not defect_concentration_check([replaced(good, rank_d2=0)])
 
 
 def test_generator_counts_match_formulas():

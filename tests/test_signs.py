@@ -88,16 +88,26 @@ def reference_swap(defect, hairs, case, p, q):
     return reference_sign(defect, hairs, case, image, swapped(hairs, p, q), 0)
 
 
+def block_starts(head, rank, hairs):
+    """The slot of each edge's first hair block, by edge e = 1, 2, 3: the head
+    comes first, then edge 1's blocks, edge 2's and edge 3's, each block
+    one slot per odd kind that rank places."""
+    k1, k2, _ = hairs
+    b = len(rank)
+    return (None, len(head), len(head) + b * k1, len(head) + b * (k1 + k2))
+
+
 def reference_slots(defect, hairs, odd):
     """slot(kind, e, i): the position of token (kind, e, i) among the odd
     tokens of canonical_tokens(defect, hairs), one token at a time from the
-    engine's layout; i = 0 (or no i) names a head token."""
-    head, rank, _ = signs._layout(defect, odd)
-    starts = signs._block_starts(head, len(rank), hairs)
+    engine's head table and kind ranks; i = 0 (or no i) names a head token."""
+    layout = signs._layout(defect, odd)
+    head, rank = layout.head, layout.rank
+    starts = block_starts(head, rank, hairs)
 
     def slot(kind, e, i=0):
         if i:
-            return starts[e] + i * len(rank) + rank[kind]
+            return starts[e] + (i - 1) * len(rank) + rank[kind]
         return head[kind, e]
 
     return slot
@@ -162,11 +172,11 @@ def reflection_slots(head, rank, images, hairs):
     blocks 1..k_e for a non-segment kind and segments 0..k_e, segment 0 the
     head slot ("seg", e), for the segment kind."""
     b = len(rank)
-    starts = signs._block_starts(head, b, hairs)
+    starts = block_starts(head, rank, hairs)
     slots = list(images) + [None] * (b * sum(hairs))
     for e, start, k in zip((1, 2, 3), starts[1:], hairs):
         for kind, r in rank.items():
-            chain = [start + i * b + r for i in range(1, k + 1)]
+            chain = [start + i * b + r for i in range(k)]
             if kind == "seg":
                 chain.insert(0, head["seg", e])
             for slot, image in zip(chain, reversed(chain)):
@@ -190,13 +200,16 @@ def test_engine_writes_the_reference_slot_of_every_odd_token(monkeypatch):
     for case in ALL_CASES:
         odd = _odd_kinds(case)
         for defect in (0, 1, 2):
-            for symmetry, (images, sign) in signs._layout(defect, odd)[2].items():
+            layout = signs._layout(defect, odd)
+            sizes = (len(layout.rank), len(layout.head), "seg" in layout.rank)
+            assert (layout.b, layout.length, layout.seg) == sizes
+            for symmetry, (images, sign) in layout.turns.items():
                 assert sign == _permutation_sign(images), (case.key, defect, symmetry)
         for hairs in product(range(6), repeat=3):
             for defect, pair in [(d, None) for d in (0, 2)] + [
                 (d, pair) for pair in ((1, 2), (2, 3), (1, 3)) for d in (0, 1, 2)
             ]:
-                head, rank, turns = signs._layout(defect, odd)
+                head, rank, turns = signs._layout(defect, odd)[:3]
                 recorded.clear()
                 if pair is None:
                     vertical_reflection_sign(defect, hairs, case)
@@ -308,7 +321,7 @@ def test_reflection_sign_has_period_4_in_each_hair_count():
     """
     checked = flipped = 0
     for case in ALL_CASES:
-        b = len(signs._layout(0, _odd_kinds(case))[1])
+        b = signs._layout(0, _odd_kinds(case)).b
         for defect in (0, 2):
             for hairs in product(range(4), repeat=3):
                 sign = vertical_reflection_sign(defect, hairs, case)
