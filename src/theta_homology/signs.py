@@ -16,25 +16,27 @@ its sign is the Koszul sign of that permutation (odd-degree tokens
 anticommute) times (-1)^N per reversed edge piece.  vertical_reflection_sign
 and edge_swap_sign, the engine, compute it from that definition alone, as
 the sign of the permutation that the symmetry makes of the slots of the odd
-tokens (even ones never change the sign) in canonical order.  The slots come
-from the canonical layout, read by both: the head tokens (junction hairs,
-junctions, first segments) keep one slot each from a small per-(defect, odd
-kinds) table (_layout), and token (kind, e, i) of hair block i on edge e
-sits at starts[e] + (i - 1)*b + the kind's rank in a block, b odd kinds per
-block, where edge e's first block begins at starts[e] = length + b*(k_1 +
-... + k_(e-1)), after the head's length slots.  A symmetry moves whole hair
-blocks, so the engine builds no list of slots and costs the same at any
-hair count.  The reflection is an involution: it
-exchanges the junction sides, pairs block i with block k_e + 1 - i per
-kind, and pairs segment j with segment k_e - j, where segment 0 is a head
-slot; its sign is -1 per exchanged pair, the head's parity times a per-edge
-term (_involution_sign).  The edge swap maps the head into itself and edge
-e's blocks, in order, to one ascending range of the target edge: its sign is
-the head's cycle parity times -1 per pair of ranges that it reorders and
-whose lengths' product is odd (_block_permutation_sign).  The head parities
-of the reflection and of the three swaps are derived once per layout
-(_head_turns).  The engine reads no formula.  The *_formula functions read
-the sign rules the complexes are built from, algebra.mirror_sign and
+tokens (even ones never change the sign) in the order of canonical_tokens:
+the head (junction hairs, junctions, first segments) first, then per edge
+its hair blocks of b odd slots each.  A symmetry moves whole hair blocks,
+and two rules give its sign without a list of slots, so the engine costs
+the same at any hair count:
+
+- An involution's sign is -1 per exchanged pair of odd slots.  The
+  reflection is one: it exchanges (kind, 1) with (kind, 2) for each junction
+  side kind, one pair per odd side-1 token of the head, pairs block i of
+  edge e with block k_e + 1 - i per odd kind, and pairs segment j with
+  segment k_e - j, where segment 0 is in the head (_involution_sign).
+- A permutation that maps the head into itself and the later slots, in
+  order, onto three ranges has the head's sign times -1 per pair of ranges
+  that it reorders and whose lengths' product is odd
+  (_block_permutation_sign).  An edge swap is one: its head map exchanges
+  two first segments, one pair exactly when segments are odd, and edge e's
+  blocks land on one range of the target edge.
+
+_layout reads b off token_parity and the two head signs off the odd tokens
+of the head, once per (defect, case).  The engine reads no formula.  The *_formula functions
+read the sign rules the complexes are built from, algebra.mirror_sign and
 algebra._act, so the test-suite and the `signs` CLI mode check those rules
 against the engine.
 
@@ -52,7 +54,9 @@ from functools import lru_cache
 from .algebra import _act, _integral, mirror_sign
 
 _BLOCK = ("hairvert", "hairedge", "hairtip", "seg")
-_KINDS = frozenset(("tip", "tipedge", "junction") + _BLOCK)
+# the longest orientation list canonical_tokens builds, so that a huge hair
+# count raises instead of allocating until the process is killed
+_MAX_TOKENS = 10**5
 
 
 class UnsupportedSymmetryError(ValueError):
@@ -116,19 +120,17 @@ def canonical_tokens(defect, hairs):
     then the first segment of each edge, then per edge and per hair the block
     (subdivision vertex, hair edge, hair tip, next segment).  Edge e consists
     of segments ("seg", e, 0..hairs[e]), oriented left junction to right.
+    A list of more than _MAX_TOKENS tokens raises ValueError.
     """
-    return _tokens(*_validate(defect, hairs), _KINDS)
-
-
-def _tokens(defect, hairs, kinds):
-    """canonical_tokens of validated input, keeping only tokens of the given kinds."""
+    defect, hairs = _validate(defect, hairs)
+    total = 5 + 2 * defect + 4 * sum(hairs)
+    if total > _MAX_TOKENS:
+        raise ValueError(f"the orientation list has {total} tokens, more than {_MAX_TOKENS}")
     sides = (1, 2)[:defect]
-    head = [("tip", s) for s in sides] + [("tipedge", s) for s in sides]
-    head += [("junction", 1), ("junction", 2)] + [("seg", e, 0) for e in (1, 2, 3)]
-    tokens = [token for token in head if token[0] in kinds]
-    block = [kind for kind in _BLOCK if kind in kinds]
+    tokens = [("tip", s) for s in sides] + [("tipedge", s) for s in sides]
+    tokens += [("junction", 1), ("junction", 2)] + [("seg", e, 0) for e in (1, 2, 3)]
     for e, count in zip((1, 2, 3), hairs):
-        tokens += [(kind, e, i) for i in range(1, count + 1) for kind in block]
+        tokens += [(kind, e, i) for i in range(1, count + 1) for kind in _BLOCK]
     return tokens
 
 
@@ -145,70 +147,37 @@ def token_parity(token, case):
     raise ValueError(f"unknown token {token!r}")
 
 
-@lru_cache(maxsize=4)  # one entry per parity case
-def _odd_kinds(case):
-    """The token kinds of odd degree in the case, read off token_parity."""
-    return frozenset(kind for kind in _KINDS if token_parity((kind,), case))
-
-
-def _permutation_sign(perm):
-    """(-1)^(n - cycles) of perm, a permutation of range(n)."""
-    seen = [False] * len(perm)
-    transpositions = len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        transpositions -= 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-    return -1 if transpositions % 2 else 1
-
-
-# The canonical layout of the odd tokens (_layout): head maps each odd head
-# token, keyed by its first two entries (so ("seg", e, 0) is ("seg", e)), to
-# its slot, in canonical order; rank maps each odd block kind to its place
-# within a hair block; turns is _head_turns(defect, head); b is the number
-# of odd kinds per block, length the number of head slots, and seg whether
-# segments are odd.
-_Layout = namedtuple("_Layout", "head rank turns b length seg")
+# What the engine reads of a (defect, case) layout: b, the number of odd
+# kinds per hair block; seg, whether segments are odd; and the signs of the
+# reflection's and of every edge swap's head maps.
+_Layout = namedtuple("_Layout", "b seg reflect swap")
 
 
 @lru_cache(maxsize=12)  # one entry per (defect, parity case)
-def _layout(defect, odd):
-    """The _Layout of the odd tokens at a defect, so the engine's head
-    parities and sizes are derived here, once per layout."""
-    head = {token[:2]: n for n, token in enumerate(_tokens(defect, (0, 0, 0), odd))}
-    rank = {kind: r for r, kind in enumerate(kind for kind in _BLOCK if kind in odd)}
-    turns = _head_turns(defect, head)
-    return _Layout(head, rank, turns, len(rank), len(head), "seg" in rank)
+def _layout(defect, case):
+    """The _Layout of the odd tokens of canonical_tokens at a defect.
 
-
-def _head_turns(defect, head):
-    """{symmetry: (images, sign)} for the head slots of a layout's head table.
-
-    images lists, in canonical order, the slot each head token goes to, and
-    sign is its cycle parity.  The symmetry "reflect" swaps the junction
-    sides, (kind, s) -> (kind, 3 - s), and fixes the first segments (the
-    reflection's segment pairs are counted by _involution_sign); the 0-based
-    transposition perm of an edge swap fixes the sides and sends ("seg", e)
-    to ("seg", perm[e - 1] + 1).  Defect 1 has no "reflect" entry.
+    The reflection's head map exchanges (kind, 1) with (kind, 2) for each
+    junction side kind and fixes the first segments, so its sign is -1 per
+    odd side-1 token of the head; an edge swap's head map exchanges two
+    first segments and fixes the rest, so its sign is -1 when segments are
+    odd.  The reflect sign at defect 1, where no reflection exists, is
+    never read.
     """
-    turns = {}
-    if defect != 1:
-        turns["reflect"] = [head[kind, x if kind == "seg" else 3 - x] for kind, x in head]
-    for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-        turns[perm] = [head[kind, perm[x - 1] + 1 if kind == "seg" else x] for kind, x in head]
-    return {key: (images, _permutation_sign(images)) for key, images in turns.items()}
+    head = [token for token in canonical_tokens(defect, (0, 0, 0)) if token_parity(token, case)]
+    b = sum(token_parity((kind,), case) for kind in _BLOCK)
+    seg = token_parity(("seg",), case)
+    sides = sum(kind != "seg" and side == 1 for kind, side, *_ in head)
+    return _Layout(b, seg, -1 if sides % 2 else 1, -1 if seg else 1)
 
 
 def _block_permutation_sign(sign, ranges):
-    """Sign of a slot permutation that maps the head into itself with cycle
-    parity sign and the later slots in order onto three ranges, (target
-    start, length) each in source order.  Nothing leaves the head and each
+    """Sign of a slot permutation that maps the head into itself with sign
+    sign and the later slots in order onto three ranges, (target start,
+    length) each in source order.  Nothing leaves the head and each
     range keeps its order, so it is sign times -1 per reordered pair of
-    ranges whose lengths' product is odd."""
+    ranges whose lengths' product is odd; only the starts' order counts, so
+    they may be measured from any origin."""
     (s1, n1), (s2, n2), (s3, n3) = ranges
     pairs = n1 * n2 * (s1 > s2) + n1 * n3 * (s1 > s3) + n2 * n3 * (s2 > s3)
     return -sign if pairs % 2 else sign
@@ -226,11 +195,6 @@ def _involution_sign(sign, b, seg, hairs):
     return -sign if pairs % 2 else sign
 
 
-def _reversal_sign(case, pieces):
-    """(-1)^N per reversed edge piece."""
-    return -1 if case.n_odd and pieces % 2 else 1
-
-
 def vertical_reflection_sign(defect, hairs, case):
     """First-principles sign of the junction-exchanging reflection.
 
@@ -243,26 +207,25 @@ def vertical_reflection_sign(defect, hairs, case):
 
     The reflection is an involution that fixes the hair counts, so its slot
     permutation is a product of disjoint exchanges of two slots and its sign
-    is -1 per exchange.  In _layout's head, (kind, s) and (kind, 3 - s) are
-    exchanged: the head parity with the junction sides swapped and the first
-    segments fixed, _head_turns' "reflect" entry.  By the layout, token
-    (kind, e, i) of a non-segment kind sits at starts[e] + (i - 1) * b +
-    rank[kind] and goes to block k_e + 1 - i at the same rank, so each such
-    kind makes floor(k_e / 2) exchanges on edge e.  Segment j goes to segment k_e - j,
-    where segment 0 is the head slot ("seg", e) and segment j >= 1 sits in
-    block j: an odd segment kind makes floor((k_e + 1) / 2) exchanges.
-    Together, b * floor(k_e / 2) + [seg odd] * (k_e mod 2) per edge
-    (_involution_sign), times (-1)^N per reversed edge piece.  No step
-    branches on a hair count, and no list of block slots is built.
+    is -1 per exchange.  In the head, (kind, 1) and (kind, 2) are exchanged
+    and the first segments are fixed: _layout's reflect sign.  Token
+    (kind, e, i) of a non-segment kind goes to block k_e + 1 - i at the same
+    place in a block, so each such odd kind makes floor(k_e / 2) exchanges
+    on edge e.  Segment j goes to segment k_e - j, where segment 0 is in the
+    head and segment j >= 1 in block j: an odd segment kind makes
+    floor((k_e + 1) / 2) exchanges.  Together, b * floor(k_e / 2) + [seg
+    odd] * (k_e mod 2) per edge (_involution_sign), times (-1)^N per
+    reversed edge piece, k_1 + k_2 + k_3 + 3 of them.  No step branches on
+    a hair count, and no list of block slots is built.
     """
     defect, hairs = _validate(defect, hairs)
     if defect == 1:
         raise UnsupportedSymmetryError(
             "the vertical reflection is not a self-map at defect 1"
         )
-    _, _, turns, b, _, seg = _layout(defect, _odd_kinds(case))
-    sign = _involution_sign(turns["reflect"][1], b, seg, hairs)
-    return sign * _reversal_sign(case, sum(hairs) + 3)
+    b, seg, reflect, _ = _layout(defect, case)
+    sign = _involution_sign(reflect, b, seg, hairs)
+    return -sign if case.n_odd and (sum(hairs) + 3) % 2 else sign
 
 
 def edge_swap_sign(defect, hairs, case, p, q):
@@ -270,9 +233,9 @@ def edge_swap_sign(defect, hairs, case, p, q):
 
     Maps the graph with hair counts `hairs` to the one with counts swapped;
     junction data is fixed and no edge piece is reversed, and the sign is
-    the head's cycle parity (_head_turns' entry for the transposition)
-    times (-1)^(b * sum k_e * k_f) over the pairs of edges e < f whose
-    blocks change order.  Two one-hair edges, m even and N odd:
+    _layout's swap sign for the head times (-1)^(b * sum k_e * k_f) over
+    the pairs of edges e < f whose blocks change order.  Two one-hair
+    edges, m even and N odd:
 
     >>> from theta_homology.cases import CASE_EO
     >>> edge_swap_sign(0, (1, 1, 0), CASE_EO, 1, 2)
@@ -280,15 +243,15 @@ def edge_swap_sign(defect, hairs, case, p, q):
     """
     defect, hairs = _validate(defect, hairs)
     perm = _transposition(p, q)
-    _, _, turns, b, length, _ = _layout(defect, _odd_kinds(case))
+    b, _, _, swap = _layout(defect, case)
     p1, p2, p3 = perm
     k1, k2, k3 = hairs
     # the target's counts are hairs permuted, so its edges' first blocks
-    # start at these slots (0-based edges); the b * k_e block slots of edge
-    # e land, in order, on those of edge perm[e]
-    starts = (length, length + b * hairs[p1], length + b * (hairs[p1] + hairs[p2]))
+    # start at these offsets from its first block (0-based edges); the
+    # b * k_e block slots of edge e land, in order, on those of edge perm[e]
+    starts = (0, b * hairs[p1], b * (hairs[p1] + hairs[p2]))
     ranges = ((starts[p1], b * k1), (starts[p2], b * k2), (starts[p3], b * k3))
-    return _block_permutation_sign(turns[perm][1], ranges)
+    return _block_permutation_sign(swap, ranges)
 
 
 def vertical_reflection_sign_formula(defect, hairs, case):

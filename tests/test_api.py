@@ -1,11 +1,12 @@
-"""The package's public names are the ones something reads.
+"""The package's module-level names are the ones something reads.
 
-A module-level public name of src/theta_homology counts as read when another
-module of the package imports it, when its own module uses it outside its
-own definition, or when perfbench/child.py names it (the tracer binds the
-functions it wraps by attribute name, as strings).  The tests do not count:
-a name only they read belongs in a test oracle, as element_oracle's
-permute_variables and admissible_basis do.
+A module-level name of src/theta_homology, public or private, counts as
+read when another module of the package imports it, when its own module
+uses it outside its own definition, or when perfbench/child.py names it
+(the tracer binds the functions it wraps by attribute name, as strings).
+The tests do not count: a name only they read belongs in a test oracle, as
+element_oracle's permute_variables and admissible_basis do, and a private
+helper that nothing reads is one left behind with no caller.
 """
 
 import ast
@@ -15,12 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "theta_homology"
 TRACER = ROOT / "perfbench" / "child.py"
 
-# read only by the tests, each for a reason the ROADMAP's "Kept on purpose" gives
+# public names read only by the tests, each for a reason the ROADMAP's
+# "Kept on purpose" gives; no private name is kept
 KEPT = {
     "algebra.FLAVORS",  # the table of the four flavors
     "genfun.euler_relation_check",  # acceptance criterion 5
     "homology.defect_concentration_check",  # acceptance criterion 6
-    "signs.canonical_tokens",  # the documented orientation list
 }
 
 
@@ -70,7 +71,7 @@ def named_by_the_tracer():
     return names
 
 
-def unread_public_names():
+def unread_names():
     trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
     traced = named_by_the_tracer()
     unread = set()
@@ -78,8 +79,8 @@ def unread_public_names():
         imported = imported_from(trees, module)
         for statement in tree.body:
             for name in defined(statement) - traced - imported:
-                if name.startswith("_"):
-                    continue
+                if name.startswith("__") and name.endswith("__"):
+                    continue  # a dunder such as __version__ is read by tools
                 others = (s for s in tree.body if name not in defined(s))
                 if not any(name in loaded(s) for s in others):
                     unread.add(f"{module}.{name}")
@@ -87,5 +88,5 @@ def unread_public_names():
 
 
 def test_every_public_name_is_read_or_kept_on_purpose():
-    assert unread_public_names() == KEPT
+    assert unread_names() == KEPT
 

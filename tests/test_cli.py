@@ -144,11 +144,16 @@ def test_signs_small_grid(capsys, monkeypatch):
 
 def assert_mutants_fail_the_grid(capsys, monkeypatch, mutants):
     """Each (name in signs, mutant, cells passed, first FAIL line) makes
-    `signs --max-exponent 3` exit 1 with one FAIL line per failed cell."""
+    `signs --max-exponent 3` exit 1 with one FAIL line per failed cell.
+    _layout's memo is emptied around each mutant, so a layout derived
+    through a mutant is neither kept nor one derived before it read."""
+    layout = signs._layout
     for name, mutant, passed, first_failure in mutants:
         with monkeypatch.context() as patch:
             patch.setattr(signs, name, mutant)
+            layout.cache_clear()
             rc, out, _ = run(capsys, ["signs", "--max-exponent", "3"])
+        layout.cache_clear()
         lines = out.splitlines()
         assert rc == 1
         assert lines[0] == first_failure
@@ -181,32 +186,29 @@ def test_signs_grid_checks_the_algebra_rules(capsys, monkeypatch):
 
 
 def test_signs_grid_catches_engine_faults(capsys, monkeypatch):
-    # the engine side of the grid: a kind wrongly taken as even, the two
-    # junctions' slots exchanged in the head table (its head parities
-    # derived from the exchanged table), the swap's sign without its
-    # range-pair term, or the reflection's without its per-edge exchanges,
-    # must fail cells
-    odd_kinds, layout = signs._odd_kinds, signs._layout
+    # the engine side of the grid: segments wrongly taken as even when
+    # _layout reads the parities, a reflection head sign that ignores the
+    # junction pair, the swap's sign without its range-pair term, or the
+    # reflection's without its per-edge exchanges, must fail cells
+    token_parity, layout = signs.token_parity, signs._layout
 
-    def junctions_exchanged(defect, odd):
-        found = layout(defect, odd)
-        if ("junction", 1) not in found.head:
-            return found
-        head = dict(found.head)
-        head["junction", 1], head["junction", 2] = head["junction", 2], head["junction", 1]
-        return found._replace(head=head, turns=signs._head_turns(defect, head))
+    def junction_pair_ignored(defect, case):
+        found = layout(defect, case)
+        if token_parity(("junction",), case):
+            return found._replace(reflect=-found.reflect)
+        return found
 
     mutants = (
         (
-            "_odd_kinds",
-            lambda case: odd_kinds(case) - {"seg"},
+            "token_parity",
+            lambda token, case: 0 if token[0] == "seg" else token_parity(token, case),
             1920,
             "FAIL ee reflect defect=0 hairs=(0, 0, 1): engine +1, formula -1",
         ),
         (
             "_layout",
-            junctions_exchanged,
-            1408,
+            junction_pair_ignored,
+            2560,
             "FAIL oo reflect defect=0 hairs=(0, 0, 0): engine -1, formula +1",
         ),
         (
@@ -225,27 +227,20 @@ def test_signs_grid_catches_engine_faults(capsys, monkeypatch):
     assert_mutants_fail_the_grid(capsys, monkeypatch, mutants)
 
 
-def test_warm_signs_grid_walks_no_permutation(capsys, monkeypatch):
-    # every head parity is derived once per (defect, odd kinds), inside
-    # _layout's memo: 11 symmetries of the head per parity case (no
-    # reflection at defect 1), so a cold grid walks 44 head lists of at most
-    # 7 slots (two tips, two tip edges, three first segments in oe) and a
-    # warm one none, whatever the hair counts
-    walked = []
-    permutation_sign = signs._permutation_sign
-    monkeypatch.setattr(
-        signs, "_permutation_sign", lambda perm: walked.append(perm) or permutation_sign(perm)
-    )
+def test_warm_signs_grid_walks_no_permutation(capsys):
+    # every head sign is counted once per (defect, parity case), inside
+    # _layout's memo, and no permutation is walked: a cold grid derives the
+    # 12 layouts and a warm one none, whatever the hair counts
     signs._layout.cache_clear()
-    for want in (44, 0):
-        walked.clear()
+    for misses in (12, 0):
+        before = signs._layout.cache_info().misses
         assert run(capsys, ["signs", "--max-exponent", "3"]) == (
             0,
             "2816/2816 cells PASS (k_i <= 3)\n",
             "",
         )
-        assert len(walked) == want
-        assert max(map(len, walked), default=0) == (7 if want else 0)
+        assert signs._layout.cache_info().misses - before == misses
+    assert signs._layout.cache_info().currsize == 12
 
 
 def test_usage_errors_exit_2(capsys):

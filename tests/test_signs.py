@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -11,8 +12,6 @@ from theta_homology.cases import ALL_CASES, CASE_EE, CASE_EO, CASE_OE, CASE_OO
 from theta_homology.signs import (
     UnsupportedSymmetryError,
     _block_permutation_sign,
-    _odd_kinds,
-    _permutation_sign,
     canonical_tokens,
     edge_swap_sign,
     edge_swap_sign_formula,
@@ -22,9 +21,31 @@ from theta_homology.signs import (
 )
 
 
+def permutation_sign(perm):
+    """(-1)^(n - cycles) of perm, a permutation of range(n), by a cycle walk."""
+    seen = [False] * len(perm)
+    transpositions = len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        transpositions -= 1
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+    return -1 if transpositions % 2 else 1
+
+
+def odd_kinds(case):
+    """The token kinds of odd degree in the case, read off token_parity."""
+    kinds = {token[0] for token in canonical_tokens(2, (1, 0, 0))}
+    return frozenset(kind for kind in kinds if token_parity((kind,), case))
+
+
 def test_koszul_sign_matches_inversion_count():
-    # the engine's Koszul sign is the sign of the permutation the odd tokens
-    # undergo; the O(n^2) definition: (-1) per pair that changes order
+    # the Koszul sign is the sign of the permutation the odd tokens undergo;
+    # the reference cycle walk against the O(n^2) definition: (-1) per pair
+    # that changes order
     rng = random.Random(79)
     for _ in range(300):
         n = rng.randrange(81)
@@ -32,7 +53,7 @@ def test_koszul_sign_matches_inversion_count():
         inversions = sum(
             perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
         )
-        assert _permutation_sign(perm) == (-1) ** inversions
+        assert permutation_sign(perm) == (-1) ** inversions
 
 
 def reference_sign(defect, hairs, case, image, target_hairs, reversed_edges):
@@ -97,12 +118,34 @@ def block_starts(head, rank, hairs):
     return (None, len(head), len(head) + b * k1, len(head) + b * (k1 + k2))
 
 
+def layout_tables(defect, odd):
+    """(head, rank) of the odd kinds at a defect, from canonical_tokens: head
+    maps each odd head token, keyed by its first two entries (so ("seg", e,
+    0) is ("seg", e)), to its slot, and rank maps each odd kind of a hair
+    block to its place in the block."""
+    tokens = canonical_tokens(defect, (1, 0, 0))
+    head = {t[:2]: n for n, t in enumerate(t for t in tokens[:-4] if t[0] in odd)}
+    rank = {kind: r for r, kind in enumerate(t[0] for t in tokens[-4:] if t[0] in odd)}
+    return head, rank
+
+
+def head_images(head, symmetry):
+    """The slot each head token goes to, in canonical order, under "reflect"
+    (the junction sides swapped, the first segments fixed: the reflection's
+    segment pairs on the edges are counted apart) or the 0-based
+    transposition perm of an edge swap (the sides fixed, ("seg", e) sent to
+    ("seg", perm[e - 1] + 1))."""
+    if symmetry == "reflect":
+        return [head[kind, x if kind == "seg" else 3 - x] for kind, x in head]
+    return [head[kind, symmetry[x - 1] + 1 if kind == "seg" else x] for kind, x in head]
+
+
 def reference_slots(defect, hairs, odd):
     """slot(kind, e, i): the position of token (kind, e, i) among the odd
     tokens of canonical_tokens(defect, hairs), one token at a time from the
-    engine's head table and kind ranks; i = 0 (or no i) names a head token."""
-    layout = signs._layout(defect, odd)
-    head, rank = layout.head, layout.rank
+    head table and kind ranks of layout_tables; i = 0 (or no i) names a head
+    token."""
+    head, rank = layout_tables(defect, odd)
     starts = block_starts(head, rank, hairs)
 
     def slot(kind, e, i=0):
@@ -141,8 +184,9 @@ def test_engine_matches_full_token_reference_and_formulas_past_the_grid():
     pair=st.sampled_from(((1, 2), (2, 3), (1, 3))),
 )
 def test_engine_matches_full_token_reference_past_k_40(case, hairs, defect, pair):
-    # reference_slots reads the engine's own layout, so only the full-token
-    # reference sees a block layout that goes wrong for large k_i alone
+    # reference_slots reads its layout from canonical_tokens with at most one
+    # hair, so only the full-token reference sees a block layout that goes
+    # wrong for large k_i alone
     if defect != 1:
         engine = vertical_reflection_sign(defect, hairs, case)
         assert engine == reference_reflection(defect, hairs, case)
@@ -153,11 +197,11 @@ def test_engine_matches_full_token_reference_past_k_40(case, hairs, defect, pair
 
 
 def test_slots_are_the_canonical_order():
-    # the reference slot arithmetic on the engine's layout (head table, kind
-    # ranks, block starts) numbers the odd tokens of the explicit canonical
-    # list 0, 1, 2, ... in order, for every layout the engine can meet
+    # the reference slot arithmetic (head table, kind ranks, block starts)
+    # numbers the odd tokens of the explicit canonical list 0, 1, 2, ... in
+    # order, for every layout the engine can meet
     for case in ALL_CASES:
-        odd = _odd_kinds(case)
+        odd = odd_kinds(case)
         for defect in (0, 1, 2):
             for hairs in product(range(7), repeat=3):
                 slot = reference_slots(defect, hairs, odd)
@@ -184,46 +228,75 @@ def reflection_slots(head, rank, images, hairs):
     return slots
 
 
+def test_layout_head_signs_are_the_walked_head_parities():
+    """_layout's reflect and swap signs are the cycle parities of the head.
+
+    The odd head tokens are, in canonical order, the odd ones among the
+    junction tips (tip, s), their edges (tipedge, s), the junctions
+    (junction, s) for s = 1, 2, and the first segments ("seg", e, 0).  The
+    reflection exchanges (kind, 1) with (kind, 2) for each side kind and
+    fixes the first segments: an involution whose exchanged pairs are the
+    odd side-1 tokens, so its sign is -1 per odd side-1 token (at defect 0
+    only the junctions have sides).  The transposition of edges p and q
+    exchanges ("seg", p, 0) with ("seg", q, 0) and fixes the rest: one
+    exchanged pair when segments are odd, none when they are even, whatever
+    p and q are.  Checked against the cycle walk of the head images for
+    every (defect, case), the reflection at defects 0 and 2 and each of the
+    three transpositions.
+    """
+    for case in ALL_CASES:
+        odd = odd_kinds(case)
+        for defect in (0, 1, 2):
+            layout = signs._layout(defect, case)
+            head, rank = layout_tables(defect, odd)
+            assert (layout.b, layout.seg) == (len(rank), "seg" in rank)
+            symmetries = [(1, 0, 2), (0, 2, 1), (2, 1, 0)]
+            for symmetry in symmetries + ["reflect"] * (defect != 1):
+                want = layout.reflect if symmetry == "reflect" else layout.swap
+                images = head_images(head, symmetry)
+                assert want == permutation_sign(images), (case.key, defect, symmetry)
+
+
 def test_engine_writes_the_reference_slot_of_every_odd_token(monkeypatch):
     # the slots the engine's sign stands for are the reference slot of each
     # odd source token's image, in the source's canonical order: two
     # compensating slot errors could leave the sign unchanged.  The engine
     # builds no slot list, so what it hands on is expanded here.  The
-    # reflection hands its head parity, b, segment flag and hair counts to
-    # _involution_sign: the head images come from the layout's table, and the
-    # per-edge exchanges are written out slot by slot.  The swap hands its
-    # head parity and block ranges to _block_permutation_sign: the head
-    # images come from the layout's table, and the ranges are expanded
+    # reflection hands its head sign, b, segment flag and hair counts to
+    # _involution_sign: the head images come from the reference head table,
+    # and the per-edge exchanges are written out slot by slot.  The swap
+    # hands its head sign and block ranges, counted from the first block, to
+    # _block_permutation_sign: the head images come from the reference head
+    # table, and the ranges are expanded after the head's slots.  The head
+    # signs handed on are the cycle parities of those head images
     recorded = []
     monkeypatch.setattr(signs, "_involution_sign", lambda *args: recorded.append(args) or 1)
     monkeypatch.setattr(signs, "_block_permutation_sign", lambda *args: recorded.append(args) or 1)
     for case in ALL_CASES:
-        odd = _odd_kinds(case)
-        for defect in (0, 1, 2):
-            layout = signs._layout(defect, odd)
-            sizes = (len(layout.rank), len(layout.head), "seg" in layout.rank)
-            assert (layout.b, layout.length, layout.seg) == sizes
-            for symmetry, (images, sign) in layout.turns.items():
-                assert sign == _permutation_sign(images), (case.key, defect, symmetry)
+        odd = odd_kinds(case)
         for hairs in product(range(6), repeat=3):
             for defect, pair in [(d, None) for d in (0, 2)] + [
                 (d, pair) for pair in ((1, 2), (2, 3), (1, 3)) for d in (0, 1, 2)
             ]:
-                head, rank, turns = signs._layout(defect, odd)[:3]
+                head, rank = layout_tables(defect, odd)
                 recorded.clear()
                 if pair is None:
                     vertical_reflection_sign(defect, hairs, case)
                     image, target = reflection_image(hairs), hairs
-                    images, sign = turns["reflect"]
+                    images = head_images(head, "reflect")
+                    sign = permutation_sign(images)
                     assert recorded == [(sign, len(rank), "seg" in rank, hairs)]
                     slots = reflection_slots(head, rank, images, hairs)
                 else:
                     edge_swap_sign(defect, hairs, case, *pair)
                     image, target = swap_image(*pair), swapped(hairs, *pair)
-                    images, sign = turns[signs._transposition(*pair)]
+                    images = head_images(head, signs._transposition(*pair))
                     [(recorded_sign, ranges)] = recorded
-                    assert recorded_sign == sign
-                    slots = images + [i for start, n in ranges for i in range(start, start + n)]
+                    assert recorded_sign == permutation_sign(images)
+                    length = len(head)
+                    slots = images + [
+                        length + i for start, n in ranges for i in range(start, start + n)
+                    ]
                 slot = reference_slots(defect, target, odd)
                 want = [
                     slot(*image(token))
@@ -255,8 +328,8 @@ def test_block_permutation_sign_matches_the_definition():
             inversions = sum(
                 perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
             )
-            sign = _block_permutation_sign(_permutation_sign(head), ranges)
-            assert sign == _permutation_sign(perm) == (-1) ** inversions, (head, ranges)
+            sign = _block_permutation_sign(permutation_sign(head), ranges)
+            assert sign == permutation_sign(perm) == (-1) ** inversions, (head, ranges)
 
 
 def test_edge_swap_sign_has_period_2_in_each_hair_count():
@@ -321,7 +394,7 @@ def test_reflection_sign_has_period_4_in_each_hair_count():
     """
     checked = flipped = 0
     for case in ALL_CASES:
-        b = signs._layout(0, _odd_kinds(case)).b
+        b = signs._layout(0, case).b
         for defect in (0, 2):
             for hairs in product(range(4), repeat=3):
                 sign = vertical_reflection_sign(defect, hairs, case)
@@ -370,6 +443,18 @@ def test_canonical_tokens_structure():
         canonical_tokens(3, (0, 0, 0))
     with pytest.raises(ValueError):
         canonical_tokens(0, (-1, 0, 0))
+
+
+def test_canonical_tokens_refuses_a_list_past_its_bound():
+    # a huge hair count raises before any list is built, where it used to
+    # allocate until the process was killed; the largest list the tests ask
+    # for (k_i = 120 at defect 2) stays well inside the bound
+    started = time.perf_counter()
+    total = 5 + 2 * 2 + 4 * 10**30
+    with pytest.raises(ValueError, match=f"has {total} tokens, more than {signs._MAX_TOKENS}"):
+        canonical_tokens(2, (0, 0, 10**30))
+    assert time.perf_counter() - started < 1
+    assert len(canonical_tokens(2, (120, 120, 120))) == 9 + 4 * 360
 
 
 def test_token_parity():
