@@ -118,12 +118,12 @@ FLAVORS = (SYM, ASYM, SYM_ODD, ASYM_ODD)
 S3 = tuple(permutations(range(3)))
 
 
-def _integral(value, what, least=None):
+def _integral(value, what, least=None, most=None):
     """value as an int: the one statement of the integral-input rule.
 
     An int passes, another number equal to an integer is taken as that int
     (2.0 and 6/3 as 2), and a bool, 1.5, inf, None, "2" or a value below
-    `least` raises ValueError naming `what`.
+    `least` or above `most` raises ValueError naming `what`.
     """
     if type(value) is not int:
         try:
@@ -135,6 +135,8 @@ def _integral(value, what, least=None):
         value = int(value)
     if least is not None and value < least:
         raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be at most {most}, got {value!r}")
     return value
 
 

@@ -13,10 +13,9 @@ Subcommands:
 
 Case names are two letters, the parities of m and N in that order: oo, ee,
 eo, oe ("eo" means m even, N odd); `table` and `series` also accept "all".
-Numeric arguments are ASCII integers, capped: --max-hodge and --hodge at
-200, --terms at 10000, --max-exponent at 12.  Exit codes: 0 success, 1 a
-comparison failed, 2 usage error or unwritable output, 3 internal
-consistency violation.
+Numeric arguments are ASCII integers in a range, which each subcommand's
+--help names.  Exit codes: 0 success, 1 a comparison failed, 2 usage error
+or unwritable output, 3 internal consistency violation.
 
 Each subcommand handler returns (text, exit status, stderr lines) and writes
 nothing; main alone writes the text to stdout, or to --out PATH (a relative
@@ -55,26 +54,6 @@ CSV_COLUMNS = ("t", "a", "b", "chi", "dim_c2", "dim_c1", "dim_c0", "rank_d2", "r
 MAX_EXPONENT_CAP = 12
 HODGE_CAP = 200
 TERMS_CAP = 10000
-
-
-def _int_in(low, high):
-    """argparse type: an integer in [low, high]; anything else exits 2."""
-
-    def parse(text):
-        match = re.fullmatch(r"([+-]?)0*([0-9]+)", text)
-        if not match:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        # more digits than both bounds is out of range; int() would refuse
-        # a string past the interpreter's digit limit, so it is not converted
-        sign, digits = match.groups()
-        fits = len(digits) <= len(str(max(abs(low), abs(high))))
-        value = int(sign + digits) if fits else None
-        if value is None or not low <= value <= high:
-            shown = sign.lstrip("+") + digits if value is None else value
-            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {shown}")
-        return value
-
-    return parse
 
 
 def _cases_argument(value):
@@ -223,6 +202,28 @@ def run_basis(args):
     return _json([slice_as_dict(build_slice(case, args.hodge))]), 0, []
 
 
+def _bounded(parser, flag, low, high, what, **kwargs):
+    """Add an ASCII integer option in low..high; its help line names the
+    range, and any other value exits 2."""
+
+    def parse(text):
+        match = re.fullmatch(r"([+-]?)0*([0-9]+)", text)
+        if not match:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        # more digits than both bounds is out of range; int() would refuse
+        # a string past the interpreter's digit limit, so it is not converted
+        sign, digits = match.groups()
+        fits = len(digits) <= len(str(max(abs(low), abs(high))))
+        value = int(sign + digits) if fits else None
+        if value is None or not low <= value <= high:
+            shown = sign.lstrip("+") + digits if value is None else value
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {shown}")
+        return value
+
+    default = " (default %(default)s)" if "default" in kwargs else ""
+    parser.add_argument(flag, type=parse, help=f"{what}, {low}..{high}{default}", **kwargs)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="theta-homology",
@@ -230,47 +231,33 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     keys = [case.key for case in ALL_CASES]
+    any_case = {"default": "all", "choices": keys + ["all"]}
+    formats = {"default": "text", "choices": ["text", "csv", "json"]}
 
     table = sub.add_parser("table", help="homology rank table per Hodge degree")
-    table.add_argument("--case", default="all", choices=keys + ["all"])
-    table.add_argument(
-        "--max-hodge",
-        type=_int_in(1, HODGE_CAP),
-        default=23,
-        help=f"largest Hodge degree t, 1..{HODGE_CAP} (default %(default)s)",
-    )
+    table.set_defaults(handler=run_table)
+    table.add_argument("--case", **any_case)
+    _bounded(table, "--max-hodge", 1, HODGE_CAP, "largest Hodge degree t", default=23)
     table.add_argument(
         "--mode", default="crosscheck", choices=["bruteforce", "closedform", "crosscheck"]
     )
-    table.add_argument("--format", default="text", choices=["text", "csv", "json"])
+    table.add_argument("--format", **formats)
 
     ser = sub.add_parser("series", help="generating function coefficients")
-    ser.add_argument("--case", default="all", choices=keys + ["all"])
+    ser.set_defaults(handler=run_series)
+    ser.add_argument("--case", **any_case)
     ser.add_argument("--which", default="h0", choices=["h0", "h1", "chi"])
-    ser.add_argument(
-        "--terms",
-        type=_int_in(0, TERMS_CAP),
-        default=23,
-        help=f"highest coefficient index, 0..{TERMS_CAP} (default %(default)s)",
-    )
-    ser.add_argument("--format", default="text", choices=["text", "csv", "json"])
+    _bounded(ser, "--terms", 0, TERMS_CAP, "highest coefficient index", default=23)
+    ser.add_argument("--format", **formats)
 
     sig = sub.add_parser("signs", help="symmetry sign verification grid")
-    sig.add_argument(
-        "--max-exponent",
-        type=_int_in(0, MAX_EXPONENT_CAP),
-        default=6,
-        help=f"largest hair count k_i, 0..{MAX_EXPONENT_CAP} (default %(default)s)",
-    )
+    sig.set_defaults(handler=run_signs)
+    _bounded(sig, "--max-exponent", 0, MAX_EXPONENT_CAP, "largest hair count k_i", default=6)
 
     basis = sub.add_parser("basis", help="JSON dump of one (case, t) slice")
+    basis.set_defaults(handler=run_basis)
     basis.add_argument("--case", required=True, choices=keys)
-    basis.add_argument(
-        "--hodge",
-        type=_int_in(1, HODGE_CAP),
-        required=True,
-        help=f"Hodge degree t, 1..{HODGE_CAP}",
-    )
+    _bounded(basis, "--hodge", 1, HODGE_CAP, "Hodge degree t", required=True)
 
     for subparser in (table, ser, sig, basis):
         subparser.add_argument("--out")
@@ -279,14 +266,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handler = {
-        "table": run_table,
-        "series": run_series,
-        "signs": run_signs,
-        "basis": run_basis,
-    }[args.command]
     try:
-        result = handler(args)
+        result = args.handler(args)
         if isinstance(result, int):  # perfbench/tests stand-ins write their own text
             return result
         text, status, errors = result

@@ -97,9 +97,16 @@ class ComplexConsistencyError(Exception):
         self.case, self.t, self.triple, self.component = case, t, triple, component
 
 
+# The largest Hodge degree a library call takes, so that a huge t raises
+# instead of allocating until the process is killed.  It admits every t that
+# the CLI (HODGE_CAP) and the tests (up to 1223) ask for.
+_MAX_HODGE = 1250
+
+
 def _hodge_degree(t, least=None):
-    """t under the integral rule (algebra._integral), named as a Hodge degree."""
-    return _integral(t, "Hodge degree t (the number of hairs)", least)
+    """t under the integral rule (algebra._integral), named as a Hodge degree,
+    at most _MAX_HODGE."""
+    return _integral(t, "Hodge degree t (the number of hairs)", least, _MAX_HODGE)
 
 
 # The admissible triples of one (flavor, degree), in descending lex order, and

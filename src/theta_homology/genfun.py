@@ -21,6 +21,10 @@ from __future__ import annotations
 
 from .algebra import _assign, _Frozen, _integral
 
+# The largest kmax a series is expanded to, so that a huge one raises instead
+# of running for minutes.  It admits the CLI's TERMS_CAP (10^4) tenfold.
+_MAX_KMAX = 10**5
+
 
 def poly_mul(a, b):
     """Convolution of integer coefficient tuples."""
@@ -63,8 +67,9 @@ class GeneratingFunction(_Frozen):
         return hash((self.numerator, self.denominator))
 
     def coefficients(self, kmax):
-        """Maclaurin coefficients of t^0 .. t^kmax, as ints."""
-        kmax = _integral(kmax, "kmax", 0)
+        """Maclaurin coefficients of t^0 .. t^kmax, as ints; kmax is at most
+        _MAX_KMAX."""
+        kmax = _integral(kmax, "kmax", 0, _MAX_KMAX)
         num, den = self.numerator, self.denominator
         out = []
         for k in range(kmax + 1):

@@ -272,13 +272,22 @@ def test_usage_errors_exit_2(capsys):
     ],
 )
 def test_numeric_caps(capsys, argv, dest, cap):
-    # parse only, never main(): a grid or table at or past the cap runs for minutes
+    # parse only, never main(): a grid or table at or past the cap runs for
+    # minutes.  A Hodge degree is at least 1, a count at least 0; both ends
+    # parse, one past either exits 2, and the subcommand's --help names both
+    low = 1 if "hodge" in dest else 0
     parser = cli.build_parser()
-    assert getattr(parser.parse_args(argv + [str(cap)]), dest) == cap
+    for value in (low, cap):
+        assert getattr(parser.parse_args(argv + [str(value)]), dest) == value
+    for value in (low - 1, cap + 1):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv + [str(value)])
+        assert info.value.code == 2
+        assert f"must be in {low}..{cap}, got {value}\n" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
-        parser.parse_args(argv + [str(cap + 1)])
-    assert info.value.code == 2
-    assert f"got {cap + 1}" in capsys.readouterr().err
+        parser.parse_args([argv[0], "--help"])
+    assert info.value.code == 0
+    assert f"{low}..{cap}" in capsys.readouterr().out
 
 
 # argument lists for the robustness test: a subcommand, then up to four

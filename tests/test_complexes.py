@@ -644,6 +644,57 @@ def test_graded_mirror_law_makes_d1_d2_vanish_at_every_t():
             assert left == right, (flavor, a, b)
 
 
+def test_d2_columns_lead_on_distinct_rows_at_every_t():
+    """At the first base of each of the 32 stencil keys, on both sides of
+    every flavor: if the base is admissible, its stencil has a nonzero entry
+    on e_0 and base + e_0 is admissible; if not, the stencil has no e_0 entry.
+
+    Then rank d2 = c2, and so h2 = 0, at every t.  d2's column of a source k
+    of C2 is the stencil of k's key times a nonzero scalar, in the rows of
+    k + e_i; _rules' shift check makes the stencil a function of the key.
+    C1's rows run in descending lex order, and k + e_0 precedes k + e_1 and
+    k + e_2, so k + e_0 is the column's leading row: its entry is nonzero,
+    and it is a row of C1, which holds every admissible triple of degree
+    t - 1.  Distinct sources have distinct k + e_0, so the columns have
+    distinct leading rows and are independent.  One base stands for its
+    whole stencil key: admissibility reads only the parities and which gaps
+    are 0 (_rules), and the stencil key fixes both, for k and for k + e_0.
+    """
+    e0 = (1, 0, 0)
+    first = {}
+    for base in complexes._BASES:
+        first.setdefault(complexes._stencil_key(base), base)
+    assert len(first) == 32
+    for flavor in FLAVORS:
+        rules = complexes._rules(flavor)
+        for side, (key, base) in itertools.product(("left", "right"), first.items()):
+            column = rules.stencil[side][key]
+            if rules.sign[residue_key(base)]:
+                lead = (base[0] + 1, base[1], base[2])
+                assert column.get(e0, 0) != 0, (flavor, side, base)
+                assert rules.sign[residue_key(lead)] != 0, (flavor, side, base)
+            else:
+                assert e0 not in column, (flavor, side, base)
+
+
+def test_commuting_flavors_mirror_by_the_degree_parity():
+    """In Sym[x] and ASym[x] every residue key's sign is (-1)^(k1+k2+k3)
+    when the key is admissible and 0 otherwise.  Every key is admissible in
+    Sym[x]; in ASym[x] a key is when neither equality flag is set, that is
+    when the triple is strictly decreasing.
+
+    So in oo and ee, C0 (the mirror-even part of degree t) is all of degree
+    t when t is even and empty when t is odd, and C2 (the eigenvalue -1 part
+    of degree t - 2) is the reverse: all of degree t - 2 when t is odd.
+    """
+    for flavor in (SYM, ASYM):
+        sign = complexes._rules(flavor).sign
+        assert len(sign) == 100
+        for key, value in sign.items():
+            admissible = flavor == SYM or not any(key[3:])
+            assert value == ((-1) ** sum(key[:3]) if admissible else 0), (flavor, key)
+
+
 def test_assembly_errors_say_where():
     # an image component of d2 missing from the target basis
     basis2, basis1 = defect2_basis(CASE_OO, 5), defect1_basis(CASE_OO, 5)

@@ -24,6 +24,11 @@ def test_readme_and_algebra_doctests():
 def test_readme_command_lines(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("THETA_HOMOLOGY_OUTDIR", str(tmp_path))
     section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    # the one prose statement of the caps reads as cli states them
+    assert (
+        f"`--max-hodge` and `--hodge` at {cli.HODGE_CAP}, `--terms` at {cli.TERMS_CAP}, "
+        f"`--max-exponent` at {cli.MAX_EXPONENT_CAP} "
+    ) in " ".join(section.split())
     lines = [line.strip() for line in section.splitlines() if line.startswith("    ")]
     assert len(lines) == 5 and all(line.startswith("theta-homology ") for line in lines)
     for line in lines:

@@ -1,14 +1,16 @@
-"""Tests for the rank arithmetic on Hodge slices and for the verification of
-the closed-form homology bases against the exact matrices."""
+"""Tests for the rank arithmetic on Hodge slices, for the verification of
+the closed-form homology bases against the exact matrices, and for the size
+bounds of the library's entry points."""
 
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_homology import algebra, homology, linalg
+from theta_homology import algebra, complexes, genfun, homology, linalg
 from theta_homology.algebra import (
     SYM,
     SYM_ODD,
@@ -25,6 +27,7 @@ from theta_homology.complexes import (
     ComplexConsistencyError,
     _orbit_product,
     build_slice,
+    defect1_basis,
 )
 from theta_homology.genfun import rank_formula, series
 from theta_homology.homology import (
@@ -461,3 +464,23 @@ def test_report_names_each_problem(monkeypatch):
         monkeypatch.setattr(homology, "homology_generators", lambda case, t, h1=h1: (good, h1))
         assert homology_basis_report(slice_) == want
         assert not verify_homology_basis(case, t)
+
+
+def test_entry_points_refuse_sizes_past_their_bounds():
+    # each call used to allocate until the process was killed or run past
+    # 10 s; past its bound each raises before any work
+    hodge, kmax = complexes._MAX_HODGE, genfun._MAX_KMAX
+    for call, case, size, bound in (
+        (build_slice, CASE_OO, 10**6, hodge),
+        (defect1_basis, CASE_OE, 10**6, hodge),
+        (verify_homology_basis, CASE_OE, 10**5, hodge),
+        (homology_generators, CASE_OO, 10**6, hodge),
+        (lambda case, k: series(case, "h0", k), CASE_OO, 10**9, kmax),
+    ):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"must be at most {bound}, got {size}$"):
+            call(case, size)
+        assert time.perf_counter() - started < 1
+    # each bound itself is admitted
+    assert complexes._hodge_degree(hodge) == hodge
+    assert len(series(CASE_OO, "h0", kmax)) == kmax + 1
