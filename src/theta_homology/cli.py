@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .cases import ALL_CASES, case_from_key
 from .complexes import ComplexConsistencyError, build_slice, slice_as_dict
-from .genfun import rank_formula, series
+from .genfun import SERIES_NAMES, rank_formula, series
 from .homology import homology_ranks
 from .signs import (
     edge_swap_sign,
@@ -246,7 +246,7 @@ def build_parser():
     ser = sub.add_parser("series", help="generating function coefficients")
     ser.set_defaults(handler=run_series)
     ser.add_argument("--case", **any_case)
-    ser.add_argument("--which", default="h0", choices=["h0", "h1", "chi"])
+    ser.add_argument("--which", default="h0", choices=SERIES_NAMES)
     _bounded(ser, "--terms", 0, TERMS_CAP, "highest coefficient index", default=23)
     ser.add_argument("--format", **formats)
 

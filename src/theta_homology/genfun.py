@@ -3,10 +3,11 @@
 For each parity case the graded dimensions of the two surviving homology
 groups, a_k = dim H0 and b_k = dim H1 at Hodge degree k, have rational
 generating functions h0(t), h1(t), and the graded Euler characteristic has
-chi(t).  Their twelve numerators are stored in one table, and the
-denominators follow each case's period.  Every denominator has constant term
-+-1, so series expansion stays in the integers, by the linear recurrence the
-denominator imposes on the coefficients; no symbolic algebra is needed.
+chi(t).  They are kept as data: one table holds the twelve numerators, and
+_fraction adds each case's denominator, which follows from its period.
+Every denominator has constant term 1, so series expands them in the
+integers, by the linear recurrence the denominator imposes on the
+coefficients; no symbolic algebra is needed.
 
 The same dimensions have direct piecewise formulas (floors and ceilings with
 mod-2 or mod-4 side conditions), transcribed without simplification in
@@ -19,66 +20,14 @@ which euler_relation_check verifies coefficient by coefficient.
 
 from __future__ import annotations
 
-from .algebra import _assign, _Frozen, _integral
+from .algebra import _integral
 
 # The largest kmax a series is expanded to, so that a huge one raises instead
 # of running for minutes.  It admits the CLI's TERMS_CAP (10^4) tenfold.
 _MAX_KMAX = 10**5
 
-
-def poly_mul(a, b):
-    """Convolution of integer coefficient tuples."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _sum_powers(powers):
-    """The polynomial sum of c t^n over powers {n: c}, as a coefficient tuple."""
-    out = [0] * (max(powers) + 1)
-    for n, c in powers.items():
-        out[n] = c
-    return tuple(out)
-
-
-class GeneratingFunction(_Frozen):
-    """num/den with integer coefficients (algebra._integral) and den[0] = +-1;
-    equal when both coefficient tuples are."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator, denominator):
-        numerator = tuple(_integral(c, "numerator coefficient") for c in numerator)
-        denominator = tuple(_integral(c, "denominator coefficient") for c in denominator)
-        if not denominator or denominator[0] not in (1, -1):
-            raise ValueError("denominator needs constant term 1 or -1")
-        _assign(self, numerator, denominator)
-
-    def __eq__(self, other):
-        if type(other) is not GeneratingFunction:
-            return NotImplemented
-        return (self.numerator, self.denominator) == (other.numerator, other.denominator)
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
-
-    def coefficients(self, kmax):
-        """Maclaurin coefficients of t^0 .. t^kmax, as ints; kmax is at most
-        _MAX_KMAX."""
-        kmax = _integral(kmax, "kmax", 0, _MAX_KMAX)
-        num, den = self.numerator, self.denominator
-        out = []
-        for k in range(kmax + 1):
-            acc = num[k] if k < len(num) else 0
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[j] * out[k - j]
-            out.append(acc // den[0])
-        return out
-
+# The stored series of a case, in the order of _NUMERATORS' entries.
+SERIES_NAMES = ("h0", "h1", "chi")
 
 # The numerators of each case's (h0, h1, chi), as {power: coefficient}.
 _NUMERATORS = {
@@ -89,31 +38,41 @@ _NUMERATORS = {
 }
 
 
-def formulas(case):
-    """The stored series of the case, {"h0": ..., "h1": ..., "chi": ...},
-    each a GeneratingFunction: its numerator from _NUMERATORS, and the
-    denominators (1 - t^2p)(1 - t^6p) for h0 and h1 and (1 + t^p)(1 - t^6p)
-    for chi, with period p = 2 in the odd flavors and 1 in the commuting
-    ones; every shape is kept as displayed."""
+def _fraction(case, which):
+    """The case's stored series `which` as (numerator, denominator), each a
+    {power: coefficient} map.
+
+    The denominator is (1 - t^2p)(1 - t^6p) for h0 and h1 and
+    (1 + t^p)(1 - t^6p) for chi, with period p = 2 in the odd flavors and 1
+    in the commuting ones, written expanded; its constant term is 1.
+    """
     p = 1 + case.flavor.odd
-    six = _sum_powers({0: 1, 6 * p: -1})
-    den = poly_mul(_sum_powers({0: 1, 2 * p: -1}), six)
-    chi_den = poly_mul(_sum_powers({0: 1, p: 1}), six)
-    h0, h1, chi = (_sum_powers(powers) for powers in _NUMERATORS[case.key])
-    return {
-        "h0": GeneratingFunction(h0, den),
-        "h1": GeneratingFunction(h1, den),
-        "chi": GeneratingFunction(chi, chi_den),
-    }
+    if which == "chi":
+        den = {0: 1, p: 1, 6 * p: -1, 7 * p: -1}
+    else:
+        den = {0: 1, 2 * p: -1, 6 * p: -1, 8 * p: 1}
+    return _NUMERATORS[case.key][SERIES_NAMES.index(which)], den
 
 
 def series(case, which, kmax):
-    """Coefficients t^0..t^kmax of the case's h0, h1, or chi."""
-    try:
-        g = formulas(case)[which]
-    except KeyError:
-        raise ValueError(f"which must be h0, h1, or chi, got {which!r}") from None
-    return g.coefficients(kmax)
+    """Coefficients t^0..t^kmax, as ints, of the case's h0, h1 or chi (one
+    of SERIES_NAMES); kmax follows algebra._integral and is at most
+    _MAX_KMAX.
+
+    >>> from theta_homology.cases import CASE_OO
+    >>> series(CASE_OO, "h0", 6)  # parts of size 2 and 6, minus the empty one
+    [0, 0, 1, 0, 1, 0, 2]
+    """
+    if which not in SERIES_NAMES:
+        raise ValueError(f"which must be h0, h1, or chi, got {which!r}")
+    kmax = _integral(kmax, "kmax", 0, _MAX_KMAX)
+    num, den = _fraction(case, which)
+    # den * out = num with den[0] = 1: out[k] = num[k] - sum den[j] out[k - j]
+    tail = [(j, -d) for j, d in den.items() if j]
+    out = []
+    for k in range(kmax + 1):
+        out.append(num.get(k, 0) + sum(d * out[k - j] for j, d in tail if j <= k))
+    return out
 
 
 def _ceil_div(p, q):
@@ -176,9 +135,5 @@ def euler_sign(case, k):
 
 def euler_relation_check(case, kmax):
     """chi(t) == (-1)^(N-1) [h0(s t) - h1(s t)] with s = (-1)^(N-m), through t^kmax."""
-    kmax = _integral(kmax, "kmax", 0)
-    f = formulas(case)
-    a, b, chi = (f[which].coefficients(kmax) for which in ("h0", "h1", "chi"))
-    return all(
-        chi[k] == euler_sign(case, k) * (a[k] - b[k]) for k in range(kmax + 1)
-    )
+    a, b, chi = (series(case, which, kmax) for which in SERIES_NAMES)
+    return all(chi[k] == euler_sign(case, k) * (a[k] - b[k]) for k in range(len(chi)))

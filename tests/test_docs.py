@@ -1,11 +1,11 @@
-"""The README's library example, its command lines and the algebra, homology
-and signs modules' doctests run."""
+"""The README's library example, its command lines and the algebra, genfun,
+homology and signs modules' doctests run."""
 
 import doctest
 import shlex
 from pathlib import Path
 
-from theta_homology import algebra, cli, homology, signs
+from theta_homology import algebra, cli, genfun, homology, signs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,6 +14,7 @@ def test_readme_and_algebra_doctests():
     for result in (
         doctest.testfile(str(README), module_relative=False),
         doctest.testmod(algebra),
+        doctest.testmod(genfun),
         doctest.testmod(homology),
         doctest.testmod(signs),
     ):

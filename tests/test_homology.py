@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from theta_homology import algebra, complexes, genfun, homology, linalg
 from theta_homology.algebra import (
+    ASYM,
     SYM,
     SYM_ODD,
     Element,
@@ -40,6 +41,7 @@ from theta_homology.homology import (
     verify_homology_basis,
 )
 from theta_homology.linalg import RationalMatrix, rank_modulo
+import element_oracle
 from element_oracle import element_generators
 
 
@@ -192,6 +194,42 @@ def test_generators_match_the_element_oracle():
 @given(case=st.sampled_from(ALL_CASES), t=st.integers(41, 80))
 def test_generators_match_the_element_oracle_past_the_exhaustive_range(case, t):
     assert_generators_match_the_element_oracle(case, t)
+
+
+def test_commuting_generators_are_chevalley_bases():
+    """The bundled oo and ee lists are bases of H0 and H1 at every t.
+
+    _E2 is e2 and the ee seed [3, 2, 1] is Delta e3, with Delta the
+    Vandermonde element (both checked here), and e3^g is the one monomial
+    (g, g, g), so the shift by g multiplies by it
+    (test_shifted_chain_equals_the_orbit_product_far_past_the_oracle).  So
+    homology_generators lists e2^beta e3^gamma (oo) and
+    Delta e3 e2^beta e3^gamma (ee), gamma even, of degree t for H0 and t - 1
+    for H1.
+
+    Sym[x]^S3 = Q[e1, e2, e3] is a free Q[e1]-module with basis the
+    monomials of Q[e2, e3] (Chevalley, Amer. J. Math. 1955), and
+    ASym[x] = Delta Sym[x], with multiplication by Delta injective, so
+    ASym[x] is free over Q[e1] with basis the Delta e2^beta e3^gamma.  Each
+    degree d is then e1 (degree d - 1) plus the span of the basis elements of
+    degree d, a direct sum.  In both cases (derivation in
+    test_genfun.py::test_commuting_tables_follow_from_the_triple_count)
+    H1 = 0 and H0 = (degree t) / e1 (degree t - 1) when t is even, and
+    H0 = 0 and H1 = (degree t - 1) / e1 (degree t - 2) when t is odd, since
+    d1 and d2 there are +-e1 and +-2 e1 on whole degrees.  So the basis
+    elements of degree t (t even) and t - 1 (t odd) are bases of H0 and H1.
+    Their degree, 2 beta + 3 gamma in oo and 3 + 2 beta + 3 gamma' in ee, is
+    even, which forces gamma even (gamma' = gamma + 1 odd): the lists hold
+    every basis element, and they are empty at the other parity, where the
+    group is 0.
+    """
+    assert homology._E2 == element_oracle.e2().coeffs
+    assert sorted(homology._E2) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    seed = element_oracle.vandermonde() * element_oracle.e3()
+    assert orbit(ASYM, (3, 2, 1)) == seed.coeffs
+    # as coordinate maps over the symmetrized monomials: e2 and Delta e3
+    assert homology_generators(CASE_OO, 2) == ([{(1, 1, 0): 1}], [])
+    assert homology_generators(CASE_EE, 6) == ([{(3, 2, 1): 1}], [])
 
 
 def test_generators_multiply_by_e2_once_per_power(monkeypatch):

@@ -1,5 +1,5 @@
 """The package's value types: the interned flavors and parity cases, and the
-immutable slices, rank rows and generating functions."""
+immutable slices and rank rows."""
 
 import copy
 import pickle
@@ -17,7 +17,6 @@ from theta_homology.cases import (
     case_from_key,
 )
 from theta_homology.complexes import build_slice
-from theta_homology.genfun import GeneratingFunction
 from theta_homology.homology import homology_ranks
 
 
@@ -54,9 +53,6 @@ def test_text_forms():
     assert repr(SYM_ODD) == "Flavor(odd=True, antisymmetric=False)"
     assert [str(flavor) for flavor in FLAVORS] == ["Sym[x]", "ASym[x]", "Sym[xi]", "ASym[xi]"]
     assert repr(CASE_EO) == "ParityCase(m_odd=False, n_odd=True)"
-    assert repr(GeneratingFunction((1,), (1, -1))) == (
-        "GeneratingFunction(numerator=(1,), denominator=(1, -1))"
-    )
 
 
 def test_value_types_refuse_assignment_and_deletion():
@@ -65,7 +61,6 @@ def test_value_types_refuse_assignment_and_deletion():
         (CASE_OO, "flavor"),
         (build_slice(CASE_EO, 5), "d2"),
         (homology_ranks(build_slice(CASE_EO, 5)), "a"),
-        (GeneratingFunction((1,), (1, -1)), "numerator"),
     )
     for value, field in values:
         before = getattr(value, field)
@@ -80,20 +75,8 @@ def test_value_types_refuse_assignment_and_deletion():
 
 
 def test_copies_and_pickles_hold_the_same_fields():
-    for value in (
-        build_slice(CASE_EO, 5),
-        homology_ranks(build_slice(CASE_EO, 5)),
-        GeneratingFunction((1,), (1, -1)),
-    ):
+    for value in (build_slice(CASE_EO, 5), homology_ranks(build_slice(CASE_EO, 5))):
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(other) is type(value)
             for field in type(value).__slots__:
                 assert getattr(other, field) == getattr(value, field), field
-
-
-def test_generating_functions_compare_and_hash_by_value():
-    g = GeneratingFunction((1,), (1, -1))
-    assert g == GeneratingFunction([1.0], (1, -1))
-    assert hash(g) == hash(GeneratingFunction((1,), (1, -1)))
-    assert g != GeneratingFunction((1,), (-1, 1))
-    assert g != ((1,), (1, -1))
