@@ -401,13 +401,23 @@ def build_slice(case, t):
 
 
 def slice_as_dict(s):
-    """JSON-ready dict: bases as triples, matrices as [row, col, str(int)] triplets."""
+    """JSON-ready dict: bases as the slice's own tuples of triples, matrices as
+    sorted lists of (row, col, str(int)) tuples; json writes tuples as arrays."""
+    text = {}  # one string per distinct value
+    d2, d1 = (
+        sorted(
+            (i, j, text.setdefault(v, str(v)))
+            for j, column in enumerate(m.columns)
+            for i, v in column.items()
+        )
+        for m in (s.d2, s.d1)
+    )
     return {
         "case": s.case.key,
         "t": s.t,
-        "c2": [list(tr) for tr in s.basis2],
-        "c1": [list(tr) for tr in s.basis1],
-        "c0": [list(tr) for tr in s.basis0],
-        "d2": [[i, j, str(v)] for i, j, v in s.d2.to_triplets()],
-        "d1": [[i, j, str(v)] for i, j, v in s.d1.to_triplets()],
+        "c2": s.basis2,
+        "c1": s.basis1,
+        "c0": s.basis0,
+        "d2": d2,
+        "d1": d1,
     }

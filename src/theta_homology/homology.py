@@ -9,6 +9,10 @@ pure dimension arithmetic:
 
 The graded Euler characteristic carries a global sign fixed by the parity of
 the total degree of the defect-0 graphs, chi = +-(dim C0 - dim C1 + dim C2).
+homology_ranks reduces nothing where the leading rows certify both ranks
+(RationalMatrix.rank), as they do at every t <= 100, where the tests check
+it: rank d2 against min(dim C2, dim C1), rank d1 against dim C1 - rank d2,
+a bound that d1.d2 = 0 makes sound.
 
 Each case also has an explicit closed-form basis of H0 and H1, families of
 symmetrized monomials (or two-term combinations) indexed by congruence
@@ -21,8 +25,9 @@ e3^gamma, one monomial fixed by every renaming, as a shift of every
 exponent by gamma.  homology_basis_report checks, on the slice's own
 matrices, that every generator lies in its space, that the H1 ones are
 cycles, that there are exactly a (resp. b) of them, and that they stay
-independent modulo the boundaries (linalg.rank_modulo, which reduces only
-the generator columns against the pivots homology_ranks already reduced).
+independent modulo the boundaries (linalg.rank_modulo, which reduces d1
+and d2 there, once each, the first time it needs their pivots, and the
+generator columns against a copy of those).
 No Element is built unless a problem line needs a generator's text.
 """
 
@@ -70,7 +75,12 @@ def euler_characteristic(slice_):
 
 
 def homology_ranks(slice_):
-    """Rank arithmetic on one slice; raises if d1.d2 != 0."""
+    """Rank arithmetic on one slice; raises if d1.d2 != 0.
+
+    d1.d2 = 0 puts the image of d2 inside the kernel of d1, so rank d1 is at
+    most dim C1 - rank d2; that bound, passed to d1's rank() once the check
+    has passed, lets the leading rows certify rank d1 where they reach it.
+    """
     if not is_zero_composition(slice_.d1, slice_.d2):
         raise ComplexConsistencyError(
             f"d1 . d2 != 0 for case {slice_.case} at t = {slice_.t}",
@@ -79,7 +89,7 @@ def homology_ranks(slice_):
         )
     dim2, dim1, dim0 = len(slice_.basis2), len(slice_.basis1), len(slice_.basis0)
     rank_d2 = slice_.d2.rank()
-    rank_d1 = slice_.d1.rank()
+    rank_d1 = slice_.d1.rank(dim1 - rank_d2)
     return RankRow(
         case=slice_.case,
         t=slice_.t,

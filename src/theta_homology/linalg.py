@@ -5,13 +5,18 @@ of small integer entries per column, and the homology ranks they decide rest
 on exact cancellation, so everything here works in int, never floating point.
 A matrix is stored column by column, the form in which the differentials are
 assembled and reduced; one constructor builds it from its row count and
-column maps, through one validating pass.  Rank is fraction-free column
-reduction on leading rows, with no pivot heuristic, run once per matrix: the
-reduced pivots are kept, which is sound because a matrix is never changed
-after construction.  rank_modulo(a, b), the rank b adds to a's column
-space, reduces only b's columns against a copy of a's kept pivots.  No
-product is built: nonzero_product_columns sums each product column from the
-left factor's columns and keeps only whether it vanishes.  Sizes grow roughly
+column maps, through one validating pass.  rank(bound) first counts the
+distinct leading rows (smallest row indices) of the columns: columns with
+distinct leading rows are independent, so when that count meets rows, cols
+or the caller's upper bound it is the rank, certified with no elimination.
+Otherwise rank is fraction-free column reduction on leading rows, with no
+pivot heuristic, run once per matrix: the reduced pivots are kept, which is
+sound because a matrix is never changed after construction.
+rank_modulo(a, b), the rank b adds to a's column space, reduces a the first
+time any call needs a's pivots, whether or not rank() certified a, and
+reduces b's columns against a copy of those.  No product is built:
+nonzero_product_columns sums each product column from the left factor's
+columns and keeps only whether it vanishes.  Sizes grow roughly
 quadratically in the Hodge degree t: in the hundreds for t <= 40, and about
 1400 x 1400 near t = 128 (d1 of case oo at t = 128 is 1430 x 1408).
 """
@@ -34,11 +39,12 @@ class RationalMatrix:
     a row index outside the matrix and drops zeros, leaving columns a tuple
     of cols maps.  entries is a read-only {(i, j): int} view built on each
     read.  rank() is the rank over Q.  Instances are treated as immutable,
-    so the pivots the first rank() reduces are kept and serve every later
-    rank() and rank_modulo() on the matrix.
+    so the rank, once certified or reduced, is kept, as are the pivots the
+    first reduction leaves; they serve every later rank() and rank_modulo()
+    on the matrix.
     """
 
-    __slots__ = ("rows", "cols", "columns", "_pivots")
+    __slots__ = ("rows", "cols", "columns", "_rank", "_pivots")
 
     def __init__(self, rows, columns):
         """The one validating pass (see the class docstring); columns is a
@@ -61,7 +67,7 @@ class RationalMatrix:
                     kept[i] = value
             filled.append(kept)
         self.rows, self.cols, self.columns = rows, cols, tuple(filled)
-        self._pivots = None
+        self._rank = self._pivots = None
 
     @property
     def entries(self):
@@ -78,23 +84,43 @@ class RationalMatrix:
             raise IndexError((i, j))
         return self.columns[j].get(i, 0)
 
-    def to_triplets(self):
-        """Sorted list of (row, col, value) for the nonzero entries."""
-        columns = enumerate(self.columns)
-        return sorted((i, j, v) for j, column in columns for i, v in column.items())
+    def rank(self, bound=None):
+        """Rank over Q, certified by leading rows where they suffice.
 
-    def rank(self):
-        """Rank over Q: the number of pivots _reduce leaves in column order.
+        bound, if given, is an upper bound on the rank that the caller
+        vouches for, under the integral rule (algebra._integral, at least 0).
+        L, the number of distinct leading rows (smallest row indices) of the
+        nonzero columns, is a lower bound, since such columns are
+        independent.  If L meets min(rows, cols, bound), it is the rank, and
+        nothing is reduced.  Otherwise the columns are reduced (_reduced),
+        and the rank is the number of pivots.  The first call keeps the
+        rank, so later calls neither count nor reduce.  A bound below L, or
+        below a reduced or kept rank, was false: it raises ValueError.  A
+        bound equal to L is believed, so it must be a true upper bound.
 
-        The columns are reduced on the first call only, and the pivots kept;
-        later calls count them.
+        >>> RationalMatrix(3, [{0: 2, 2: 1}, {1: -1}]).rank()  # leads 0, 1
+        2
+        >>> RationalMatrix(2, [{0: 1}, {0: 1, 1: 1}]).rank(bound=2)  # reduced
+        2
         """
-        return len(self._reduced())
+        # no bound is the bound cols, which no rank exceeds
+        bound = self.cols if bound is None else _integral(bound, "rank bound", 0)
+        if self._rank is None:
+            leads = len({min(column) for column in self.columns if column})
+            if leads == min(self.rows, self.cols, bound):
+                self._rank = leads
+            else:
+                self._reduced()
+        if self._rank > bound:
+            raise ValueError(f"rank bound {bound} is below the rank {self._rank}")
+        return self._rank
 
     def _reduced(self):
-        """{leading row: reduced column} of the columns, reduced once and kept."""
+        """{leading row: reduced column} of the columns, reduced once and kept,
+        with their count as the rank."""
         if self._pivots is None:
             self._pivots = _reduce(self.columns, {})
+            self._rank = len(self._pivots)
         return self._pivots
 
     def __eq__(self, other):

@@ -1,0 +1,18 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from theta_homology import linalg
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The column count of every linalg._reduce call the test makes."""
+    counts, reduce = [], linalg._reduce
+
+    def counted(columns, pivots):
+        counts.append(len(columns))
+        return reduce(columns, pivots)
+
+    monkeypatch.setattr(linalg, "_reduce", counted)
+    return counts

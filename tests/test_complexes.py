@@ -766,7 +766,7 @@ def test_slice_matrix_entries():
 
 def test_slice_as_dict_schema():
     s = build_slice(CASE_OE, 2)
-    d = slice_as_dict(s)
+    d = json.loads(json.dumps(slice_as_dict(s)))
     assert d == {
         "case": "oe",
         "t": 2,
@@ -782,6 +782,36 @@ def test_slice_as_dict_schema():
     for row, col, value in parsed["d1"]:
         assert isinstance(row, int) and isinstance(col, int)
         Fraction(value)  # parses back
+
+
+def list_layout(s):
+    """slice_as_dict as it was built of lists: a new list per basis triple,
+    and [row, col, str(value)] per nonzero entry, sorted by (row, col)."""
+
+    def triplets(mat):
+        return [[i, j, str(v)] for (i, j), v in sorted(mat.entries.items())]
+
+    return {
+        "case": s.case.key,
+        "t": s.t,
+        "c2": [list(triple) for triple in s.basis2],
+        "c1": [list(triple) for triple in s.basis1],
+        "c0": [list(triple) for triple in s.basis0],
+        "d2": triplets(s.d2),
+        "d1": triplets(s.d1),
+    }
+
+
+def test_slice_as_dict_dumps_as_the_list_layout():
+    # the dict holds the slice's basis tuples and (row, col, text) tuples;
+    # json writes them as arrays, so the text is the list layout's
+    for case in ALL_CASES:
+        for t in [*range(1, 41), 128]:
+            s = build_slice(case, t)
+            d = slice_as_dict(s)
+            assert d["c2"] is s.basis2 and d["c1"] is s.basis1 and d["c0"] is s.basis0
+            text = json.dumps(d, indent=2)
+            assert text == json.dumps(list_layout(s), indent=2), (case.key, t)
 
 
 def test_slices_are_frozen():

@@ -1,11 +1,11 @@
 """The README's library example, its command lines and the algebra, genfun,
-homology and signs modules' doctests run."""
+homology, linalg and signs modules' doctests run."""
 
 import doctest
 import shlex
 from pathlib import Path
 
-from theta_homology import algebra, cli, genfun, homology, signs
+from theta_homology import algebra, cli, genfun, homology, linalg, signs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,6 +16,7 @@ def test_readme_and_algebra_doctests():
         doctest.testmod(algebra),
         doctest.testmod(genfun),
         doctest.testmod(homology),
+        doctest.testmod(linalg),
         doctest.testmod(signs),
     ):
         assert result.attempted > 0

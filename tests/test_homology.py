@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_homology import algebra, complexes, genfun, homology, linalg
+from theta_homology import algebra, cli, complexes, genfun, homology
 from theta_homology.algebra import (
     ASYM,
     SYM,
@@ -106,7 +106,7 @@ def test_ranks_invariant_under_d2_rescaling():
 
 def test_homology_ranks_rejects_non_complex():
     s = build_slice(CASE_EO, 6)
-    i, j, value = s.d2.to_triplets()[0]
+    (i, j), value = min(s.d2.entries.items())
     assert value != 0
     fake_d1 = RationalMatrix(
         len(s.basis0), [{0: 1} if j == i else {} for j in range(len(s.basis1))]
@@ -351,25 +351,31 @@ def test_rank_modulo_on_the_generator_columns():
                 assert rank_modulo(d, cols) == want, (case.key, t)
 
 
-def test_one_reduction_per_matrix(monkeypatch):
-    # d2 and d1 once each for the ranks, then only the H0 and H1 generator
-    # columns, against the pivots the ranks kept; the report's own
-    # homology_ranks calls rank() a second time on d2 and d1, which reduces
-    # nothing
-    reduced, reduce = [], linalg._reduce
-
-    def counted(columns, pivots):
-        reduced.append(len(columns))
-        return reduce(columns, pivots)
-
-    monkeypatch.setattr(linalg, "_reduce", counted)
+def test_one_reduction_per_matrix(reductions):
+    # the leading rows certify both ranks, so homology_ranks reduces
+    # nothing; rank_modulo reduces d1, then the H0 generator columns against
+    # a copy of its pivots, then d2 and the H1 columns.  The report's own
+    # homology_ranks call reads the ranks the first call kept
     s = build_slice(CASE_OO, 12)
     row = homology_ranks(s)
+    assert reductions == []
     assert homology_basis_report(s) == []
-    assert reduced == [s.d2.cols, s.d1.cols, row.a, row.b]
-    reduced.clear()
+    assert reductions == [s.d1.cols, row.a, s.d2.cols, row.b]
+    reductions.clear()
     assert verify_homology_basis(CASE_EO, 11)
-    assert len(reduced) == 4
+    assert len(reductions) == 4
+
+
+def test_table_ranks_reduce_nothing(reductions, monkeypatch, capsys):
+    # on every slice of table --case all --max-hodge 40 the leading rows
+    # meet the bounds: rank d2 min(dim C2, dim C1), rank d1 dim C1 - rank d2
+    ranked = []
+    monkeypatch.setattr(
+        cli, "homology_ranks", lambda s: ranked.append(s.t) or homology_ranks(s)
+    )
+    assert cli.main(["table", "--case", "all", "--max-hodge", "40"]) == 0
+    capsys.readouterr()
+    assert len(ranked) == 160 and reductions == []
 
 
 def test_verify_examples():

@@ -72,6 +72,16 @@ def to_dense(mat):
     return [[mat.entry(i, j) for j in range((mat.cols))] for i in range(mat.rows)]
 
 
+def triplets(mat):
+    """Sorted (row, col, value) of the nonzero entries, read from entries."""
+    return sorted((i, j, v) for (i, j), v in mat.entries.items())
+
+
+def reduced_rank(mat):
+    """The rank that column reduction gives on a freshly built copy of mat."""
+    return len(RationalMatrix(mat.rows, mat.columns)._reduced())
+
+
 def test_rank_examples():
     assert from_rows([[1, 2], [2, 4], [3, 6]]).rank() == 1
     assert from_rows([[1, 0], [0, 1]]).rank() == 2
@@ -83,14 +93,14 @@ def test_entry_and_triplets():
     mat = RationalMatrix(2, [{}, {0: 2}, {1: -3}])
     assert mat.entry(0, 1) == 2
     assert mat.entry(0, 0) == 0
-    assert mat.to_triplets() == [(0, 1, 2), (1, 2, -3)]
+    assert triplets(mat) == [(0, 1, 2), (1, 2, -3)]
     with pytest.raises(IndexError):
         mat.entry(2, 0)
 
 
 def test_zero_entries_dropped():
     mat = RationalMatrix(2, [{0: 0}, {1: 5}])
-    assert mat.to_triplets() == [(1, 1, 5)]
+    assert triplets(mat) == [(1, 1, 5)]
 
 
 def test_out_of_range_entry_rejected():
@@ -126,7 +136,8 @@ def test_entries_view_matches_the_columns():
         for t in range(1, 21):
             s = build_slice(case, t)
             for mat in (s.d1, s.d2):
-                rebuilt = {(i, j): v for i, j, v in mat.to_triplets()}
+                rows = enumerate(to_dense(mat))
+                rebuilt = {(i, j): v for i, r in rows for j, v in enumerate(r) if v}
                 assert mat.entries == rebuilt, (case.key, t)
                 assert len(mat.columns) == mat.cols
                 assert all(0 not in col.values() for col in mat.columns)
@@ -152,7 +163,7 @@ def test_entries_are_integers():
     assert mat.entries[0, 0] == 2
     assert type(mat.entry(0, 0)) is int
     assert type(mat.entry(0, 1)) is int
-    assert all(type(v) is int for _, _, v in mat.to_triplets())
+    assert all(type(v) is int for _, _, v in triplets(mat))
     # mat times mat is [[4, 0], [5, 9]]; [1, -2] times mat is [0, -6], its
     # first column cancelling exactly
     assert nonzero_product_columns(mat, mat) == [0, 1]
@@ -166,8 +177,8 @@ def test_entries_are_integers():
     mat = RationalMatrix(Fraction(4, 2), [{}, {Fraction(2, 2): 7}])
     assert (mat.rows, mat.cols) == (2, 2)
     assert type(mat.rows) is int and type(mat.cols) is int
-    assert mat.to_triplets() == [(1, 1, 7)]
-    assert all(type(x) is int for x in mat.to_triplets()[0])
+    assert triplets(mat) == [(1, 1, 7)]
+    assert all(type(x) is int for x in triplets(mat)[0])
     # a bool, an infinity, None or a string is no integer anywhere
     for bad in (True, float("inf"), None, "2"):
         for args in ((bad, [{}] * 3), (3, [{bad: 1}, {}, {}]), (3, [{0: bad}, {}, {}])):
@@ -175,7 +186,7 @@ def test_entries_are_integers():
                 RationalMatrix(*args)
     for two in (2.0, Fraction(4, 2)):
         mat = RationalMatrix(3, [{}, {two: two}])
-        assert mat.cols == 2 and mat.to_triplets() == [(2, 1, 2)]
+        assert mat.cols == 2 and triplets(mat) == [(2, 1, 2)]
         assert mat.entry(two, 1) == mat.entry(2, Fraction(2, 2)) == 2
     # entry reads by the same rule: 1.5 is not truncated, True is not row 1
     for bad in (1.5, True, "1", None, float("inf")):
@@ -292,22 +303,92 @@ def random_dense_matrices():
 
 
 def test_rank_against_dense_oracle():
+    # rank(), certified or reduced, and the reduction itself
     for dense, mat in random_dense_matrices():
-        assert mat.rank() == dense_rank(dense)
-    # the real differentials; only there does d1 of eo/oe make rank reduce
-    # columns, since two of them share a leading row (smallest row index)
+        assert mat.rank() == reduced_rank(mat) == dense_rank(dense)
+    # the real differentials; only there does d1 of eo/oe have two columns
+    # sharing a leading row (smallest row index), where reduction subtracts
     shared = set()
     for case in ALL_CASES:
         for t in range(1, 17):
             s = build_slice(case, t)
             for mat in (s.d1, s.d2):
-                assert mat.rank() == dense_rank(to_dense(mat)), (case.key, t)
+                want = dense_rank(to_dense(mat))
+                assert mat.rank() == reduced_rank(mat) == want, (case.key, t)
             leading = {}
-            for i, j, _ in s.d1.to_triplets():
+            for i, j, _ in triplets(s.d1):
                 leading.setdefault(j, i)
             if len(set(leading.values())) < len(leading):
                 shared.add(case.key)
     assert {"eo", "oe"} <= shared
+
+
+def test_certified_ranks_equal_the_reduction_on_every_slice(reductions):
+    # the bounds homology_ranks passes, none on d2 and dim C1 - rank d2 on
+    # d1, let the leading rows certify both ranks, which equal the reduction
+    for case in ALL_CASES:
+        for t in range(1, 101):
+            s = build_slice(case, t)
+            rank_d2 = s.d2.rank()
+            rank_d1 = s.d1.rank(len(s.basis1) - rank_d2)
+            assert reductions == [], (case.key, t)
+            assert rank_d2 == reduced_rank(s.d2), (case.key, t)
+            assert rank_d1 == reduced_rank(s.d1), (case.key, t)
+            reductions.clear()
+
+
+def test_rank_certificate_and_its_fallback(reductions):
+    # distinct leading rows 0, 2, 1 meet min(rows, cols): no reduction
+    mat = RationalMatrix(4, [{0: 2, 3: 1}, {2: -1}, {1: 5, 2: 5}])
+    assert mat.rank() == 3 and reductions == []
+    # two columns leading on row 0: L = 1 falls short of 2, so they reduce
+    for columns, rank in (
+        ([{0: 1}, {0: 1, 1: 1}], 2),
+        ([{0: 1, 1: 2}, {0: 2, 1: 4}], 1),
+    ):
+        reductions.clear()
+        assert RationalMatrix(2, columns).rank() == rank and reductions == [2]
+    # L = 2 meets the bound but not min(rows, cols) = 3: only the bound
+    # certifies it; the matrix keeps its rank, so rank_modulo reduces it
+    # the first time it needs its pivots, and a later rank() reduces nothing
+    columns = [{0: 1}, {1: 1}, {0: 1, 1: 1}]
+    reductions.clear()
+    assert RationalMatrix(3, columns).rank() == 2 and reductions == [3]
+    reductions.clear()
+    mat = RationalMatrix(3, columns)
+    assert mat.rank(bound=2) == 2 and reductions == []
+    assert rank_modulo(mat, RationalMatrix(3, [{2: 1}, {0: 3}])) == 1
+    assert reductions == [3, 2]
+    assert mat.rank() == 2 and reductions == [3, 2]
+    # a bound of 2.0 is the bound 2, by the integral rule
+    assert RationalMatrix(3, columns).rank(bound=2.0) == 2
+
+
+def test_a_false_rank_bound_raises():
+    # a bound below the distinct leading rows, so below the rank
+    mat = RationalMatrix(3, [{0: 1}, {1: 1}, {2: 1}])
+    with pytest.raises(ValueError) as caught:
+        mat.rank(bound=2)
+    assert str(caught.value) == "rank bound 2 is below the rank 3"
+    assert mat.rank(bound=3) == 3
+    # one leading row, rank 3: a bound of 2 is caught once reduction finds
+    # the rank, and on a later call by the kept rank
+    mat = RationalMatrix(3, [{0: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}])
+    for bound in (2, 2, 0):
+        with pytest.raises(ValueError) as caught:
+            mat.rank(bound=bound)
+        assert str(caught.value) == f"rank bound {bound} is below the rank 3"
+    assert mat.rank() == 3
+    # the bound follows algebra._integral: no bool, fraction or negative count
+    for bad, text in (
+        (True, "rank bound must be an integer, got True"),
+        (1.5, "rank bound must be an integer, got 1.5"),
+        (-1, "rank bound must be at least 0, got -1"),
+        ("2", "rank bound must be an integer, got '2'"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            RationalMatrix(2, [{0: 1}]).rank(bound=bad)
+        assert str(caught.value) == text
 
 
 def assert_rank_modulo_is_its_definition(a, b):
