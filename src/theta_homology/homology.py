@@ -25,10 +25,10 @@ e3^gamma, one monomial fixed by every renaming, as a shift of every
 exponent by gamma.  homology_basis_report checks, on the slice's own
 matrices, that every generator lies in its space, that the H1 ones are
 cycles, that there are exactly a (resp. b) of them, and that they stay
-independent modulo the boundaries (linalg.rank_modulo, which reduces d1
-and d2 there, once each, the first time it needs their pivots, and the
-generator columns against a copy of those).
-No Element is built unless a problem line needs a generator's text.
+independent modulo the boundaries (linalg.rank_modulo, which certifies
+rank [d | generators] from leading rows as rank() does: at every t <= 60,
+where the tests check it, the report reduces nothing).  No Element is built
+unless a problem line needs a generator's text.
 """
 
 from __future__ import annotations

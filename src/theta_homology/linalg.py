@@ -5,16 +5,14 @@ of small integer entries per column, and the homology ranks they decide rest
 on exact cancellation, so everything here works in int, never floating point.
 A matrix is stored column by column, the form in which the differentials are
 assembled and reduced; one constructor builds it from its row count and
-column maps, through one validating pass.  rank(bound) first counts the
-distinct leading rows (smallest row indices) of the columns: columns with
-distinct leading rows are independent, so when that count meets rows, cols
-or the caller's upper bound it is the rank, certified with no elimination.
-Otherwise rank is fraction-free column reduction on leading rows, with no
-pivot heuristic, run once per matrix: the reduced pivots are kept, which is
-sound because a matrix is never changed after construction.
-rank_modulo(a, b), the rank b adds to a's column space, reduces a the first
-time any call needs a's pivots, whether or not rank() certified a, and
-reduces b's columns against a copy of those.  No product is built:
+column maps, through one validating pass.  A rank is certified where it
+can be: columns with distinct leading rows (smallest row indices) are
+independent, so when their count L meets rows, cols or an upper bound the
+caller vouches for, L is the rank, with no elimination (_rank).  Otherwise
+the rank is fraction-free column reduction on leading rows, with no pivot
+heuristic; nothing but the rank is kept.  rank_modulo(a, b), the rank b
+adds to a's column space, is the same rule applied to [a | b], bounded by
+rank a + cols b, minus rank a.  No product is built:
 nonzero_product_columns sums each product column from the left factor's
 columns and keeps only whether it vanishes.  Sizes grow roughly
 quadratically in the Hodge degree t: in the hundreds for t <= 40, and about
@@ -38,13 +36,11 @@ class RationalMatrix:
     is stored as 2; 0.5, True or None raise ValueError), raises ValueError on
     a row index outside the matrix and drops zeros, leaving columns a tuple
     of cols maps.  entries is a read-only {(i, j): int} view built on each
-    read.  rank() is the rank over Q.  Instances are treated as immutable,
-    so the rank, once certified or reduced, is kept, as are the pivots the
-    first reduction leaves; they serve every later rank() and rank_modulo()
-    on the matrix.
+    read.  rank() is the rank over Q; instances are treated as immutable,
+    so the first call keeps it.
     """
 
-    __slots__ = ("rows", "cols", "columns", "_rank", "_pivots")
+    __slots__ = ("rows", "cols", "columns", "_rank")
 
     def __init__(self, rows, columns):
         """The one validating pass (see the class docstring); columns is a
@@ -67,7 +63,7 @@ class RationalMatrix:
                     kept[i] = value
             filled.append(kept)
         self.rows, self.cols, self.columns = rows, cols, tuple(filled)
-        self._rank = self._pivots = None
+        self._rank = None
 
     @property
     def entries(self):
@@ -89,14 +85,10 @@ class RationalMatrix:
 
         bound, if given, is an upper bound on the rank that the caller
         vouches for, under the integral rule (algebra._integral, at least 0).
-        L, the number of distinct leading rows (smallest row indices) of the
-        nonzero columns, is a lower bound, since such columns are
-        independent.  If L meets min(rows, cols, bound), it is the rank, and
-        nothing is reduced.  Otherwise the columns are reduced (_reduced),
-        and the rank is the number of pivots.  The first call keeps the
-        rank, so later calls neither count nor reduce.  A bound below L, or
-        below a reduced or kept rank, was false: it raises ValueError.  A
-        bound equal to L is believed, so it must be a true upper bound.
+        The first call certifies or reduces the rank (_rank) and keeps it.
+        A bound below the rank was false: it raises ValueError.  A bound
+        equal to the count of distinct leading rows is believed, so it must
+        be a true upper bound.
 
         >>> RationalMatrix(3, [{0: 2, 2: 1}, {1: -1}]).rank()  # leads 0, 1
         2
@@ -106,22 +98,10 @@ class RationalMatrix:
         # no bound is the bound cols, which no rank exceeds
         bound = self.cols if bound is None else _integral(bound, "rank bound", 0)
         if self._rank is None:
-            leads = len({min(column) for column in self.columns if column})
-            if leads == min(self.rows, self.cols, bound):
-                self._rank = leads
-            else:
-                self._reduced()
+            self._rank = _rank(self.rows, self.columns, bound)
         if self._rank > bound:
             raise ValueError(f"rank bound {bound} is below the rank {self._rank}")
         return self._rank
-
-    def _reduced(self):
-        """{leading row: reduced column} of the columns, reduced once and kept,
-        with their count as the rank."""
-        if self._pivots is None:
-            self._pivots = _reduce(self.columns, {})
-            self._rank = len(self._pivots)
-        return self._pivots
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -137,16 +117,28 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {nonzero} nonzero)"
 
 
-def _reduce(columns, pivots):
-    """Reduce columns in order into pivots, {leading row: column}; returns it.
+def _rank(rows, columns, bound):
+    """The rank of a rows-row matrix's columns, given an upper bound on it.
 
-    Fraction-free column reduction: while a pivot owns the leading row
-    (smallest row index) of a column, that column becomes p*col - q*pivot,
-    p and q being the two entries in that row, divided by the gcd of its
-    entries.  A column left nonzero becomes the pivot of its leading row,
-    so the rank of everything reduced is len(pivots).  No pivot is changed,
-    so pivots may be a copy of another matrix's kept ones.
+    L, the count of distinct leading rows of the nonzero columns, is a lower
+    bound, since such columns are independent.  If L meets min(rows,
+    len(columns), bound) it is the rank; otherwise _reduce(columns) is.
     """
+    leads = len({min(column) for column in columns if column})
+    if leads == min(rows, len(columns), bound):
+        return leads
+    return _reduce(columns)
+
+
+def _reduce(columns):
+    """The rank of columns, by fraction-free column reduction.
+
+    While a pivot owns the leading row (smallest row index) of a column,
+    that column becomes p*col - q*pivot, p and q being the two entries in
+    that row, divided by the gcd of its entries.  A column left nonzero
+    becomes the pivot of its leading row; the rank is the pivot count.
+    """
+    pivots = {}
     for col in columns:
         while col and (lead := min(col)) in pivots:
             pivot = pivots[lead]
@@ -157,20 +149,25 @@ def _reduce(columns, pivots):
             col = {i: v // g for i, v in col.items() if v}
         if col:
             pivots[lead] = col  # lead is min(col), from the loop test
-    return pivots
+    return len(pivots)
 
 
 def rank_modulo(a, b):
     """rank [a | b] - rank a, the rank b's columns add to a's column space.
 
-    [a | b] reduces a's columns first, to a's kept pivots, so only b's
-    columns are reduced, into a copy of those; raises ValueError when the
-    row counts differ.
+    [a | b] is ranked as rank() ranks a matrix (_rank), with the bound
+    rank a + cols b; raises ValueError when the row counts differ.
+
+    >>> a = RationalMatrix(2, [{0: 1}])
+    >>> rank_modulo(a, RationalMatrix(2, [{1: 3}]))  # leads 0, 1
+    1
+    >>> rank_modulo(a, RationalMatrix(2, [{0: 1, 1: 1}]))  # reduced
+    1
     """
     if a.rows != b.rows:
         raise ValueError(f"cannot put {a.rows}x{a.cols} beside {b.rows}x{b.cols}")
-    pivots = a._reduced()
-    return len(_reduce(b.columns, dict(pivots))) - len(pivots)
+    rank_a = a.rank()
+    return _rank(a.rows, a.columns + b.columns, rank_a + b.cols) - rank_a
 
 
 def nonzero_product_columns(a, b):

@@ -351,19 +351,16 @@ def test_rank_modulo_on_the_generator_columns():
                 assert rank_modulo(d, cols) == want, (case.key, t)
 
 
-def test_one_reduction_per_matrix(reductions):
-    # the leading rows certify both ranks, so homology_ranks reduces
-    # nothing; rank_modulo reduces d1, then the H0 generator columns against
-    # a copy of its pivots, then d2 and the H1 columns.  The report's own
-    # homology_ranks call reads the ranks the first call kept
-    s = build_slice(CASE_OO, 12)
-    row = homology_ranks(s)
-    assert reductions == []
-    assert homology_basis_report(s) == []
-    assert reductions == [s.d1.cols, row.a, s.d2.cols, row.b]
-    reductions.clear()
-    assert verify_homology_basis(CASE_EO, 11)
-    assert len(reductions) == 4
+def test_basis_check_reduces_nothing(reductions):
+    # the leading rows certify rank d1 and rank d2, and those of [d | the
+    # generator columns] meet rank d + the generator count, so rank_modulo
+    # certifies too; the verdicts are those of criterion 7
+    assert homology_basis_report(build_slice(CASE_OO, 12)) == []
+    for case in ALL_CASES:
+        for t in range(1, 61):
+            ok = not (case.key == "oe" and t >= 13 and t % 4 == 1)
+            assert verify_homology_basis(case, t) == ok, (case.key, t)
+            assert reductions == [], (case.key, t)
 
 
 def test_table_ranks_reduce_nothing(reductions, monkeypatch, capsys):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from theta_homology import linalg
 from theta_homology.cases import ALL_CASES
 from theta_homology.complexes import build_slice
 from theta_homology.linalg import (
@@ -78,8 +79,8 @@ def triplets(mat):
 
 
 def reduced_rank(mat):
-    """The rank that column reduction gives on a freshly built copy of mat."""
-    return len(RationalMatrix(mat.rows, mat.columns)._reduced())
+    """The rank that column reduction gives on mat's columns."""
+    return linalg._reduce(mat.columns)
 
 
 def test_rank_examples():
@@ -349,8 +350,8 @@ def test_rank_certificate_and_its_fallback(reductions):
         reductions.clear()
         assert RationalMatrix(2, columns).rank() == rank and reductions == [2]
     # L = 2 meets the bound but not min(rows, cols) = 3: only the bound
-    # certifies it; the matrix keeps its rank, so rank_modulo reduces it
-    # the first time it needs its pivots, and a later rank() reduces nothing
+    # certifies it; the matrix keeps its rank, so rank_modulo reads it, and
+    # [mat | b] leads on rows 0, 1, 2, which meets rows = 3: no reduction
     columns = [{0: 1}, {1: 1}, {0: 1, 1: 1}]
     reductions.clear()
     assert RationalMatrix(3, columns).rank() == 2 and reductions == [3]
@@ -358,8 +359,8 @@ def test_rank_certificate_and_its_fallback(reductions):
     mat = RationalMatrix(3, columns)
     assert mat.rank(bound=2) == 2 and reductions == []
     assert rank_modulo(mat, RationalMatrix(3, [{2: 1}, {0: 3}])) == 1
-    assert reductions == [3, 2]
-    assert mat.rank() == 2 and reductions == [3, 2]
+    assert reductions == []
+    assert mat.rank() == 2 and reductions == []
     # a bound of 2.0 is the bound 2, by the integral rule
     assert RationalMatrix(3, columns).rank(bound=2.0) == 2
 
@@ -392,7 +393,7 @@ def test_a_false_rank_bound_raises():
 
 
 def assert_rank_modulo_is_its_definition(a, b):
-    got = rank_modulo(a, b)  # first, so a's kept pivots must survive it
+    got = rank_modulo(a, b)
     assert got == RationalMatrix(a.rows, a.columns + b.columns).rank() - a.rank()
 
 
@@ -416,6 +417,18 @@ def test_rank_modulo_against_its_definition():
                     assert_rank_modulo_is_its_definition(*split(mat, j))
     with pytest.raises(ValueError, match="cannot put 2x1 beside 3x1"):
         rank_modulo(RationalMatrix(2, [{0: 1}]), RationalMatrix(3, [{0: 1}]))
+
+
+def test_rank_modulo_reduces_where_the_leading_rows_fall_short(reductions):
+    # [a | b] leads only on row 0, short of min(rows, cols, rank a + cols b)
+    # = 2, so its two columns reduce, to the definition's rank 2 - 1
+    a = RationalMatrix(2, [{0: 1}])
+    b = RationalMatrix(2, [{0: 1, 1: 1}])
+    assert rank_modulo(a, b) == 1 and reductions == [2]
+    assert rank_modulo(a, b) == RationalMatrix(2, a.columns + b.columns).rank() - 1
+    # b inside a's column space: rank 1 of bound 2, so it reduces to 0
+    reductions.clear()
+    assert rank_modulo(a, RationalMatrix(2, [{0: -3}])) == 0 and reductions == [2]
 
 
 def test_rank_against_minor_oracle():
