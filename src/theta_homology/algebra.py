@@ -249,10 +249,11 @@ def mirror_sign(flavor, mono):
     diagonal on normal-form monomials with sign (-1)^(sum k_i(k_i+1)/2),
     the generator negations plus the word reversal.
     """
+    k1, k2, k3 = mono
     if flavor.odd:
-        exponent = sum(k * (k + 1) // 2 for k in mono)
+        exponent = (k1 * (k1 + 1) + k2 * (k2 + 1) + k3 * (k3 + 1)) // 2
     else:
-        exponent = sum(mono)
+        exponent = k1 + k2 + k3
     return -1 if exponent % 2 else 1
 
 
@@ -313,7 +314,7 @@ def orbit(flavor, triple):
     rep = tuple(sorted(triple, reverse=True))
     if not is_admissible(flavor, rep):
         return {}
-    return dict(_act(flavor, perm, rep) for perm in S3)
+    return dict([_act(flavor, perm, rep) for perm in S3])
 
 
 def symmetrize(flavor, triple):

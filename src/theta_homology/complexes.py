@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import namedtuple
 
 from .algebra import (
@@ -242,6 +241,15 @@ def _sorted_product(flavor, element, multiplier, side):
 
 
 _PARITIES = tuple(itertools.product((0, 1), repeat=3))  # the exponent parity classes
+# mu + e_i of each parity class mu, for i = 0, 1, 2
+_UNIT_SHIFTS = {
+    mu: tuple((mu[0] + e[0], mu[1] + e[1], mu[2] + e[2]) for e in _UNIT)
+    for mu in _PARITIES
+}
+# S3's 36 products: sigma tau renames generator j to sigma[tau[j]]
+_S3_PRODUCT = {
+    (sigma, tau): tuple(sigma[j] for j in tau) for sigma in S3 for tau in S3
+}
 
 # One base triple (k3 + b + a, k3 + b, k3) per residue key: k3 mod 4 and each
 # gap's residue mod 4, with a gap of 4 standing for the positive gaps of
@@ -271,7 +279,10 @@ def _rules(flavor):
     multiplication keeps equivariance.  Both signs depend only on the
     exponents' parities, so this covers every monomial.  Both checks read
     _act from one table, built first, over the parity classes and their unit
-    shifts.  In the commuting flavors _e_sign is 1 on both sides, so the two
+    shifts (_UNIT_SHIFTS, built at import, which also gives (b)'s targets
+    e_sigma(i) sigma(mu)); (a) reads sigma tau from _S3_PRODUCT, S3's 36
+    products built at import, and (b) reads _e_sign from one table over the
+    sides, the e_i and the parity classes.  In the commuting flavors _e_sign is 1 on both sides, so the two
     sides are one map: (b) and the stencil derivation run for "left" only,
     and stencil["right"] is that same dict.
 
@@ -293,32 +304,39 @@ def _rules(flavor):
     """
     # _act on what both checks read: the parity classes and their unit
     # shifts, 20 monomials, so 120 calls
-    shifts = ((0, 0, 0),) + _UNIT
-    monomials = {tuple(map(operator.add, mu, e)) for mu in _PARITIES for e in shifts}
+    monomials = set(_PARITIES).union(*_UNIT_SHIFTS.values())
     act = {(sigma, mu): _act(flavor, sigma, mu) for sigma in S3 for mu in monomials}
     for mu, tau in itertools.product(_PARITIES, S3):
         tau_mu, tau_sign = act[tau, mu]
         for sigma in S3:
             image, sign = act[sigma, tau_mu]
-            composed = act[tuple(sigma[j] for j in tau), mu]
-            if (image, sign * tau_sign) != composed:
+            if (image, sign * tau_sign) != act[_S3_PRODUCT[sigma, tau], mu]:
                 raise ComplexConsistencyError(
                     f"the S3 action of {flavor} is not a group action on {mu}"
                 )
     sides = ("left", "right") if flavor.odd else ("left",)
+    # _e_sign of e_i and a parity class mu on each side, all that (b) reads
+    e_sign = {
+        (side, i, mu): _e_sign(flavor, side, e, mu)
+        for side in sides
+        for i, e in enumerate(_UNIT)
+        for mu in _PARITIES
+    }
     rules = _Rules({}, {side: {} for side in sides})
-    for side, mu, i, sigma in itertools.product(rules.stencil, _PARITIES, range(3), S3):
-        e, sigma_e = _UNIT[i], _UNIT[sigma[i]]
-        moved, sign = act[sigma, tuple(map(operator.add, mu, e))]
-        sigma_mu, mu_sign = act[sigma, mu]
-        target = tuple(map(operator.add, sigma_mu, sigma_e))
-        sign *= _e_sign(flavor, side, e, mu)
-        mu_sign *= _e_sign(flavor, side, sigma_e, sigma_mu)
-        if (moved, sign) != (target, mu_sign):
-            raise ComplexConsistencyError(
-                f"S3 does not commute with {side} multiplication by e1 "
-                f"in {flavor} (parity class {mu}, generator {i + 1})"
-            )
+    for side, mu in itertools.product(rules.stencil, _PARITIES):
+        for i, mu_e in enumerate(_UNIT_SHIFTS[mu]):
+            e_mu_sign = e_sign[side, i, mu]
+            for sigma in S3:
+                moved, sign = act[sigma, mu_e]
+                sigma_mu, mu_sign = act[sigma, mu]
+                j = sigma[i]
+                sign *= e_mu_sign
+                mu_sign *= e_sign[side, j, sigma_mu]
+                if (moved, sign) != (_UNIT_SHIFTS[sigma_mu][j], mu_sign):
+                    raise ComplexConsistencyError(
+                        f"S3 does not commute with {side} multiplication by e1 "
+                        f"in {flavor} (parity class {mu}, generator {i + 1})"
+                    )
     for base in _BASES:
         k1, k2, k3 = base
         shifted = (k1 + 4, k2 + 4, k3 + 4)
@@ -336,14 +354,14 @@ def _rules(flavor):
         key = _stencil_key(base)
         if key in rules.stencil["left"]:
             continue
-        orbits = {k: orbit(flavor, k) for k in (base, shifted)}
+        orbits = (base, orbit(flavor, base)), (shifted, orbit(flavor, shifted))
         for side, table in rules.stencil.items():
             column, other = (
                 {
-                    tuple(map(operator.sub, nu, k)): c
+                    (nu[0] - k[0], nu[1] - k[1], nu[2] - k[2]): c
                     for nu, c in _sorted_product(flavor, element, _E1, side).items()
                 }
-                for k, element in orbits.items()
+                for k, element in orbits
             )
             if other != column:
                 raise ComplexConsistencyError(
@@ -367,14 +385,16 @@ def _matrix_of(case, t, source, target, defect, dropped=()):
     side, scale = _differential(case, defect, t - defect)
     stencil = _rules(case.flavor).stencil[side]
     # None: the row of a component that d1's projection drops
-    index = dict.fromkeys(dropped) | {triple: i for i, triple in enumerate(target)}
+    index = dict.fromkeys(dropped)
+    index.update(zip(target, range(len(target))))
+    row_of = index.get
     columns = []
     for triple in source:
         k1, k2, k3 = triple
         column = {}
         for e, c in stencil[_stencil_key(triple)].items():
             rep = (k1 + e[0], k2 + e[1], k3 + e[2])
-            row = index.get(rep)
+            row = row_of(rep)
             if row is not None:
                 column[row] = scale * c
             elif rep not in index:

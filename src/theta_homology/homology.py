@@ -204,7 +204,7 @@ def _render(flavor, generator):
 def _coordinate_columns(generators, flavor, basis, what, problems):
     """(generator, column in basis) pairs; a generator with a triple outside the
     basis gets a problem naming the largest such triple, and no column."""
-    index = {triple: i for i, triple in enumerate(basis)}
+    index = dict(zip(basis, range(len(basis))))
     pairs = []
     for g in generators:
         outside = [k for k in g if k not in index]

@@ -49,6 +49,15 @@ class RationalMatrix:
         cols = len(columns)
         filled = []
         for j, column in enumerate(columns):
+            # the common entry, an int row in range with a nonzero int value,
+            # passes one test, and a column of them is kept as a copy; any
+            # other column takes the checks entry by entry
+            for i, value in column.items():
+                if not (type(i) is int is type(value) and 0 <= i < rows and value):
+                    break
+            else:
+                filled.append(dict(column))
+                continue
             kept = {}
             for i, value in column.items():
                 if type(i) is not int:

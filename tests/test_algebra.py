@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from theta_homology.algebra import (
     ASYM,
@@ -171,6 +174,30 @@ def test_mirror_sign_values():
     assert mirror_sign(SYM_ODD, (2, 0, 0)) == -1
     assert mirror_sign(SYM_ODD, (3, 0, 0)) == 1
     assert mirror_sign(SYM_ODD, (2, 1, 1)) == -1
+
+
+def stated_mirror_sign(flavor, mono):
+    """mirror_sign's docstring: (-1)^(sum k_i(k_i+1)/2) in the odd flavors,
+    (-1)^degree in the commuting ones."""
+    exponent = sum(k * (k + 1) // 2 for k in mono) if flavor.odd else sum(mono)
+    return -1 if exponent % 2 else 1
+
+
+def test_mirror_sign_is_the_stated_sum():
+    # every exponent triple in {0..7}^3, so each exponent takes every
+    # residue mod 4 twice, in all four flavors
+    for flavor in FLAVORS:
+        for mono in itertools.product(range(8), repeat=3):
+            assert mirror_sign(flavor, mono) == stated_mirror_sign(flavor, mono)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    flavor=st.sampled_from(FLAVORS),
+    mono=st.tuples(*[st.integers(0, 10**9)] * 3),
+)
+def test_mirror_sign_is_the_stated_sum_at_large_exponents(flavor, mono):
+    assert mirror_sign(flavor, mono) == stated_mirror_sign(flavor, mono)
 
 
 def test_mirror_matches_recursive_oracle():

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import operator
@@ -321,6 +322,51 @@ def test_equivariance_check_passes_on_every_flavor(fresh_equivariance_memo):
     # the checks and tables run once per flavor, for both sides
     assert complexes._rules.cache_info().misses == 4
     assert complexes._rules.cache_info().currsize == 4
+
+
+# SHA-256 of each flavor's sign table and left and right stencil tables
+# (rules_table_digest), recorded once, so that a faster derivation cannot
+# drift from the tables the checked rules gave
+RULES_DIGESTS = {
+    SYM: (
+        "60194e06ee04b6c27e8166dec317473b4aea6a92a2c5d4e8dfcdb4e13535679f",
+        "4750545946dd58552b119840fe1e37e2e2f1e512383ba83613457a3a64619db0",
+        "4750545946dd58552b119840fe1e37e2e2f1e512383ba83613457a3a64619db0",
+    ),
+    ASYM: (
+        "32aef179ae0abf5548756f3ed716609d57119da6598af83803d3a41a54fbe8a7",
+        "c7b8a29e08d9217ee5ae271f5531fe32c1e985b537bdb57c81b0f60a9d576793",
+        "c7b8a29e08d9217ee5ae271f5531fe32c1e985b537bdb57c81b0f60a9d576793",
+    ),
+    SYM_ODD: (
+        "65cc684d93b54b0c84e000a45f411993a8a28dc47d968baa1df14d9d1643a496",
+        "23ffdccd45ddcc291cd4c2c7828e4e432d3d4f3e7529ddfbc1b0110e0e5ce2d5",
+        "8bc9309c0f064a4dcd8e57f262466fd31d7d6479e2ec251dfb129162e0d96852",
+    ),
+    ASYM_ODD: (
+        "c9f58bae0bcaf8c36fee6f9aabb8ebf1198e31f24164f0c36431e58e6733b0a5",
+        "6dc75ba8187a804cb9a9fb31d2cf157a3265ef9b2deb44331a9e231335e73ede",
+        "e16946f8936aff6045185a25897bff2bc01aeda82074dcdf3631217d64ab75f2",
+    ),
+}
+
+
+def rules_table_digest(table):
+    """SHA-256 of the repr of a _rules table's sorted items, each stencil
+    column sorted too, so that insertion order does not count."""
+    items = sorted(
+        (key, sorted(value.items()) if isinstance(value, dict) else value)
+        for key, value in table.items()
+    )
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def test_rules_tables_equal_the_recorded_digests(fresh_equivariance_memo):
+    for flavor in FLAVORS:
+        rules = complexes._rules(flavor)
+        tables = (rules.sign, rules.stencil["left"], rules.stencil["right"])
+        digests = tuple(rules_table_digest(table) for table in tables)
+        assert digests == RULES_DIGESTS[flavor], flavor
 
 
 def test_equivariance_check_catches_a_non_action(monkeypatch, fresh_equivariance_memo):
